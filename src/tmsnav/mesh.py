@@ -3,25 +3,31 @@
 Meshes are consumed in millimeters with outward-winding triangles:
 normal = normalize((v1 - v0) x (v2 - v0)) points away from the enclosed
 volume. Queries (closest point, ray intersection) are exact and
-deterministic; ties are broken by lowest triangle id. Meshes at or above
-``accel_threshold`` triangles are served by an axis-aligned BVH, smaller
-ones by the vectorized brute-force path (which doubles as the test
-oracle).
+deterministic; ties are broken by lowest triangle id. Every mesh is served
+by one flat index, built on its first query: triangles sorted by the Morton
+code of their centroids and cut into chunks of 32 with a bounding box each.
+The ``*_brute`` functions scan every triangle and are the reference oracle.
 """
 
 from __future__ import annotations
 
-import heapq
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyMeshError, MeshValidationError
+from .errors import EmptyMeshError, MeshValidationError, ValidationError
 
 DEGENERATE_AREA_MM2 = 1e-9
 RAY_MIN_PARAMETER = 1e-9
 _RAY_PARALLEL_EPS = 1e-12
+
+CHUNK_SIZE = 32
+# cap on the elements of one query x chunk or query x triangle temporary
+_BLOCK_ELEMENTS = 1 << 15
+# chunk boxes are widened by this fraction of the mesh's coordinate scale, so
+# rounding in the per-triangle distances can never cull the winning chunk
+_BOX_PAD = 1e-9
 
 # Direction used for point-containment parity casts; chosen with no axis
 # alignment so rays do not graze mesh edges of axis-aligned fixtures.
@@ -43,30 +49,43 @@ class SurfaceHit:
         object.__setattr__(self, "ray_parameter", float(self.ray_parameter))
 
 
-class TriangleMesh:
-    """Read-only indexed triangle surface with lazy BVH acceleration."""
+def _morton_codes(points: np.ndarray) -> np.ndarray:
+    """30-bit Morton codes of points quantized to 1024 cells per axis of their box."""
+    lo = points.min(axis=0)
+    span = points.max(axis=0) - lo
+    cells = ((points - lo) * (1023.0 / np.where(span > 0.0, span, 1.0))).astype(np.int64)
+    for shift, mask in ((16, 0xFF0000FF), (8, 0x0F00F00F), (4, 0xC30C30C3), (2, 0x49249249)):
+        cells = (cells | cells << shift) & mask  # spread each axis's 10 bits 3 apart
+    return (cells[:, 0] << 2) | (cells[:, 1] << 1) | cells[:, 2]
 
-    def __init__(self, vertices, triangles, accel_threshold: int = 10_000):
+
+def _areas(v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    e1, e2 = v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]
+    return 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
+
+
+class TriangleMesh:
+    """Read-only indexed triangle surface with a lazily built spatial index."""
+
+    def __init__(self, vertices, triangles):
         v = np.asarray(vertices, dtype=float).reshape(-1, 3).copy()
         t = np.asarray(triangles, dtype=np.int64).reshape(-1, 3).copy()
+        bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
+        if bad.size:
+            raise MeshValidationError(f"non-finite vertex {bad[0]}: {v[bad[0]].tolist()}")
         if t.size and (t.min() < 0 or t.max() >= len(v)):
             raise MeshValidationError("triangle index out of range")
         v.setflags(write=False)
         t.setflags(write=False)
         self.vertices = v
         self.triangles = t
-        self.accel_threshold = int(accel_threshold)
         self._corners = None
-        self._bvh = None
-        if len(t):
-            areas = 0.5 * np.linalg.norm(
-                np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]), axis=1
+        self._index = None
+        bad = np.flatnonzero(_areas(v, t) <= DEGENERATE_AREA_MM2)
+        if bad.size:
+            raise MeshValidationError(
+                f"{bad.size} degenerate triangle(s), first at id {int(bad[0])}"
             )
-            bad = np.flatnonzero(areas <= DEGENERATE_AREA_MM2)
-            if bad.size:
-                raise MeshValidationError(
-                    f"{bad.size} degenerate triangle(s), first at id {int(bad[0])}"
-                )
 
     def __len__(self) -> int:
         return len(self.triangles)
@@ -82,13 +101,23 @@ class TriangleMesh:
             )
         return self._corners
 
-    def bvh(self) -> "_Bvh":
-        if self._bvh is None:
-            self._bvh = _Bvh(self)
-        return self._bvh
+    def index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Spatial index (ids, lo, hi, anchor), built on first use (non-empty meshes).
 
-    def _accelerated(self) -> bool:
-        return self._bvh is not None or len(self) >= self.accel_threshold
+        ids (C, 32) holds the triangle ids in Morton order, ties in id order,
+        the last chunk padded by repeating one id; lo and hi (C, 3) are the
+        widened chunk boxes; anchor (C, 3) is one vertex of each chunk.
+        """
+        if self._index is None:
+            a, b, c = self.corners()
+            order = np.argsort(_morton_codes((a + b + c) / 3.0), kind="stable")
+            order = np.concatenate([order, np.full(-len(order) % CHUNK_SIZE, order[-1])])
+            ids = order.reshape(-1, CHUNK_SIZE)
+            pad = _BOX_PAD * (1.0 + np.abs(self.vertices).max())
+            lo = np.minimum(np.minimum(a, b), c)[ids].min(axis=1) - pad
+            hi = np.maximum(np.maximum(a, b), c)[ids].max(axis=1) + pad
+            self._index = (ids, lo, hi, a[ids[:, 0]])
+        return self._index
 
 
 def triangle_normal(mesh: TriangleMesh, triangle_id: int) -> np.ndarray:
@@ -112,10 +141,10 @@ def _closest_on_triangles(a, b, c, q):
     """Closest point on each triangle (a, b, c): returns (points, d2).
 
     Vectorized Voronoi-region walk (Ericson-style region classification,
-    exact comparisons). Broadcasts one query (3,) over T triangles, or a
-    batch (Q, 3) over the same T triangles with (Q, T, ...) outputs.
+    exact comparisons). One query (3,) against corners (T, 3), or queries
+    (P, 3) each against its own corners (P, T, 3), with (..., T) outputs.
     """
-    qv = q[..., None, :]  # (..., 1, 3) against (T, 3)
+    qv = q[..., None, :]  # (..., 1, 3) against (..., T, 3)
     ab = b - a
     ac = c - a
     ap = qv - a
@@ -128,37 +157,33 @@ def _closest_on_triangles(a, b, c, q):
     d5 = (ab * cp).sum(-1)
     d6 = (ac * cp).sum(-1)
 
-    shape = d1.shape
-    a_, b_, c_ = np.broadcast_to(a, shape + (3,)), np.broadcast_to(b, shape + (3,)), \
-        np.broadcast_to(c, shape + (3,))
-    ab_, ac_ = np.broadcast_to(ab, shape + (3,)), np.broadcast_to(ac, shape + (3,))
-    result = np.empty(shape + (3,))
-    remain = np.ones(shape, dtype=bool)
+    result = np.empty(a.shape)
+    remain = np.ones(d1.shape, dtype=bool)
 
     is_a = (d1 <= 0.0) & (d2_ <= 0.0)
-    result[is_a] = a_[is_a]
+    result[is_a] = a[is_a]
     remain &= ~is_a
 
     is_b = (d3 >= 0.0) & (d4 <= d3) & remain
-    result[is_b] = b_[is_b]
+    result[is_b] = b[is_b]
     remain &= ~is_b
 
     vc = d1 * d4 - d3 * d2_
     is_ab = (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0) & remain
     if is_ab.any():
         t = (d1[is_ab] / (d1[is_ab] - d3[is_ab]))[:, None]
-        result[is_ab] = a_[is_ab] + t * ab_[is_ab]
+        result[is_ab] = a[is_ab] + t * ab[is_ab]
     remain &= ~is_ab
 
     is_c = (d6 >= 0.0) & (d5 <= d6) & remain
-    result[is_c] = c_[is_c]
+    result[is_c] = c[is_c]
     remain &= ~is_c
 
     vb = d5 * d2_ - d1 * d6
     is_ac = (vb <= 0.0) & (d2_ >= 0.0) & (d6 <= 0.0) & remain
     if is_ac.any():
         w = (d2_[is_ac] / (d2_[is_ac] - d6[is_ac]))[:, None]
-        result[is_ac] = a_[is_ac] + w * ac_[is_ac]
+        result[is_ac] = a[is_ac] + w * ac[is_ac]
     remain &= ~is_ac
 
     va = d3 * d6 - d5 * d4
@@ -166,14 +191,14 @@ def _closest_on_triangles(a, b, c, q):
     if is_bc.any():
         d43 = d4[is_bc] - d3[is_bc]
         w = (d43 / (d43 + d5[is_bc] - d6[is_bc]))[:, None]
-        result[is_bc] = b_[is_bc] + w * (c_[is_bc] - b_[is_bc])
+        result[is_bc] = b[is_bc] + w * (c[is_bc] - b[is_bc])
     remain &= ~is_bc
 
     if remain.any():
         denom = va[remain] + vb[remain] + vc[remain]
         v = (vb[remain] / denom)[:, None]
         w = (vc[remain] / denom)[:, None]
-        result[remain] = a_[remain] + v * ab_[remain] + w * ac_[remain]
+        result[remain] = a[remain] + v * ab[remain] + w * ac[remain]
 
     diff = result - qv
     return result, (diff * diff).sum(-1)
@@ -190,35 +215,59 @@ def closest_point_brute(mesh: TriangleMesh, query) -> SurfaceHit:
     return SurfaceHit(pts[best], best)
 
 
+def _nearest(mesh: TriangleMesh, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest surface point (Q, 3) and triangle id (Q,) for each query row.
+
+    Per block of queries: box lower bounds for every query x chunk, an
+    upper bound from each chunk's anchor vertex, then the exact routine on
+    every (query, chunk) pair whose bound can win. Ties go to the lowest id.
+    """
+    bad = np.flatnonzero(~np.isfinite(q).all(axis=1))
+    if bad.size:  # a nan row would have no candidate chunk
+        raise ValidationError(f"non-finite query point at row {bad[0]}: {q[bad[0]].tolist()}")
+    ids, lo, hi, anchor = mesh.index()
+    a, b, c = mesh.corners()
+    points = np.empty_like(q)
+    tri_ids = np.empty(len(q), dtype=np.int64)
+    step = max(1, _BLOCK_ELEMENTS // (3 * len(ids)))
+    pair_step = max(1, _BLOCK_ELEMENTS // (3 * CHUNK_SIZE))
+    for start in range(0, len(q), step):
+        block = q[start:start + step, None, :]
+        gap = np.maximum(lo - block, 0.0) + np.maximum(block - hi, 0.0)
+        lower = (gap * gap).sum(-1)
+        diff = anchor - block
+        upper = (diff * diff).sum(-1).min(axis=1)
+        rows, chunks = np.nonzero(lower <= upper[:, None])  # rows ascending
+        found = []  # per pair: the chunk's nearest d2, its lowest-id triangle, the point
+        for p in range(0, len(rows), pair_step):
+            sl = slice(p, p + pair_step)
+            tris = ids[chunks[sl]]
+            pts, d2 = _closest_on_triangles(a[tris], b[tris], c[tris], block[rows[sl], 0])
+            best_d2 = d2.min(axis=1)
+            k = np.argmin(np.where(d2 == best_d2[:, None], tris, len(mesh)), axis=1)
+            r = np.arange(len(k))
+            found.append((best_d2, tris[r, k], pts[r, k]))
+        pair_d2, pair_id, pair_pt = (np.concatenate(x) for x in zip(*found))
+        order = np.lexsort((pair_id, pair_d2, rows))
+        first = order[np.flatnonzero(np.diff(rows[order], prepend=-1))]
+        points[start:start + step] = pair_pt[first]
+        tri_ids[start:start + step] = pair_id[first]
+    return points, tri_ids
+
+
 def closest_point(mesh: TriangleMesh, query) -> SurfaceHit:
     """Globally nearest surface point; exact ties go to the lowest id."""
     if len(mesh) == 0:
         raise EmptyMeshError("closest_point on empty mesh")
-    if not mesh._accelerated():
-        return closest_point_brute(mesh, query)
-    return mesh.bvh().closest_point(np.asarray(query, dtype=float).reshape(3))
+    points, tri_ids = _nearest(mesh, np.asarray(query, dtype=float).reshape(1, 3))
+    return SurfaceHit(points[0], tri_ids[0])
 
 
 def closest_point_batch(mesh: TriangleMesh, queries) -> np.ndarray:
-    """Nearest surface point for each query row; returns (Q, 3).
-
-    Small meshes run one chunked query-x-triangle pass; accelerated
-    meshes fall back to per-query BVH traversal.
-    """
+    """Nearest surface point for each query row; returns (Q, 3)."""
     if len(mesh) == 0:
         raise EmptyMeshError("closest_point on empty mesh")
-    q = np.asarray(queries, dtype=float).reshape(-1, 3)
-    if mesh._accelerated():
-        bvh = mesh.bvh()
-        return np.array([bvh.closest_point(p).point for p in q])
-    a, b, c = mesh.corners()
-    out = np.empty_like(q)
-    chunk = max(1, 2_000_000 // max(len(mesh), 1))
-    for start in range(0, len(q), chunk):
-        pts, d2 = _closest_on_triangles(a, b, c, q[start:start + chunk])
-        best = np.argmin(d2, axis=1)
-        out[start:start + chunk] = pts[np.arange(len(best)), best]
-    return out
+    return _nearest(mesh, np.asarray(queries, dtype=float).reshape(-1, 3))[0]
 
 
 def _ray_hits_triangles(a, b, c, origin, direction):
@@ -238,28 +287,39 @@ def _ray_hits_triangles(a, b, c, origin, direction):
     return t, valid
 
 
+def _first_hit(mesh: TriangleMesh, tris: np.ndarray, o, d) -> SurfaceHit | None:
+    """Nearest hit among the triangles tris, which are listed in ascending id order."""
+    a, b, c = mesh.corners()
+    t, valid = _ray_hits_triangles(a[tris], b[tris], c[tris], o, d)
+    if not valid.any():
+        return None
+    t = np.where(valid, t, np.inf)
+    best = int(np.argmin(t))  # argmin keeps the lowest id on exact ties
+    return SurfaceHit(o + t[best] * d, tris[best], t[best])
+
+
 def ray_intersect_brute(mesh: TriangleMesh, origin, direction) -> SurfaceHit | None:
     """Exhaustive nearest ray hit; the reference query path."""
     o = np.asarray(origin, dtype=float).reshape(3)
     d = np.asarray(direction, dtype=float).reshape(3)
-    a, b, c = mesh.corners()
-    t, valid = _ray_hits_triangles(a, b, c, o, d)
-    if not valid.any():
-        return None
-    t = np.where(valid, t, np.inf)
-    best = int(np.argmin(t))
-    return SurfaceHit(o + t[best] * d, best, t[best])
+    return _first_hit(mesh, np.arange(len(mesh)), o, d)
 
 
 def ray_intersect(mesh: TriangleMesh, origin, direction) -> SurfaceHit | None:
     """Nearest intersection with ray_parameter > 1e-9 mm, or None."""
     if len(mesh) == 0:
         return None
-    if not mesh._accelerated():
-        return ray_intersect_brute(mesh, origin, direction)
     o = np.asarray(origin, dtype=float).reshape(3)
     d = np.asarray(direction, dtype=float).reshape(3)
-    return mesh.bvh().ray_intersect(o, d)
+    ids, lo, hi, _ = mesh.index()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t0 = (lo - o) / d
+        t1 = (hi - o) / d
+    # an axis with d == 0 gives -inf/+inf inside its slab (no constraint), equal
+    # infinities outside it (a miss), and nan on its faces, which is ignored
+    enter = np.nanmax(np.minimum(t0, t1), axis=1, initial=-np.inf)
+    leave = np.nanmin(np.maximum(t0, t1), axis=1, initial=np.inf)
+    return _first_hit(mesh, np.unique(ids[leave >= np.maximum(enter, RAY_MIN_PARAMETER)]), o, d)
 
 
 def ray_crossing_count(mesh: TriangleMesh, origin, direction) -> int:
@@ -275,156 +335,41 @@ def contains_point(mesh: TriangleMesh, point) -> bool:
     return ray_crossing_count(mesh, point, _PARITY_DIRECTION) % 2 == 1
 
 
-class _Bvh:
-    """Median-split AABB tree over triangle ids (leaf size 8).
-
-    Nodes are stored flat; leaves keep their triangle ids ascending so the
-    lowest-id tie rule matches the brute-force oracle exactly.
-    """
-
-    LEAF_SIZE = 8
-
-    def __init__(self, mesh: TriangleMesh):
-        self.mesh = mesh
-        a, b, c = mesh.corners()
-        lo = np.minimum(np.minimum(a, b), c)
-        hi = np.maximum(np.maximum(a, b), c)
-        centroids = (a + b + c) / 3.0
-        self.node_lo: list[np.ndarray] = []
-        self.node_hi: list[np.ndarray] = []
-        self.node_left: list[int] = []  # -1 marks a leaf
-        self.node_right: list[int] = []
-        self.node_tris: list[np.ndarray | None] = []
-        self._build(np.arange(len(mesh), dtype=np.int64), lo, hi, centroids)
-
-    def _build(self, ids, lo, hi, centroids) -> int:
-        node = len(self.node_lo)
-        self.node_lo.append(lo[ids].min(axis=0))
-        self.node_hi.append(hi[ids].max(axis=0))
-        self.node_left.append(-1)
-        self.node_right.append(-1)
-        self.node_tris.append(None)
-        if len(ids) <= self.LEAF_SIZE:
-            self.node_tris[node] = np.sort(ids)
-            return node
-        cen = centroids[ids]
-        axis = int(np.argmax(cen.max(axis=0) - cen.min(axis=0)))
-        order = np.argsort(cen[:, axis], kind="stable")
-        half = len(ids) // 2
-        left_ids, right_ids = ids[order[:half]], ids[order[half:]]
-        self.node_left[node] = self._build(left_ids, lo, hi, centroids)
-        self.node_right[node] = self._build(right_ids, lo, hi, centroids)
-        return node
-
-    def _box_dist2(self, node: int, q: np.ndarray) -> float:
-        d = np.maximum(self.node_lo[node] - q, 0.0) + np.maximum(q - self.node_hi[node], 0.0)
-        return float(d @ d)
-
-    def closest_point(self, q: np.ndarray) -> SurfaceHit:
-        a, b, c = self.mesh.corners()
-        best_d2 = np.inf
-        best_id = -1
-        best_pt = None
-        heap = [(self._box_dist2(0, q), 0)]
-        # <= keeps equally-distant boxes in play so the lowest-id tie wins
-        while heap and heap[0][0] <= best_d2:
-            _, node = heapq.heappop(heap)
-            tris = self.node_tris[node]
-            if tris is None:
-                for child in (self.node_left[node], self.node_right[node]):
-                    d2 = self._box_dist2(child, q)
-                    if d2 <= best_d2:
-                        heapq.heappush(heap, (d2, child))
-                continue
-            pts, d2 = _closest_on_triangles(a[tris], b[tris], c[tris], q)
-            k = int(np.argmin(d2))
-            cand_d2, cand_id = d2[k], int(tris[k])
-            if cand_d2 < best_d2 or (cand_d2 == best_d2 and cand_id < best_id):
-                best_d2, best_id, best_pt = cand_d2, cand_id, pts[k]
-        return SurfaceHit(best_pt, best_id)
-
-    def _slab_entry(self, node: int, o: np.ndarray, d: np.ndarray,
-                    inv_d: np.ndarray) -> float | None:
-        lo, hi = self.node_lo[node], self.node_hi[node]
-        axis_parallel = d == 0.0
-        if axis_parallel.any() and (
-            (o[axis_parallel] < lo[axis_parallel]) | (o[axis_parallel] > hi[axis_parallel])
-        ).any():
-            return None
-        with np.errstate(invalid="ignore"):
-            t0 = (lo - o) * inv_d
-            t1 = (hi - o) * inv_d
-        # parallel axes contribute no constraint (0 * inf above gives nan)
-        tmin = np.nanmax(np.minimum(t0, t1), initial=-np.inf)
-        tmax = np.nanmin(np.maximum(t0, t1), initial=np.inf)
-        if tmax < max(tmin, RAY_MIN_PARAMETER):
-            return None
-        return float(max(tmin, 0.0))
-
-    def ray_intersect(self, o: np.ndarray, d: np.ndarray) -> SurfaceHit | None:
-        a, b, c = self.mesh.corners()
-        with np.errstate(divide="ignore"):
-            inv_d = 1.0 / d
-        best_t = np.inf
-        best_id = -1
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            entry = self._slab_entry(node, o, d, inv_d)
-            if entry is None or entry > best_t:
-                continue
-            tris = self.node_tris[node]
-            if tris is None:
-                stack.append(self.node_right[node])
-                stack.append(self.node_left[node])
-                continue
-            t, valid = _ray_hits_triangles(a[tris], b[tris], c[tris], o, d)
-            for k in np.flatnonzero(valid):
-                tk, idk = t[k], int(tris[k])
-                if tk < best_t or (tk == best_t and idk < best_id):
-                    best_t, best_id = tk, idk
-        if best_id < 0:
-            return None
-        return SurfaceHit(o + best_t * d, best_id, best_t)
+# one facet loop of exactly three vertices
+_STL_LOOP_RE = re.compile(
+    r"outer\s+loop\s+" + 3 * r"vertex\s+(\S+)\s+(\S+)\s+(\S+)\s+" + r"endloop"
+)
 
 
-_STL_VERTEX_RE = re.compile(3 * r"vertex\s+(\S+)\s+(\S+)\s+(\S+)\s+")
-
-
-def load_stl(path, accel_threshold: int = 10_000, drop_degenerate: bool = False) -> TriangleMesh:
+def load_stl(path, drop_degenerate: bool = False) -> TriangleMesh:
     """Read an ASCII STL file (facet normals are ignored and recomputed).
 
     Vertices are deduplicated by exact coordinate so the result is an
-    indexed mesh. Degenerate facets raise unless drop_degenerate is set.
+    indexed mesh. Every facet must be one loop of exactly three vertices.
+    Degenerate facets raise unless drop_degenerate is set.
     """
     with open(path, "r") as fh:
         text = fh.read()
     if not text.lstrip().startswith("solid"):
         raise MeshValidationError(f"{path}: not an ASCII STL file")
-    vertex_index: dict[tuple, int] = {}
-    vertices: list[tuple] = []
+    vertex_index: dict[tuple, int] = {}  # insertion-ordered: the keys are the vertices
     triangles = []
-    for m in _STL_VERTEX_RE.finditer(text):
+    for m in _STL_LOOP_RE.finditer(text):
         g = tuple(map(float, m.groups()))
-        tri = []
-        for corner in (g[0:3], g[3:6], g[6:9]):
-            idx = vertex_index.get(corner)
-            if idx is None:
-                idx = len(vertices)
-                vertex_index[corner] = idx
-                vertices.append(corner)
-            tri.append(idx)
-        triangles.append(tri)
+        triangles.append([vertex_index.setdefault(corner, len(vertex_index))
+                          for corner in (g[0:3], g[3:6], g[6:9])])
+    if len(triangles) != text.count("endfacet"):
+        facets = text.split("endfacet")  # the piece after the last endfacet holds no loop
+        bad = next((i for i, f in enumerate(facets)
+                    if len(_STL_LOOP_RE.findall(f)) != (i < len(facets) - 1)), len(facets) - 1)
+        raise MeshValidationError(f"{path}: facet {bad} is not one loop of exactly three vertices")
     if not triangles:
         raise MeshValidationError(f"{path}: no facets found")
-    v = np.asarray(vertices, dtype=float)
+    v = np.asarray(list(vertex_index), dtype=float)
     t = np.asarray(triangles, dtype=np.int64)
     if drop_degenerate:
-        areas = 0.5 * np.linalg.norm(
-            np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]), axis=1
-        )
-        t = t[areas > DEGENERATE_AREA_MM2]
-    return TriangleMesh(v, t, accel_threshold=accel_threshold)
+        t = t[_areas(v, t) > DEGENERATE_AREA_MM2]
+    return TriangleMesh(v, t)
 
 
 def save_stl(mesh: TriangleMesh, path, name: str = "surface") -> None:

@@ -35,8 +35,7 @@ def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
     return v, t
 
 
-def icosphere(radius: float = 1.0, subdivisions: int = 3, center=(0.0, 0.0, 0.0),
-              accel_threshold: int = 10_000) -> TriangleMesh:
+def icosphere(radius: float = 1.0, subdivisions: int = 3, center=(0.0, 0.0, 0.0)) -> TriangleMesh:
     """Subdivided icosahedron projected onto a sphere; 20*4^n triangles."""
     verts, tris = _icosahedron()
     vert_list = [tuple(p) for p in verts]
@@ -63,19 +62,18 @@ def icosphere(radius: float = 1.0, subdivisions: int = 3, center=(0.0, 0.0, 0.0)
 
     v = np.asarray(vert_list, dtype=float) * radius + np.asarray(center, dtype=float)
     t = np.asarray(faces, dtype=np.int64)
-    return TriangleMesh(v, t, accel_threshold=accel_threshold)
+    return TriangleMesh(v, t)
 
 
-def ellipsoid(semi_axes=(80.0, 95.0, 70.0), subdivisions: int = 3, center=(0.0, 0.0, 0.0),
-              accel_threshold: int = 10_000) -> TriangleMesh:
+def ellipsoid(semi_axes=(80.0, 95.0, 70.0), subdivisions: int = 3,
+              center=(0.0, 0.0, 0.0)) -> TriangleMesh:
     """Head-sized ellipsoid: unit icosphere scaled per axis."""
     unit = icosphere(1.0, subdivisions)
     v = unit.vertices * np.asarray(semi_axes, dtype=float) + np.asarray(center, dtype=float)
-    return TriangleMesh(v, unit.triangles, accel_threshold=accel_threshold)
+    return TriangleMesh(v, unit.triangles)
 
 
-def grid_patch(nx: int = 10, ny: int = 10, spacing: float = 10.0, z: float = 0.0,
-               accel_threshold: int = 10_000) -> TriangleMesh:
+def grid_patch(nx: int = 10, ny: int = 10, spacing: float = 10.0, z: float = 0.0) -> TriangleMesh:
     """Flat rectangular patch in the z plane, normals toward +z, centered on the origin."""
     xs = (np.arange(nx + 1) - nx / 2.0) * spacing
     ys = (np.arange(ny + 1) - ny / 2.0) * spacing
@@ -88,11 +86,11 @@ def grid_patch(nx: int = 10, ny: int = 10, spacing: float = 10.0, z: float = 0.0
             b = (i + 1) * (ny + 1) + j
             tris.append((a, b, a + 1))
             tris.append((b, b + 1, a + 1))
-    return TriangleMesh(v, np.asarray(tris, dtype=np.int64), accel_threshold=accel_threshold)
+    return TriangleMesh(v, np.asarray(tris, dtype=np.int64))
 
 
-def hemisphere(radius: float = 85.0, subdivisions: int = 3, center=(0.0, 0.0, 0.0),
-               accel_threshold: int = 10_000) -> TriangleMesh:
+def hemisphere(radius: float = 85.0, subdivisions: int = 3,
+               center=(0.0, 0.0, 0.0)) -> TriangleMesh:
     """Upper half of an icosphere (open rim); keeps triangles with all z >= -1e-9."""
     full = icosphere(radius, subdivisions, center=center)
     cz = float(np.asarray(center, dtype=float)[2])
@@ -101,4 +99,4 @@ def hemisphere(radius: float = 85.0, subdivisions: int = 3, center=(0.0, 0.0, 0.
     used = np.unique(tris)
     remap = np.full(len(full.vertices), -1, dtype=np.int64)
     remap[used] = np.arange(len(used))
-    return TriangleMesh(full.vertices[used], remap[tris], accel_threshold=accel_threshold)
+    return TriangleMesh(full.vertices[used], remap[tris])

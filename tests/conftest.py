@@ -47,8 +47,8 @@ def oracle_closest_on_mesh(mesh, p):
     return best_pt, best_id, best_d
 
 
-def random_soup(rng: np.random.Generator, n_triangles: int = 500, extent: float = 50.0,
-                accel_threshold: int = 10_000) -> TriangleMesh:
+def random_soup(rng: np.random.Generator, n_triangles: int = 500,
+                extent: float = 50.0) -> TriangleMesh:
     """Random triangle soup: anchor points plus two random edge offsets."""
     anchors = rng.uniform(-extent, extent, size=(n_triangles, 3))
     e1 = rng.uniform(-10.0, 10.0, size=(n_triangles, 3))
@@ -58,7 +58,7 @@ def random_soup(rng: np.random.Generator, n_triangles: int = 500, extent: float 
     tris = np.stack([np.arange(n), np.arange(n) + n, np.arange(n) + 2 * n], axis=1)
     areas = 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
     keep = areas > 1e-6
-    return TriangleMesh(verts, tris[keep], accel_threshold=accel_threshold)
+    return TriangleMesh(verts, tris[keep])
 
 
 @pytest.fixture(scope="session")

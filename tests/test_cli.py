@@ -124,6 +124,22 @@ def test_register_missing_mesh_is_usage_error(project, tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_register_short_facet_skin_is_usage_error(project, tmp_path):
+    # drop the third vertex of facet 1: the skin file no longer parses
+    lines = (project / "skin.stl").read_text().splitlines()
+    third_vertex = [i for i, line in enumerate(lines) if "vertex" in line][5]
+    del lines[third_vertex]
+    (tmp_path / "skin_short.stl").write_text("\n".join(lines) + "\n")
+    config = read_json(project / "config.json")
+    config.update(skin_mesh=str(tmp_path / "skin_short.stl"),
+                  cortex_mesh=str(project / "cortex.stl"),
+                  landmarks=str(project / "landmarks.json"))
+    write_json(tmp_path / "config.json", config)
+    code = main([f"--config={tmp_path / 'config.json'}", f"--out={tmp_path / 'out'}",
+                 "register", f"--cloud={project / 'cloud.json'}"])
+    assert code == EXIT_USAGE
+
+
 # --- plan ----------------------------------------------------------------------------
 
 def test_plan_closest_skin_symmetry(project, tmp_path):

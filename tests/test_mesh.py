@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from tmsnav.errors import EmptyMeshError, MeshValidationError
+from tmsnav.errors import EmptyMeshError, MeshValidationError, ValidationError
 from tmsnav.mesh import (
     TriangleMesh,
     closest_point,
+    closest_point_batch,
     closest_point_brute,
     contains_point,
     load_stl,
@@ -15,13 +16,39 @@ from tmsnav.mesh import (
     triangle_normal,
     triangle_normals,
 )
-from tmsnav.meshgen import icosphere
+from tmsnav.meshgen import grid_patch, hemisphere, icosphere
 
 from conftest import oracle_closest_on_mesh, oracle_closest_on_triangle, random_soup
 
 
 def unit_triangle(z=0.0):
     return TriangleMesh([[0, 0, z], [1, 0, z], [0, 1, z]], [[0, 1, 2]])
+
+
+# Shapes the spatial index must serve exactly as the brute-force oracles do.
+INDEX_SHAPES = ["soup", "one_triangle", "padded_chunk", "grid_patch", "hemisphere"]
+
+
+def index_shape(name, rng):
+    if name == "soup":
+        return random_soup(rng, 500)
+    if name == "one_triangle":
+        return random_soup(rng, 1)
+    if name == "padded_chunk":  # one full chunk of 32 plus one padded chunk
+        mesh = random_soup(rng, 33)
+        assert len(mesh) == 33
+        return mesh
+    if name == "grid_patch":  # zero z extent: flat boxes and Morton codes
+        return grid_patch(12, 12, spacing=5.0, z=3.0)
+    if name == "hemisphere":  # open rim
+        return hemisphere(85.0, subdivisions=3)
+    return icosphere(85.0, subdivisions=3)
+
+
+def around(mesh, rng, n, margin=30.0):
+    """n uniform points in the mesh's bounding box grown by margin mm."""
+    lo, hi = mesh.vertices.min(axis=0) - margin, mesh.vertices.max(axis=0) + margin
+    return rng.uniform(lo, hi, size=(n, 3))
 
 
 # --- triangle_normal -------------------------------------------------------
@@ -57,6 +84,13 @@ def test_degenerate_triangle_rejected_at_load():
         TriangleMesh([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vertex_rejected(bad):
+    verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, bad]]
+    with pytest.raises(MeshValidationError, match="non-finite vertex 3"):
+        TriangleMesh(verts, [[0, 1, 2], [0, 1, 3]])
+
+
 def test_index_out_of_range_rejected():
     with pytest.raises(MeshValidationError):
         TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 3]])
@@ -81,16 +115,28 @@ def test_closest_point_orthogonal_projection():
     np.testing.assert_allclose(hit.point, [0.25, 0.25, 0.0], atol=1e-12)
 
 
-def test_closest_point_tie_breaks_to_lowest_id():
-    # two parallel triangles straddling the origin at z = +/-1
-    verts = [[0, 0, 1], [1, 0, 1], [0, 1, 1], [0, 0, -1], [1, 0, -1], [0, 1, -1]]
-    m = TriangleMesh(verts, [[0, 1, 2], [3, 4, 5]])
-    assert closest_point(m, [0.2, 0.2, 0.0]).triangle_id == 0
-    m2 = TriangleMesh(verts, [[3, 4, 5], [0, 1, 2]])
-    assert closest_point(m2, [0.2, 0.2, 0.0]).triangle_id == 0
-    # same through the BVH path
-    m_bvh = TriangleMesh(verts, [[0, 1, 2], [3, 4, 5]], accel_threshold=1)
-    assert closest_point(m_bvh, [0.2, 0.2, 0.0]).triangle_id == 0
+@pytest.mark.parametrize("n_triangles", [2, 70])  # one chunk; three chunks, all tied
+def test_closest_point_tie_breaks_to_lowest_id(n_triangles):
+    # parallel unit triangles alternating between z = +1 and z = -1, all
+    # equidistant from the query; the Morton sort puts id 0 in any chunk
+    q = [0.2, 0.2, 0.0]
+    for first_z in (1.0, -1.0):
+        zs = first_z * (-1.0) ** np.arange(n_triangles)
+        verts = np.concatenate([[[0, 0, z], [1, 0, z], [0, 1, z]] for z in zs])
+        m = TriangleMesh(verts, np.arange(3 * n_triangles).reshape(-1, 3))
+        hit = closest_point(m, q)
+        assert hit.triangle_id == 0
+        assert hit.point[2] == first_z
+        np.testing.assert_array_equal(hit.point, closest_point_brute(m, q).point)
+        np.testing.assert_array_equal(closest_point_batch(m, [q, q]), [hit.point, hit.point])
+
+
+def test_non_finite_query_rejected():
+    m = icosphere(85.0, subdivisions=2)
+    with pytest.raises(ValidationError, match="row 0"):
+        closest_point(m, [np.nan, 0.0, 0.0])
+    with pytest.raises(ValidationError, match="row 1"):
+        closest_point_batch(m, [[0.0, 0.0, 90.0], [np.inf, 0.0, 0.0]])
 
 
 def test_closest_point_matches_scalar_oracle():
@@ -104,15 +150,22 @@ def test_closest_point_matches_scalar_oracle():
         np.testing.assert_allclose(hit.point, pt, atol=1e-7)
 
 
-def test_bvh_closest_point_identical_to_brute_force():
+@pytest.mark.parametrize("shape", INDEX_SHAPES + ["sphere_centre"])
+def test_index_closest_point_identical_to_brute_force(shape):
     rng = np.random.default_rng(13)
-    mesh = random_soup(rng, 500, accel_threshold=1)  # force the BVH path
-    queries = rng.uniform(-80, 80, size=(10_000, 3))
-    for q in queries:
+    mesh = index_shape(shape, rng)
+    if shape == "sphere_centre":  # every chunk's box can win: all are candidates
+        queries = np.concatenate([np.zeros((1, 3)), rng.normal(scale=1e-3, size=(40, 3))])
+    else:  # random points, plus the vertices, where adjacent triangles tie
+        n = 10_000 if shape == "soup" else 1000
+        queries = np.concatenate([around(mesh, rng, n), mesh.vertices[:300]])
+    batch = closest_point_batch(mesh, queries)
+    for q, row in zip(queries, batch):
         accel = closest_point(mesh, q)
         brute = closest_point_brute(mesh, q)
         assert accel.triangle_id == brute.triangle_id
         np.testing.assert_array_equal(accel.point, brute.point)
+        np.testing.assert_array_equal(row, brute.point)
 
 
 def test_closest_point_hit_lies_on_triangle():
@@ -144,25 +197,34 @@ def test_ray_origin_on_surface_excluded():
     assert ray_intersect(unit_triangle(), [0.25, 0.25, 0.0], [0.0, 0.0, -1.0]) is None
 
 
-def test_bvh_ray_identical_to_brute_force():
+@pytest.mark.parametrize("shape", INDEX_SHAPES + ["axis_parallel"])
+def test_index_ray_identical_to_brute_force(shape):
     rng = np.random.default_rng(15)
-    mesh = random_soup(rng, 500, accel_threshold=1)
-    for _ in range(2000):
-        origin = rng.uniform(-80, 80, size=3)
-        d = rng.normal(size=3)
-        d /= np.linalg.norm(d)
+    mesh = index_shape(shape, rng)
+    origins = around(mesh, rng, 2000)
+    if shape == "axis_parallel":  # zero direction components: inf/nan slab times
+        axes = np.concatenate([np.eye(3), -np.eye(3)])
+        directions = axes[rng.integers(0, 6, size=len(origins))]
+    else:
+        directions = rng.normal(size=origins.shape)
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    hits = 0
+    for origin, d in zip(origins, directions):
         accel = ray_intersect(mesh, origin, d)
         brute = ray_intersect_brute(mesh, origin, d)
         if brute is None:
             assert accel is None
             continue
+        hits += 1
         assert accel is not None
         assert accel.triangle_id == brute.triangle_id
         assert accel.ray_parameter == brute.ray_parameter
+        np.testing.assert_array_equal(accel.point, brute.point)
         # hit point consistency: origin + t*d == point
         np.testing.assert_allclose(
             origin + accel.ray_parameter * d, accel.point, atol=1e-9
         )
+    assert hits > 0
 
 
 def test_ray_through_sphere_hits_near_and_far(sphere85):
@@ -220,6 +282,34 @@ def test_stl_file_normals_ignored(tmp_path):
     np.testing.assert_allclose(triangle_normal(mesh, 0), [0, 0, 1], atol=1e-15)
 
 
+def stl_text(*facets):
+    """ASCII STL text with one facet per list of vertices."""
+    lines = ["solid test"]
+    for corners in facets:
+        lines += ["  facet normal 0 0 1", "    outer loop"]
+        lines += [f"      vertex {x} {y} {z}" for x, y, z in corners]
+        lines += ["    endloop", "  endfacet"]
+    return "\n".join(lines + ["endsolid test", ""])
+
+
+@pytest.mark.parametrize("bad_corners", [2, 4])
+def test_stl_facet_without_three_vertices_rejected(tmp_path, bad_corners):
+    good = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
+    bad = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)][:bad_corners]
+    path = tmp_path / "short.stl"
+    path.write_text(stl_text(good, bad, good))
+    with pytest.raises(MeshValidationError, match="facet 1 "):
+        load_stl(path)
+
+
+def test_stl_unterminated_last_facet_rejected(tmp_path):
+    good = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
+    path = tmp_path / "cut.stl"
+    path.write_text(stl_text(good, good).replace("  endfacet\nendsolid", "endsolid"))
+    with pytest.raises(MeshValidationError, match="facet 1 "):
+        load_stl(path)
+
+
 def test_stl_rejects_binary_like_input(tmp_path):
     path = tmp_path / "bad.stl"
     path.write_bytes(b"\x00\x01\x02binarysoup")
@@ -244,4 +334,3 @@ def test_large_mesh_uses_acceleration_and_agrees_with_brute():
         brute = closest_point_brute(big, q)
         assert accel.triangle_id == brute.triangle_id
         np.testing.assert_array_equal(accel.point, brute.point)
-    assert big._bvh is not None  # the default threshold engaged the index
