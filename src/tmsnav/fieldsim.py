@@ -1,11 +1,19 @@
 """Quasi-static magnetic model of a figure-8 coil and inductive sensors.
 
-The coil is discretized into straight wire segments per wing and fields
-come from the Biot-Savart line sum. Sensor flux is a polar quadrature of
-B over the winding disc, and induced EMF follows from the flux
-coefficient times dI/dt of a one-cycle biphasic pulse. Everything is
-linear in current and turns by construction; geometry is in millimeters,
-fields in tesla.
+The coil is discretized into straight wire segments per wing, lying in
+the z = 0 plane of the coil frame. `b_field` moves the evaluation points
+into that frame with one rigid transform, evaluates the Biot-Savart
+midpoint sum there in blocks of points, and rotates the result back. A
+point within 0.1 mm of any segment raises SingularEvaluation; the exact
+point-to-segment distance is computed only for pairs whose midpoint
+distance is below half the segment length plus that clearance. Coil and
+sensor poses must be rigid.
+
+Sensor flux is a polar quadrature of B over each winding disc, with the
+nodes of all axes evaluated in one `b_field` call, and induced EMF
+follows from the flux coefficient times dI/dt of a one-cycle biphasic
+pulse. Everything is linear in current and turns by construction;
+geometry is in millimeters, fields in tesla.
 """
 
 from __future__ import annotations
@@ -16,11 +24,37 @@ from enum import Enum
 import numpy as np
 
 from .errors import SingularEvaluation
-from .transforms import RigidTransform
+from .transforms import RigidTransform, orthonormality_error
 
 MU0 = 4e-7 * np.pi  # T*m/A
 WIRE_CLEARANCE_MM = 0.1
 MIN_SEGMENTS_PER_LOOP = 64
+RIGID_POSE_TOL = 1e-6  # max orthonormality error of a coil or sensor rotation
+# cap on each point x segment temporary in b_field; cache-sized blocks
+# ran fastest
+_BLOCK_ELEMENTS = 2**14
+# sensor-frame column of each winding normal: primary z, then x and y
+_AXIS_COLUMN = (2, 0, 1)
+
+
+def _pose_from_dict(d: dict, owner: str) -> RigidTransform:
+    """Pose from an optional row-major 4x4 "matrix"; its bottom row must be 0 0 0 1."""
+    if "matrix" not in d:
+        return RigidTransform.identity()
+    m = np.asarray(d["matrix"], dtype=float).reshape(4, 4)
+    if not np.array_equal(m[3], [0.0, 0.0, 0.0, 1.0]):
+        raise ValueError(f"{owner} matrix: bottom row must be [0, 0, 0, 1], got {m[3].tolist()}")
+    return RigidTransform.from_matrix(m)
+
+
+def _check_rigid(pose: RigidTransform, owner: str) -> None:
+    """Reject a scaled, sheared, mirrored or non-finite pose."""
+    err = orthonormality_error(pose.rotation)
+    if not (err <= RIGID_POSE_TOL and np.linalg.det(pose.rotation) > 0.0
+            and np.isfinite(pose.translation).all()):
+        raise ValueError(f"{owner} matrix is not rigid: the rotation must be orthonormal "
+                         f"within {RIGID_POSE_TOL:g} (error {err:.3g}) with determinant +1, "
+                         "and the translation finite")
 
 
 @dataclass(frozen=True)
@@ -39,6 +73,11 @@ class CoilModel:
             raise ValueError(f"segments_per_loop must be >= {MIN_SEGMENTS_PER_LOOP}")
         if not self.wing_senses:
             raise ValueError("at least one wing is required")
+        if not self.loop_radius_mm > 0:
+            raise ValueError("coil loop_radius_mm must be positive")
+        if self.loop_turns < 1:
+            raise ValueError("coil loop_turns must be >= 1")
+        _check_rigid(self.pose, "coil")
 
     @classmethod
     def single_loop(cls, loop_radius_mm: float = 35.0, loop_turns: int = 1,
@@ -61,19 +100,12 @@ class CoilModel:
             return (0.0,)
         return (-self.wing_center_offset_mm, self.wing_center_offset_mm)
 
-    def wing(self, index: int) -> "CoilModel":
-        """Sub-model containing a single wing, in place."""
-        offset = self.wing_offsets()[index]
-        shifted = self.pose.apply(np.array([offset, 0.0, 0.0]))
-        centered = RigidTransform(self.pose.rotation, shifted)
-        return replace(self, wing_center_offset_mm=0.0, pose=centered,
-                       wing_senses=(self.wing_senses[index],))
+    def wire(self) -> tuple[np.ndarray, np.ndarray]:
+        """Segment midpoints and direction vectors (dl), coil frame, mm.
 
-    def segments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Segment midpoints and direction vectors (dl), world frame, mm.
-
-        Each wing is a closed regular polygon in the coil's z=0 plane;
-        a negative sense reverses the traversal direction.
+        Each wing is a closed regular polygon in the z=0 plane; a negative
+        sense reverses the traversal direction. Both arrays are (S, 3)
+        with a zero z column; the pose is applied by the caller.
         """
         mids = []
         dls = []
@@ -88,9 +120,8 @@ class CoilModel:
             pts = ring + np.array([offset, 0.0, 0.0])
             if sense < 0:
                 pts = pts[::-1]
-            world = self.pose.apply(pts)
-            mids.append(0.5 * (world[:-1] + world[1:]))
-            dls.append(world[1:] - world[:-1])
+            mids.append(0.5 * (pts[:-1] + pts[1:]))
+            dls.append(pts[1:] - pts[:-1])
         return np.concatenate(mids), np.concatenate(dls)
 
     def to_dict(self) -> dict:
@@ -112,9 +143,7 @@ class CoilModel:
             wing_center_offset_mm=float(d.get("wing_center_offset_mm", 35.0)),
             segments_per_loop=int(d.get("segments_per_loop", 256)),
             peak_current_a=float(d.get("peak_current_a", 5000.0)),
-            pose=RigidTransform.from_matrix(
-                np.asarray(d["matrix"], dtype=float).reshape(4, 4)
-            ) if "matrix" in d else RigidTransform.identity(),
+            pose=_pose_from_dict(d, "coil"),
             wing_senses=tuple(d.get("wing_senses", (1.0, -1.0))),
         )
 
@@ -131,6 +160,13 @@ class SensorModel:
     turns_per_axis: int = 10
     pose: RigidTransform = field(default_factory=RigidTransform.identity)
 
+    def __post_init__(self):
+        if not self.loop_radius_mm > 0:
+            raise ValueError("sensor loop_radius_mm must be positive")
+        if self.turns_per_axis < 1:
+            raise ValueError("sensor turns_per_axis must be >= 1")
+        _check_rigid(self.pose, "sensor")
+
     @property
     def n_axes(self) -> int:
         return 1 if self.kind is SensorKind.SENSOR_2D else 3
@@ -139,8 +175,7 @@ class SensorModel:
         """Unit normal of the winding for one axis (0 = primary = local z)."""
         if not (0 <= axis < self.n_axes):
             raise ValueError(f"axis {axis} out of range for {self.kind.value}")
-        local = ((2, 0, 1))[axis]  # primary z, then the two orthogonal windings
-        return self.pose.rotation[:, local]
+        return self.pose.rotation[:, _AXIS_COLUMN[axis]]
 
     def displaced(self, offset_vector) -> "SensorModel":
         moved = RigidTransform(
@@ -162,9 +197,7 @@ class SensorModel:
             kind=SensorKind(d.get("kind", "sensor_3d")),
             loop_radius_mm=float(d.get("loop_radius_mm", 7.5)),
             turns_per_axis=int(d.get("turns_per_axis", 10)),
-            pose=RigidTransform.from_matrix(
-                np.asarray(d["matrix"], dtype=float).reshape(4, 4)
-            ) if "matrix" in d else RigidTransform.identity(),
+            pose=_pose_from_dict(d, "sensor"),
         )
 
 
@@ -185,10 +218,6 @@ class PulseTrain:
         if self.intensity_fraction < 0:
             raise ValueError("intensity_fraction must be >= 0")
 
-    @property
-    def train_duration_s(self) -> float:
-        return self.pulses_per_train / self.train_rate_hz
-
     def to_dict(self) -> dict:
         return {
             "pulses_per_train": self.pulses_per_train,
@@ -208,57 +237,98 @@ def b_field(coil: CoilModel, points, current_a: float | None = None) -> np.ndarr
     """Magnetic field at one point (3,) or a batch (N, 3), in tesla.
 
     Discretized Biot-Savart line sum over both wings at the given current
-    (peak current by default). Points closer than 0.1 mm to any wire
-    segment raise SingularEvaluation.
+    (peak current by default), evaluated in the coil frame. Points closer
+    than 0.1 mm to any wire segment raise SingularEvaluation.
     """
     p = np.asarray(points, dtype=float)
     single = p.ndim == 1
-    p = p.reshape(-1, 3)
+    rot = coil.pose.rotation
+    q = (p.reshape(-1, 3) - coil.pose.translation) @ rot  # coil frame, mm
+    mids, dls = coil.wire()
+    # contiguous rows: broadcasting against strided columns is much slower
+    mx, my = np.ascontiguousarray(mids[:, :2].T)
+    dlx, dly = np.ascontiguousarray(dls[:, :2].T)
+    # dl and the midpoints lie in z = 0, so with r = q - mid
+    # dl x r = (dly qz, -dlx qz, dlx qy - dly qx + dly mx - dlx my):
+    # three sums of the inverse cubes weighted by per-segment columns
+    weights = np.stack([dlx, dly, dly * mx - dlx * my], axis=1)
+    # a pair can only be within the clearance if its midpoint distance is
+    # below half the segment length plus the clearance (padded for rounding)
+    reach = (0.5 * np.hypot(dlx, dly) + WIRE_CLEARANCE_MM) * (1.0 + 1e-9)
+    reach2 = reach * reach
+    reach2_max = reach2.max()
+    out = np.empty_like(q)
+    block = max(1, _BLOCK_ELEMENTS // len(mids))
+    for lo in range(0, len(q), block):
+        qb = q[lo:lo + block]
+        qx, qy, qz = qb[:, 0:1], qb[:, 1:2], qb[:, 2:3]
+        r2 = qx - mx
+        r2 *= r2
+        dy = qy - my
+        dy *= dy
+        r2 += dy
+        r2 += qz * qz
+        if r2.min() < reach2_max:
+            rows, segs = np.nonzero(r2 < reach2)
+            _check_clearance(qb[rows], mids[segs], dls[segs])
+        inv3 = np.sqrt(r2)
+        inv3 *= r2
+        np.divide(1.0, inv3, out=inv3)
+        sx, sy, sc = (inv3 @ weights).T
+        x, y, z = qb.T
+        out[lo:lo + block, 0] = z * sy
+        out[lo:lo + block, 1] = -z * sx
+        out[lo:lo + block, 2] = y * sx - x * sy + sc
     current = coil.peak_current_a if current_a is None else current_a
-    mids, dls = coil.segments()
-    # clearance check against the actual segments
-    w = p[:, None, :] - (mids - 0.5 * dls)[None, :, :]
-    seg_len2 = (dls * dls).sum(-1)
-    t = np.clip((w * dls[None, :, :]).sum(-1) / seg_len2, 0.0, 1.0)
-    nearest = w - t[:, :, None] * dls[None, :, :]
-    if ((nearest * nearest).sum(-1) < WIRE_CLEARANCE_MM**2).any():
-        raise SingularEvaluation("evaluation point within 0.1 mm of a wire segment")
-    r = (p[:, None, :] - mids[None, :, :]) * 1e-3  # meters
-    norm3 = ((r * r).sum(-1)) ** 1.5
-    contrib = np.cross(np.broadcast_to(dls[None, :, :] * 1e-3, r.shape), r)
-    out = MU0 * current * coil.loop_turns / (4.0 * np.pi) * (
-        contrib / norm3[:, :, None]
-    ).sum(axis=1)
+    # r and dl in mm: the sum carries a factor 1e3 against SI units
+    out = (MU0 * current * coil.loop_turns / (4.0 * np.pi) * 1e3) * (out @ rot.T)
     return out[0] if single else out
 
 
-def _disc_nodes(center, normal_u, normal_v, radius_mm, n_radial, n_angular):
-    """Equal-area polar quadrature nodes and the common weight (mm^2)."""
-    rj = radius_mm * np.sqrt((np.arange(n_radial) + 0.5) / n_radial)
+def _check_clearance(q, mids, dls) -> None:
+    """Raise if any point q[i] lies within the clearance of segment i."""
+    w = q - (mids - 0.5 * dls)
+    t = np.clip((w * dls).sum(-1) / (dls * dls).sum(-1), 0.0, 1.0)
+    nearest = w - t[:, None] * dls
+    if ((nearest * nearest).sum(-1) < WIRE_CLEARANCE_MM**2).any():
+        raise SingularEvaluation("evaluation point within 0.1 mm of a wire segment")
+
+
+def _disc_nodes(sensor: SensorModel, axes, n_radial: int, n_angular: int):
+    """Equal-area polar quadrature nodes of each listed winding disc.
+
+    Returns the world-frame nodes stacked axis by axis, (len(axes) *
+    n_radial * n_angular, 3), and the common weight (mm^2).
+    """
+    rj = sensor.loop_radius_mm * np.sqrt((np.arange(n_radial) + 0.5) / n_radial)
     tk = 2.0 * np.pi * (np.arange(n_angular) + 0.5) / n_angular
     rr, tt = np.meshgrid(rj, tk, indexing="ij")
-    flat_r = rr.ravel()[:, None]
-    flat_t = tt.ravel()[:, None]
-    pts = center + flat_r * (np.cos(flat_t) * normal_u + np.sin(flat_t) * normal_v)
-    weight = np.pi * radius_mm**2 / (n_radial * n_angular)
-    return pts, weight
+    u = (rr * np.cos(tt)).ravel()
+    v = (rr * np.sin(tt)).ravel()
+    local = np.zeros((len(axes), len(u), 3))
+    for i, axis in enumerate(axes):
+        # the other two sensor axes span the winding disc
+        col = _AXIS_COLUMN[axis]
+        local[i, :, (col + 1) % 3] = u
+        local[i, :, (col + 2) % 3] = v
+    weight = np.pi * sensor.loop_radius_mm**2 / (n_radial * n_angular)
+    return sensor.pose.apply(local.reshape(-1, 3)), weight
+
+
+def _flux_coefficients(coil: CoilModel, sensor: SensorModel, axes,
+                       n_radial: int, n_angular: int) -> np.ndarray:
+    """Webers per ampere through each listed winding, from one b_field call."""
+    normals = [sensor.axis_direction(axis) for axis in axes]
+    nodes, weight_mm2 = _disc_nodes(sensor, axes, n_radial, n_angular)
+    b = b_field(coil, nodes, current_a=1.0).reshape(len(normals), -1, 3)
+    flux_wb = np.array([(b[i] @ n).sum() for i, n in enumerate(normals)])
+    return flux_wb * weight_mm2 * 1e-6 * sensor.turns_per_axis  # mm^2 -> m^2
 
 
 def flux_coefficient(coil: CoilModel, sensor: SensorModel, axis: int,
                      n_radial: int = 8, n_angular: int = 16) -> float:
     """Webers per ampere through one sensor winding (turns included)."""
-    n = sensor.axis_direction(axis)
-    # the other two sensor axes span the winding disc
-    cols = sensor.pose.rotation
-    local = ((2, 0, 1))[axis]
-    u = cols[:, (local + 1) % 3]
-    v = cols[:, (local + 2) % 3]
-    pts, weight_mm2 = _disc_nodes(
-        sensor.pose.translation, u, v, sensor.loop_radius_mm, n_radial, n_angular
-    )
-    b = b_field(coil, pts, current_a=1.0)
-    flux_wb = (b @ n).sum() * weight_mm2 * 1e-6  # mm^2 -> m^2
-    return float(flux_wb * sensor.turns_per_axis)
+    return float(_flux_coefficients(coil, sensor, (axis,), n_radial, n_angular)[0])
 
 
 @dataclass(frozen=True)
@@ -285,10 +355,7 @@ def induced_voltage(coil: CoilModel, sensor: SensorModel, train: PulseTrain,
     """
     omega = 2.0 * np.pi * train.pulse_frequency_hz
     amp = train.intensity_fraction * coil.peak_current_a
-    ks = np.array([
-        flux_coefficient(coil, sensor, axis, n_radial, n_angular)
-        for axis in range(sensor.n_axes)
-    ])
+    ks = _flux_coefficients(coil, sensor, range(sensor.n_axes), n_radial, n_angular)
     times = np.arange(samples_per_cycle + 1) / (
         samples_per_cycle * train.pulse_frequency_hz
     )

@@ -298,19 +298,27 @@ def _first_hit(mesh: TriangleMesh, tris: np.ndarray, o, d) -> SurfaceHit | None:
     return SurfaceHit(o + t[best] * d, tris[best], t[best])
 
 
-def ray_intersect_brute(mesh: TriangleMesh, origin, direction) -> SurfaceHit | None:
-    """Exhaustive nearest ray hit; the reference query path."""
+def _ray_args(origin, direction) -> tuple[np.ndarray, np.ndarray]:
+    """Origin and direction as finite 3-vectors; a nan would read as a miss."""
     o = np.asarray(origin, dtype=float).reshape(3)
     d = np.asarray(direction, dtype=float).reshape(3)
+    for name, v in (("origin", o), ("direction", d)):
+        if not np.isfinite(v).all():
+            raise ValidationError(f"non-finite ray {name}: {v.tolist()}")
+    return o, d
+
+
+def ray_intersect_brute(mesh: TriangleMesh, origin, direction) -> SurfaceHit | None:
+    """Exhaustive nearest ray hit; the reference query path."""
+    o, d = _ray_args(origin, direction)
     return _first_hit(mesh, np.arange(len(mesh)), o, d)
 
 
 def ray_intersect(mesh: TriangleMesh, origin, direction) -> SurfaceHit | None:
     """Nearest intersection with ray_parameter > 1e-9 mm, or None."""
+    o, d = _ray_args(origin, direction)
     if len(mesh) == 0:
         return None
-    o = np.asarray(origin, dtype=float).reshape(3)
-    d = np.asarray(direction, dtype=float).reshape(3)
     ids, lo, hi, _ = mesh.index()
     with np.errstate(divide="ignore", invalid="ignore"):
         t0 = (lo - o) / d

@@ -237,6 +237,25 @@ def test_hotspot_with_responses(project, tmp_path):
 
 # --- fieldsim -------------------------------------------------------------------------------
 
+@pytest.mark.parametrize("section, entry, named", [
+    ("coil", {"matrix": [2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 1]}, "coil matrix"),
+    ("coil", {"matrix": [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1]}, "coil matrix"),
+    ("coil", {"loop_radius_mm": 0.0}, "loop_radius_mm"),
+    ("coil", {"loop_turns": 0}, "loop_turns"),
+    ("sensor", {"matrix": [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, -1, -20, 0, 0, 0, 1]}, "sensor matrix"),
+])
+def test_fieldsim_bad_coil_or_sensor_is_usage_error(project, tmp_path, capsys,
+                                                     section, entry, named):
+    config = read_json(project / "config.json")
+    config = {key: config[key] for key in ("coil", "sensor", "train")}  # no meshes needed
+    config[section] = dict(config[section], **entry)
+    write_json(tmp_path / "config.json", config)
+    code = main([f"--config={tmp_path / 'config.json'}", f"--out={tmp_path / 'out'}",
+                 "fieldsim", "--offsets=0,2"])
+    assert code == EXIT_USAGE
+    assert named in capsys.readouterr().err
+
+
 def test_fieldsim_sweep_primary_decreases(project, tmp_path):
     out = tmp_path / "o"
     code = run(project, f"--out={out}", "fieldsim", "--single-loop",

@@ -1,3 +1,6 @@
+from contextlib import nullcontext
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,11 +17,157 @@ from tmsnav.fieldsim import (
     induced_voltage,
     on_axis_loop_field,
 )
-from tmsnav.transforms import RigidTransform, rotation_about_axis
+from tmsnav.transforms import RigidTransform, random_transform, rotation_about_axis
 
 
 def sensor_at(z_mm, kind=SensorKind.SENSOR_3D):
     return SensorModel(kind=kind, pose=RigidTransform(np.eye(3), [0.0, 0.0, z_mm]))
+
+
+def wing(coil, index):
+    """Sub-model containing a single wing of coil, in place."""
+    offset = coil.wing_offsets()[index]
+    shifted = coil.pose.apply(np.array([offset, 0.0, 0.0]))
+    centered = RigidTransform(coil.pose.rotation, shifted)
+    return replace(coil, wing_center_offset_mm=0.0, pose=centered,
+                   wing_senses=(coil.wing_senses[index],))
+
+
+# --- reference: the world-frame midpoint sum -------------------------------------
+
+def world_segments(coil):
+    """Segment midpoints and dl in the world frame, built from the posed polygon."""
+    mids = []
+    dls = []
+    theta = np.linspace(0.0, 2.0 * np.pi, coil.segments_per_loop + 1)
+    ring = np.stack(
+        [coil.loop_radius_mm * np.cos(theta),
+         coil.loop_radius_mm * np.sin(theta),
+         np.zeros_like(theta)],
+        axis=1,
+    )
+    for offset, sense in zip(coil.wing_offsets(), coil.wing_senses):
+        pts = ring + np.array([offset, 0.0, 0.0])
+        if sense < 0:
+            pts = pts[::-1]
+        world = coil.pose.apply(pts)
+        mids.append(0.5 * (world[:-1] + world[1:]))
+        dls.append(world[1:] - world[:-1])
+    return np.concatenate(mids), np.concatenate(dls)
+
+
+def reference_b_field(coil, points, current_a=None):
+    """Biot-Savart midpoint sum over every node x segment in the world frame,
+    with the exact clearance check on every pair."""
+    p = np.asarray(points, dtype=float)
+    single = p.ndim == 1
+    p = p.reshape(-1, 3)
+    current = coil.peak_current_a if current_a is None else current_a
+    mids, dls = world_segments(coil)
+    w = p[:, None, :] - (mids - 0.5 * dls)[None, :, :]
+    seg_len2 = (dls * dls).sum(-1)
+    t = np.clip((w * dls[None, :, :]).sum(-1) / seg_len2, 0.0, 1.0)
+    nearest = w - t[:, :, None] * dls[None, :, :]
+    if ((nearest * nearest).sum(-1) < 0.1**2).any():
+        raise SingularEvaluation("evaluation point within 0.1 mm of a wire segment")
+    r = (p[:, None, :] - mids[None, :, :]) * 1e-3  # meters
+    norm3 = ((r * r).sum(-1)) ** 1.5
+    contrib = np.cross(np.broadcast_to(dls[None, :, :] * 1e-3, r.shape), r)
+    out = MU0 * current * coil.loop_turns / (4.0 * np.pi) * (
+        contrib / norm3[:, :, None]
+    ).sum(axis=1)
+    return out[0] if single else out
+
+
+def reference_peak_to_peak(coil, sensor, train):
+    """Per-axis peak-to-peak EMF from one reference b_field call per axis."""
+    ks = []
+    for axis in range(sensor.n_axes):
+        local = ((2, 0, 1))[axis]
+        cols = sensor.pose.rotation
+        rj = sensor.loop_radius_mm * np.sqrt((np.arange(8) + 0.5) / 8)
+        tk = 2.0 * np.pi * (np.arange(16) + 0.5) / 16
+        rr, tt = np.meshgrid(rj, tk, indexing="ij")
+        disc = (np.cos(tt.ravel())[:, None] * cols[:, (local + 1) % 3]
+                + np.sin(tt.ravel())[:, None] * cols[:, (local + 2) % 3])
+        pts = sensor.pose.translation + rr.ravel()[:, None] * disc
+        weight_mm2 = np.pi * sensor.loop_radius_mm**2 / 128
+        b = reference_b_field(coil, pts, current_a=1.0)
+        ks.append((b @ cols[:, local]).sum() * weight_mm2 * 1e-6 * sensor.turns_per_axis)
+    amp = train.intensity_fraction * coil.peak_current_a
+    return 2.0 * np.abs(ks) * amp * 2.0 * np.pi * train.pulse_frequency_hz
+
+
+ORACLE_COILS = {
+    "figure8-64": CoilModel(segments_per_loop=64),
+    "figure8-1024": CoilModel(segments_per_loop=1024),
+    "loop-64": CoilModel.single_loop(35.0, loop_turns=3, segments_per_loop=64),
+    "loop-1024": CoilModel.single_loop(35.0, loop_turns=3, segments_per_loop=1024),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_COILS))
+def test_b_field_matches_world_frame_reference(name):
+    rng = np.random.default_rng(75)
+    for _ in range(4):
+        coil = replace(ORACLE_COILS[name], pose=random_transform(rng))
+        # coil-frame points from the winding plane to 80 mm off it, then posed
+        local = rng.uniform([-90.0, -60.0, 0.0], [90.0, 60.0, 80.0], size=(300, 3))
+        local[:, 2] *= rng.choice([-1.0, 1.0], size=300)
+        local = local[np.abs(local[:, 2]) > 2.0]
+        local[:10, 2] = 0.0  # in the winding plane, clear of the wire
+        local[:10, :2] = [[0.0, 50.0], [-20.0, 10.0], [20.0, -10.0], [120.0, 5.0], [-80.0, 60.0],
+                          [10.0, 5.0], [-10.0, -5.0], [0.0, 90.0], [-150.0, 0.0], [0.0, -45.0]]
+        pts = coil.pose.apply(local)
+        ref = reference_b_field(coil, pts)
+        b = b_field(coil, pts)
+        assert np.abs(b - ref).max() <= 1e-12 * np.abs(ref).max()
+        single = b_field(coil, pts[-1])
+        assert single.shape == (3,)
+        assert np.abs(single - ref[-1]).max() <= 1e-12 * np.abs(ref[-1]).max()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_COILS))
+def test_clearance_agrees_with_reference(name):
+    rng = np.random.default_rng(76)
+    coil = replace(ORACLE_COILS[name], pose=random_transform(rng))
+    n = coil.segments_per_loop
+    wing_center = np.array([coil.wing_offsets()[-1], 0.0, 0.0])
+    theta = 2.0 * np.pi * np.array([n // 4, n // 4 + 0.5]) / n
+    radial = np.stack([np.cos(theta), np.sin(theta), np.zeros(2)], axis=1)
+    # a polygon vertex and a segment midpoint (the polygon is inscribed)
+    vertex = wing_center + coil.loop_radius_mm * radial[0]
+    midpoint = wing_center + coil.loop_radius_mm * np.cos(np.pi / n) * radial[1]
+    for anchor, outward in ((vertex, radial[0]), (midpoint, radial[1])):
+        for direction in (outward, np.array([0.0, 0.0, 1.0]), -outward):
+            for gap, raises in ((0.099, True), (0.101, False)):
+                point = coil.pose.apply(anchor + gap * direction)
+                with pytest.raises(SingularEvaluation) if raises else nullcontext():
+                    reference_b_field(coil, point)
+                # second row of a batch whose first row is far from the wire
+                with pytest.raises(SingularEvaluation) if raises else nullcontext():
+                    b_field(coil, [[0.0, 0.0, 1e3], point])
+
+
+def test_induced_voltage_and_sweep_match_reference():
+    rng = np.random.default_rng(77)
+    train = PulseTrain()
+    for coil in (CoilModel(segments_per_loop=128), CoilModel.single_loop(35.0)):
+        coil = replace(coil, pose=random_transform(rng))
+        for kind in SensorKind:
+            sensor = SensorModel(kind=kind, pose=RigidTransform(
+                rotation_about_axis(rng.normal(size=3), 0.4) @ coil.pose.rotation,
+                coil.pose.apply([20.0, 3.0, -20.0]),
+            ))
+            ref = reference_peak_to_peak(coil, sensor, train)
+            vpp = induced_voltage(coil, sensor, train).peak_to_peak_v
+            assert np.abs(vpp - ref).max() <= 1e-12 * np.abs(ref).max()
+            direction = coil.pose.rotation[:, 0]
+            table = displacement_sweep(coil, sensor, direction, [0.0, 4.0, 8.0], train)
+            for off, *row in table["rows"]:
+                ref = reference_peak_to_peak(coil, sensor.displaced(off * direction), train)
+                ref = list(ref) + [0.0, 0.0]
+                assert np.abs(np.subtract(row, ref[:3])).max() <= 1e-12 * max(ref)
 
 
 # --- b_field -------------------------------------------------------------------
@@ -60,7 +209,7 @@ def test_figure8_equals_sum_of_wings():
     pts = rng.uniform(-80.0, 80.0, size=(25, 3))
     pts[:, 2] += 120.0  # comfortably clear of the wires
     total = b_field(coil, pts)
-    parts = b_field(coil.wing(0), pts) + b_field(coil.wing(1), pts)
+    parts = b_field(wing(coil, 0), pts) + b_field(wing(coil, 1), pts)
     np.testing.assert_allclose(parts, total, atol=1e-12 * np.abs(total).max())
 
 
@@ -104,6 +253,53 @@ def test_rotated_coil_field_rotates_with_it():
     )
 
 
+# --- model validation ----------------------------------------------------------
+
+NON_RIGID = {
+    "scaled": RigidTransform(np.diag([2.0, 2.0, 2.0]), np.zeros(3)),
+    "sheared": RigidTransform([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], np.zeros(3)),
+    "mirrored": RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3)),
+    "nan_rotation": RigidTransform(np.full((3, 3), np.nan), np.zeros(3)),
+    "nan_translation": RigidTransform(np.eye(3), [0.0, np.nan, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_RIGID))
+def test_non_rigid_poses_rejected(name):
+    pose = NON_RIGID[name]
+    with pytest.raises(ValueError, match="coil matrix"):
+        CoilModel(pose=pose)
+    with pytest.raises(ValueError, match="sensor matrix"):
+        SensorModel(pose=pose)
+
+
+def test_matrix_bottom_row_must_be_affine():
+    matrix = np.eye(4)
+    matrix[3] = [0.0, 0.0, 1.0, 1.0]
+    values = [float(x) for x in matrix.reshape(16)]
+    with pytest.raises(ValueError, match="coil matrix: bottom row"):
+        CoilModel.from_dict({"matrix": values})
+    with pytest.raises(ValueError, match="sensor matrix: bottom row"):
+        SensorModel.from_dict({"matrix": values})
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"loop_radius_mm": 0.0}, "loop_radius_mm"),
+    ({"loop_radius_mm": -5.0}, "loop_radius_mm"),
+    ({"loop_turns": 0}, "loop_turns"),
+])
+def test_coil_geometry_validated(fields, name):
+    with pytest.raises(ValueError, match=name):
+        CoilModel(**fields)
+
+
+def test_sensor_geometry_validated():
+    with pytest.raises(ValueError, match="loop_radius_mm"):
+        SensorModel(loop_radius_mm=0.0)
+    with pytest.raises(ValueError, match="turns_per_axis"):
+        SensorModel(turns_per_axis=0)
+
+
 # --- flux ---------------------------------------------------------------------
 
 def test_far_sensor_flux_negligible():
@@ -142,7 +338,7 @@ def test_flux_vs_vector_potential_rim_oracle():
     sensor = sensor_at(-20.0)
     k = flux_coefficient(coil, sensor, 0, n_radial=16, n_angular=32)
 
-    mids, dls = coil.segments()
+    mids, dls = coil.wire()  # identity pose: coil frame = world frame
     n_rim = 512
     theta = np.linspace(0.0, 2.0 * np.pi, n_rim + 1)
     rim = sensor.pose.translation + sensor.loop_radius_mm * np.stack(

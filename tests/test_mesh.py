@@ -197,6 +197,16 @@ def test_ray_origin_on_surface_excluded():
     assert ray_intersect(unit_triangle(), [0.25, 0.25, 0.0], [0.0, 0.0, -1.0]) is None
 
 
+@pytest.mark.parametrize("query", [ray_intersect, ray_intersect_brute])
+def test_non_finite_ray_rejected(query):
+    # a nan ray hits nothing, so without the check it reads as a missed surface
+    m = icosphere(85.0, subdivisions=2)
+    with pytest.raises(ValidationError, match="origin"):
+        query(m, [np.nan, 0.0, 0.0], [0.0, 0.0, 1.0])
+    with pytest.raises(ValidationError, match="direction"):
+        query(m, [0.0, 0.0, 0.0], [0.0, np.inf, 1.0])
+
+
 @pytest.mark.parametrize("shape", INDEX_SHAPES + ["axis_parallel"])
 def test_index_ray_identical_to_brute_force(shape):
     rng = np.random.default_rng(15)
