@@ -12,16 +12,18 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
 from . import session as session_mod
 from .config import ProjectConfig, load_config
 from .errors import ToolkitError, ValidationError
-from .fieldsim import CoilModel, SensorModel, displacement_sweep
-from .fileio import polyline_svg, read_json, write_csv, write_json
-from .kinematics import FrameGraph, GraphEdge, solve_commanded_end_effector
+from .fieldsim import CoilModel, displacement_sweep
+from .fileio import Points, parse, polyline_svg, read_json, write_csv, write_json
+from .kinematics import FrameGraph, GraphDocument, GraphEdge, solve_commanded_end_effector
 from .pose_plan import (
     PlanPose,
     PoseConstraintInput,
@@ -42,8 +44,23 @@ EXIT_REJECTED = 2
 EXIT_USAGE = 64
 
 
-class UsageError(Exception):
-    pass
+# the three input documents that have no library type of their own
+@dataclass(frozen=True)
+class _Cloud:
+    points: Points
+
+
+@dataclass(frozen=True)
+class _Responses:
+    responses: Annotated[np.ndarray, (-1,)]
+
+
+@dataclass(frozen=True)
+class _Stat:
+    mean: float
+    std: float
+    min: float
+    max: float
 
 
 def _out_dir(args, config: ProjectConfig | None) -> Path:
@@ -59,18 +76,8 @@ def _out_dir(args, config: ProjectConfig | None) -> Path:
 
 def _require_config(args) -> ProjectConfig:
     if args.config is None:
-        raise UsageError("this command requires --config")
+        raise ValidationError("this command requires --config")
     return load_config(args.config)
-
-
-def _read_json_input(path, what: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise UsageError(f"{what} file not found: {p}")
-    try:
-        return read_json(p)
-    except ValueError as err:
-        raise UsageError(f"{what} file does not parse: {err}") from err
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -78,22 +85,21 @@ def _read_json_input(path, what: str) -> dict:
 def cmd_register(args) -> int:
     config = _require_config(args)
     if config.landmarks_path is None:
-        raise UsageError("config has no landmarks entry")
-    landmarks = LandmarkSet.from_dict(_read_json_input(config.landmarks_path, "landmarks"))
+        raise ValidationError("config has no landmarks entry")
+    landmarks = parse(LandmarkSet, read_json(config.landmarks_path), "landmarks")
+    settings = config.registration
     result = pairpoint_register(
         landmarks,
-        pairpoint_threshold_mm=config.pairpoint_threshold_mm,
-        icp_threshold_mm=config.icp_threshold_mm,
+        pairpoint_threshold_mm=settings.pairpoint_threshold_mm,
+        icp_threshold_mm=settings.icp_threshold_mm,
     )
     if args.cloud is not None:
-        cloud = np.asarray(
-            _read_json_input(args.cloud, "probe cloud")["points"], dtype=float
-        )
+        cloud = parse(_Cloud, read_json(args.cloud), "cloud").points
         result = icp_refine(
-            config.skin_mesh(), cloud, result.transform, config.icp,
+            config.skin_mesh(), cloud, result.transform, settings,
             pairpoint_residual_mean=result.pairpoint_residual_mean,
-            pairpoint_threshold_mm=config.pairpoint_threshold_mm,
-            icp_threshold_mm=config.icp_threshold_mm,
+            pairpoint_threshold_mm=settings.pairpoint_threshold_mm,
+            icp_threshold_mm=settings.icp_threshold_mm,
         )
     out = _out_dir(args, config)
     write_json(out / "registration.json", result.to_dict())
@@ -110,9 +116,7 @@ def _normalize_strategy(name: str) -> Strategy:
 
 def cmd_plan(args) -> int:
     config = _require_config(args)
-    constraint = PoseConstraintInput.from_dict(
-        _read_json_input(args.constraint, "constraint")
-    )
+    constraint = parse(PoseConstraintInput, read_json(args.constraint), "constraint")
     strategy = _normalize_strategy(args.strategy)
     if strategy is Strategy.FREE_SKIN:
         plan = free_skin_pose(config.skin_mesh(), constraint)
@@ -130,22 +134,19 @@ def cmd_plan(args) -> int:
 
 def cmd_chain(args) -> int:
     config = load_config(args.config) if args.config else None
-    graph_doc = _read_json_input(args.graph, "frame graph")
+    file_graph = parse(GraphDocument, read_json(args.graph), "graph").graph()
     edges = {}
     if config is not None:
-        if config.e_to_cr is not None:
-            edges[("E", "Cr")] = GraphEdge(config.e_to_cr, "calibration")
-        if config.cr_to_c is not None:
-            edges[("Cr", "C")] = GraphEdge(config.cr_to_c, "calibration")
-    file_graph = FrameGraph.from_dict(graph_doc)
+        if config.calibration.e_to_cr is not None:
+            edges[("E", "Cr")] = GraphEdge(config.calibration.e_to_cr, "calibration")
+        if config.calibration.cr_to_c is not None:
+            edges[("Cr", "C")] = GraphEdge(config.calibration.cr_to_c, "calibration")
     edges.update(file_graph.edges)
     if args.registration is not None:
-        reg = RegistrationResult.from_dict(
-            _read_json_input(args.registration, "registration result")
-        )
+        reg = parse(RegistrationResult, read_json(args.registration), "registration")
         edges[("Hr", "H")] = GraphEdge(reg.transform, "registration")
     graph = FrameGraph(edges)
-    plan = PlanPose.from_dict(_read_json_input(args.plan, "plan"))
+    plan = parse(PlanPose, read_json(args.plan), "plan")
     commanded = solve_commanded_end_effector(graph, plan)
     out = _out_dir(args, config)
     write_json(out / "commanded.json", {
@@ -158,11 +159,11 @@ def cmd_chain(args) -> int:
 
 def cmd_hotspot(args) -> int:
     config = _require_config(args)
-    seed_plan = PlanPose.from_dict(_read_json_input(args.plan, "seed plan"))
+    seed_plan = parse(PlanPose, read_json(args.plan), "plan")
     grid = hotspot_grid(config.skin_mesh(), seed_plan, args.rows, args.cols, args.spacing)
     doc = grid.to_dict()
     if args.responses is not None:
-        responses = _read_json_input(args.responses, "responses")["responses"]
+        responses = parse(_Responses, read_json(args.responses), "responses").responses
         idx, best = select_hotspot(grid, responses)
         doc["selected_index"] = idx
         doc["selected_pose"] = best.to_dict()
@@ -174,20 +175,30 @@ def cmd_hotspot(args) -> int:
 
 
 def _parse_offsets(text: str) -> list[float]:
-    if ":" in text:
-        start, stop, count = text.split(":")
-        return [float(x) for x in np.linspace(float(start), float(stop), int(count))]
-    return [float(x) for x in text.split(",")]
+    try:
+        if ":" in text:
+            start, stop, count = text.split(":")
+            values = [float(x) for x in np.linspace(float(start), float(stop), int(count))]
+        else:
+            values = [float(x) for x in text.split(",")]
+    except ValueError:
+        values = []
+    if not (values and np.isfinite(values).all()):
+        raise ValidationError("--offsets must be finite numbers, a comma list or "
+                              f"start:stop:count, got {text!r}")
+    return values
 
 
 def _parse_direction(text: str) -> np.ndarray:
-    named = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
-    if text.lower() in named:
-        return np.array(named[text.lower()])
-    parts = [float(x) for x in text.split(",")]
-    if len(parts) != 3:
-        raise UsageError("direction must be x, y, z or three comma-separated numbers")
-    return np.array(parts)
+    named = {"x": "1,0,0", "y": "0,1,0", "z": "0,0,1"}
+    try:
+        parts = np.array([float(x) for x in named.get(text.lower(), text).split(",")])
+    except ValueError:
+        parts = np.array([])
+    if not (len(parts) == 3 and np.isfinite(parts).all() and parts.any()):
+        raise ValidationError("--direction must be x, y, z or three finite numbers, "
+                              f"not all zero, got {text!r}")
+    return parts
 
 
 def cmd_fieldsim(args) -> int:
@@ -202,12 +213,10 @@ def cmd_fieldsim(args) -> int:
         )
     sensor = config.sensor
     if args.standoff is not None:
+        if not np.isfinite(args.standoff):
+            raise ValidationError(f"--standoff must be finite, got {args.standoff}")
         below = coil.pose.apply(np.array([0.0, 0.0, -float(args.standoff)]))
-        sensor = SensorModel(
-            kind=sensor.kind, loop_radius_mm=sensor.loop_radius_mm,
-            turns_per_axis=sensor.turns_per_axis,
-            pose=RigidTransform(coil.pose.rotation, below),
-        )
+        sensor = replace(sensor, pose=RigidTransform(coil.pose.rotation, below))
     table = displacement_sweep(
         coil, sensor, _parse_direction(args.direction),
         _parse_offsets(args.offsets), config.train,
@@ -227,8 +236,10 @@ def _default_plan() -> PlanPose:
 
 def cmd_session(args) -> int:
     config = _require_config(args)
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
     if args.plan is not None:
-        plan = PlanPose.from_dict(_read_json_input(args.plan, "plan"))
+        plan = parse(PlanPose, read_json(args.plan), "plan")
     else:
         plan = _default_plan()
     if args.actuation == "robotic":
@@ -264,14 +275,12 @@ def cmd_session(args) -> int:
 
 
 def cmd_report(args) -> int:
-    doc = _read_json_input(args.input, "session record")
-    stats = doc.get("stats")
+    doc = read_json(args.input)
+    stats = doc.get("stats") if isinstance(doc, dict) else None
     if not stats:
-        raise UsageError("session record has no stats block")
-    rows = [
-        (name, float(s["mean"]), float(s["std"]), float(s["min"]), float(s["max"]))
-        for name, s in sorted(stats.items())
-    ]
+        raise ValidationError("session record has no stats block")
+    stats = parse(dict[str, _Stat], stats, "session record.stats")
+    rows = [(name, s.mean, s.std, s.min, s.max) for name, s in sorted(stats.items())]
     out = _out_dir(args, None)
     write_csv(out / "report.csv", ["metric", "mean", "std", "min", "max"], rows)
     print(f"report with {len(rows)} metrics written")
@@ -350,7 +359,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if err.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, ValidationError) as err:
+    except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except ToolkitError as err:

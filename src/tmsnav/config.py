@@ -1,8 +1,10 @@
 """Project configuration: one JSON document tying a session together.
 
-Paths are resolved relative to the config file. Only the sections a
-command actually needs are required to be present; anything present must
-exist and parse.
+The document mirrors `ProjectConfig` and its sections and is read by
+`fileio.parse`, so unknown keys and malformed values are rejected with
+the key path. Paths are resolved relative to the config file. Only the
+sections a command actually needs are required to be present; anything
+present must exist and parse.
 """
 
 from __future__ import annotations
@@ -10,34 +12,46 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ValidationError
 from .fieldsim import CoilModel, PulseTrain, SensorModel
-from .fileio import read_json
+from .fileio import parse, read_json
 from .mesh import TriangleMesh, load_stl
-from .registration import IcpConfig
+from .registration import ICP_ACCEPT_MM, PAIRPOINT_ACCEPT_MM, IcpConfig
 from .transforms import RigidTransform
+
+
+@dataclass(frozen=True)
+class Calibration:
+    e_to_cr: RigidTransform | None = None
+    cr_to_c: RigidTransform | None = None
+
+
+@dataclass(frozen=True)
+class RegistrationSettings(IcpConfig):
+    """The ICP settings plus the two acceptance thresholds."""
+    pairpoint_threshold_mm: float = PAIRPOINT_ACCEPT_MM
+    icp_threshold_mm: float = ICP_ACCEPT_MM
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not (self.pairpoint_threshold_mm > 0 and self.icp_threshold_mm > 0):
+            raise ValueError("registration thresholds must be positive")
 
 
 @dataclass
 class ProjectConfig:
-    base_dir: Path
-    skin_mesh_path: Path | None = None
-    cortex_mesh_path: Path | None = None
-    landmarks_path: Path | None = None
-    e_to_cr: RigidTransform | None = None
-    cr_to_c: RigidTransform | None = None
-    pairpoint_threshold_mm: float = 6.0
-    icp_threshold_mm: float = 2.0
-    icp: IcpConfig = field(default_factory=IcpConfig)
+    skin_mesh_path: Path | None = field(default=None, metadata={"json": "skin_mesh"})
+    cortex_mesh_path: Path | None = field(default=None, metadata={"json": "cortex_mesh"})
+    landmarks_path: Path | None = field(default=None, metadata={"json": "landmarks"})
+    calibration: Calibration = field(default_factory=Calibration)
+    registration: RegistrationSettings = field(default_factory=RegistrationSettings)
     coil: CoilModel = field(default_factory=CoilModel)
     sensor: SensorModel = field(default_factory=SensorModel)
     train: PulseTrain = field(default_factory=PulseTrain)
     output_dir: Path = Path("out")
 
-    _skin: TriangleMesh | None = None
-    _cortex: TriangleMesh | None = None
+    _skin: TriangleMesh | None = field(default=None, init=False, repr=False)
+    _cortex: TriangleMesh | None = field(default=None, init=False, repr=False)
 
     def skin_mesh(self) -> TriangleMesh:
         if self.skin_mesh_path is None:
@@ -54,58 +68,15 @@ class ProjectConfig:
         return self._cortex
 
 
-def _matrix(values) -> RigidTransform:
-    return RigidTransform.from_matrix(np.asarray(values, dtype=float).reshape(4, 4))
-
-
 def load_config(path) -> ProjectConfig:
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"config file not found: {path}")
-    try:
-        doc = read_json(path)
-    except ValueError as err:
-        raise ValidationError(f"config does not parse: {err}") from err
+    cfg = parse(ProjectConfig, read_json(path), "config")
     base = path.parent
-    cfg = ProjectConfig(base_dir=base)
-
-    def resolve(key) -> Path | None:
-        rel = doc.get(key)
-        if rel is None:
-            return None
-        p = base / rel
-        if not p.exists():
-            raise ValidationError(f"config {key} points to a missing file: {p}")
-        return p
-
-    cfg.skin_mesh_path = resolve("skin_mesh")
-    cfg.cortex_mesh_path = resolve("cortex_mesh")
-    cfg.landmarks_path = resolve("landmarks")
-
-    cal = doc.get("calibration", {})
-    if "e_to_cr" in cal:
-        cfg.e_to_cr = _matrix(cal["e_to_cr"])
-    if "cr_to_c" in cal:
-        cfg.cr_to_c = _matrix(cal["cr_to_c"])
-
-    reg = doc.get("registration", {})
-    cfg.pairpoint_threshold_mm = float(reg.get("pairpoint_threshold_mm", 6.0))
-    cfg.icp_threshold_mm = float(reg.get("icp_threshold_mm", 2.0))
-    if cfg.pairpoint_threshold_mm <= 0 or cfg.icp_threshold_mm <= 0:
-        raise ValidationError("registration thresholds must be positive")
-    try:
-        cfg.icp = IcpConfig(
-            max_iterations=int(reg.get("icp_max_iterations", 100)),
-            convergence_delta_mm=float(reg.get("icp_convergence_delta_mm", 1e-4)),
-            trim_fraction=float(reg.get("icp_trim_fraction", 0.0)),
-        )
-        if "coil" in doc:
-            cfg.coil = CoilModel.from_dict(doc["coil"])
-        if "sensor" in doc:
-            cfg.sensor = SensorModel.from_dict(doc["sensor"])
-        if "train" in doc:
-            cfg.train = PulseTrain.from_dict(doc["train"])
-    except (ValueError, KeyError) as err:
-        raise ValidationError(f"bad config value: {err}") from err
-    cfg.output_dir = base / doc.get("output_dir", "out")
+    for key in ("skin_mesh", "cortex_mesh", "landmarks"):
+        rel = getattr(cfg, f"{key}_path")
+        if rel is not None:
+            if not (base / rel).exists():
+                raise ValidationError(f"config {key} points to a missing file: {base / rel}")
+            setattr(cfg, f"{key}_path", base / rel)
+    cfg.output_dir = base / cfg.output_dir
     return cfg

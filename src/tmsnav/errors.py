@@ -9,8 +9,8 @@ class ToolkitError(Exception):
     """Base class for all toolkit failures."""
 
 
-class ValidationError(ToolkitError):
-    """Malformed input data (bad mesh, bad config, bad file)."""
+class ValidationError(ToolkitError, ValueError):
+    """Malformed input data (bad mesh, bad config, bad file, bad flag value)."""
 
 
 class MeshValidationError(ValidationError):

@@ -23,38 +23,17 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import SingularEvaluation
-from .transforms import RigidTransform, orthonormality_error
+from .errors import SingularEvaluation, ValidationError
+from .transforms import RigidTransform, check_rigid
 
 MU0 = 4e-7 * np.pi  # T*m/A
 WIRE_CLEARANCE_MM = 0.1
 MIN_SEGMENTS_PER_LOOP = 64
-RIGID_POSE_TOL = 1e-6  # max orthonormality error of a coil or sensor rotation
 # cap on each point x segment temporary in b_field; cache-sized blocks
 # ran fastest
 _BLOCK_ELEMENTS = 2**14
 # sensor-frame column of each winding normal: primary z, then x and y
 _AXIS_COLUMN = (2, 0, 1)
-
-
-def _pose_from_dict(d: dict, owner: str) -> RigidTransform:
-    """Pose from an optional row-major 4x4 "matrix"; its bottom row must be 0 0 0 1."""
-    if "matrix" not in d:
-        return RigidTransform.identity()
-    m = np.asarray(d["matrix"], dtype=float).reshape(4, 4)
-    if not np.array_equal(m[3], [0.0, 0.0, 0.0, 1.0]):
-        raise ValueError(f"{owner} matrix: bottom row must be [0, 0, 0, 1], got {m[3].tolist()}")
-    return RigidTransform.from_matrix(m)
-
-
-def _check_rigid(pose: RigidTransform, owner: str) -> None:
-    """Reject a scaled, sheared, mirrored or non-finite pose."""
-    err = orthonormality_error(pose.rotation)
-    if not (err <= RIGID_POSE_TOL and np.linalg.det(pose.rotation) > 0.0
-            and np.isfinite(pose.translation).all()):
-        raise ValueError(f"{owner} matrix is not rigid: the rotation must be orthonormal "
-                         f"within {RIGID_POSE_TOL:g} (error {err:.3g}) with determinant +1, "
-                         "and the translation finite")
 
 
 @dataclass(frozen=True)
@@ -64,20 +43,21 @@ class CoilModel:
     wing_center_offset_mm: float = 35.0  # wings at +/- offset along coil x
     segments_per_loop: int = 256
     peak_current_a: float = 5000.0
-    pose: RigidTransform = field(default_factory=RigidTransform.identity)
+    pose: RigidTransform = field(default_factory=RigidTransform.identity,
+                                 metadata={"json": "matrix"})
     # winding sense per wing; two opposed wings make the figure-8
     wing_senses: tuple[float, ...] = (1.0, -1.0)
 
     def __post_init__(self):
         if self.segments_per_loop < MIN_SEGMENTS_PER_LOOP:
             raise ValueError(f"segments_per_loop must be >= {MIN_SEGMENTS_PER_LOOP}")
-        if not self.wing_senses:
-            raise ValueError("at least one wing is required")
+        if len(self.wing_senses) not in (1, 2):  # wire() builds one or two wings
+            raise ValueError("coil wing_senses must list one or two wings")
         if not self.loop_radius_mm > 0:
             raise ValueError("coil loop_radius_mm must be positive")
         if self.loop_turns < 1:
             raise ValueError("coil loop_turns must be >= 1")
-        _check_rigid(self.pose, "coil")
+        check_rigid(self.pose.to_matrix(), "coil matrix")
 
     @classmethod
     def single_loop(cls, loop_radius_mm: float = 35.0, loop_turns: int = 1,
@@ -124,29 +104,6 @@ class CoilModel:
             dls.append(pts[1:] - pts[:-1])
         return np.concatenate(mids), np.concatenate(dls)
 
-    def to_dict(self) -> dict:
-        return {
-            "loop_radius_mm": self.loop_radius_mm,
-            "loop_turns": self.loop_turns,
-            "wing_center_offset_mm": self.wing_center_offset_mm,
-            "segments_per_loop": self.segments_per_loop,
-            "peak_current_a": self.peak_current_a,
-            "matrix": [float(x) for x in self.pose.to_matrix().reshape(16)],
-            "wing_senses": list(self.wing_senses),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CoilModel":
-        return cls(
-            loop_radius_mm=float(d.get("loop_radius_mm", 35.0)),
-            loop_turns=int(d.get("loop_turns", 9)),
-            wing_center_offset_mm=float(d.get("wing_center_offset_mm", 35.0)),
-            segments_per_loop=int(d.get("segments_per_loop", 256)),
-            peak_current_a=float(d.get("peak_current_a", 5000.0)),
-            pose=_pose_from_dict(d, "coil"),
-            wing_senses=tuple(d.get("wing_senses", (1.0, -1.0))),
-        )
-
 
 class SensorKind(str, Enum):
     SENSOR_2D = "sensor_2d"
@@ -158,14 +115,15 @@ class SensorModel:
     kind: SensorKind = SensorKind.SENSOR_3D
     loop_radius_mm: float = 7.5
     turns_per_axis: int = 10
-    pose: RigidTransform = field(default_factory=RigidTransform.identity)
+    pose: RigidTransform = field(default_factory=RigidTransform.identity,
+                                 metadata={"json": "matrix"})
 
     def __post_init__(self):
         if not self.loop_radius_mm > 0:
             raise ValueError("sensor loop_radius_mm must be positive")
         if self.turns_per_axis < 1:
             raise ValueError("sensor turns_per_axis must be >= 1")
-        _check_rigid(self.pose, "sensor")
+        check_rigid(self.pose.to_matrix(), "sensor matrix")
 
     @property
     def n_axes(self) -> int:
@@ -182,23 +140,6 @@ class SensorModel:
             self.pose.rotation, self.pose.translation + np.asarray(offset_vector, float)
         )
         return replace(self, pose=moved)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "loop_radius_mm": self.loop_radius_mm,
-            "turns_per_axis": self.turns_per_axis,
-            "matrix": [float(x) for x in self.pose.to_matrix().reshape(16)],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SensorModel":
-        return cls(
-            kind=SensorKind(d.get("kind", "sensor_3d")),
-            loop_radius_mm=float(d.get("loop_radius_mm", 7.5)),
-            turns_per_axis=int(d.get("turns_per_axis", 10)),
-            pose=_pose_from_dict(d, "sensor"),
-        )
 
 
 @dataclass(frozen=True)
@@ -217,20 +158,6 @@ class PulseTrain:
                 raise ValueError(f"{name} must be positive")
         if self.intensity_fraction < 0:
             raise ValueError("intensity_fraction must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "pulses_per_train": self.pulses_per_train,
-            "train_rate_hz": self.train_rate_hz,
-            "intensity_fraction": self.intensity_fraction,
-            "trains": self.trains,
-            "inter_train_wait_s": self.inter_train_wait_s,
-            "pulse_frequency_hz": self.pulse_frequency_hz,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PulseTrain":
-        return cls(**{k: d[k] for k in cls().to_dict() if k in d})
 
 
 def b_field(coil: CoilModel, points, current_a: float | None = None) -> np.ndarray:
@@ -374,11 +301,11 @@ def displacement_sweep(coil: CoilModel, sensor: SensorModel, direction,
     d = np.asarray(direction, dtype=float).reshape(3)
     norm = np.linalg.norm(d)
     if norm == 0.0:
-        raise ValueError("sweep direction must be nonzero")
+        raise ValidationError("sweep direction must be nonzero")
     d = d / norm
     offs = [float(x) for x in offsets_mm]
-    if offs[0] != 0.0 or any(b <= a for a, b in zip(offs, offs[1:])):
-        raise ValueError("offsets must be sorted ascending starting at 0")
+    if not offs or offs[0] != 0.0 or not all(b > a for a, b in zip(offs, offs[1:])):
+        raise ValidationError("offsets must be sorted ascending starting at 0")
     train = train or PulseTrain()
     rows = []
     for off in offs:

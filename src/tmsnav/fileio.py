@@ -1,13 +1,29 @@
-"""Deterministic file emission: canonical JSON, CSV tables, SVG plots.
+"""File boundary: the one validated JSON parse path and byte-stable writers.
 
-Every writer here is byte-stable: identical inputs produce identical
-bytes, which the command-line layer relies on for reproducibility.
+Identical inputs produce identical bytes, which the command-line layer
+relies on for reproducibility.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import sys
+import types
+import typing
+from enum import Enum
+from functools import cache, partial
 from pathlib import Path
+from typing import Annotated
+
+import numpy as np
+
+from .errors import ValidationError
+from .transforms import RigidTransform
+
+# array annotations carry their shape; -1 is a free length
+Vec3 = Annotated[np.ndarray, (3,)]
+Points = Annotated[np.ndarray, (-1, 3)]
 
 
 def canonical_json(obj) -> str:
@@ -20,7 +36,104 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
-    return json.loads(Path(path).read_text())
+    """Decoded JSON document; an unreadable or undecodable file is a ValidationError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as err:
+        raise ValidationError(f"cannot read JSON from {path}: {err}") from err
+
+
+_hints = cache(partial(typing.get_type_hints, include_extras=True))
+
+
+def _bad(where: str, expected: str, value) -> ValidationError:
+    return ValidationError(f"{where} must be {expected}, got {value!r:.80}")
+
+
+def _array(value, shape: tuple, where: str) -> np.ndarray:
+    """Finite float array of `shape` (-1: any length) from nested JSON numbers."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # ragged nesting
+        a = np.asarray(None)
+    if a.dtype.kind not in "iuf" or a.ndim != len(shape) or not np.isfinite(a).all() \
+            or any(s not in (n, -1) for n, s in zip(a.shape, shape)):
+        raise _bad(where, f"finite numbers of shape {shape}", value)
+    return a.astype(float)
+
+
+def parse(tp, value, where: str):
+    """Value of annotation `tp` built from decoded JSON, checked all the way down.
+
+    A dataclass reads one key per init field, named by the field or its
+    metadata "json" (a key pair: a pose as 9-value "rotation" and
+    "translation"); absent optional keys take the field defaults. A
+    missing, unknown, ill-typed or non-finite value, or a ValueError from
+    the dataclass's own checks, raises a ValidationError naming the key path.
+    """
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is Annotated:
+        return _array(value, args[1], where)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        (inner,) = [a for a in args if a is not type(None)]
+        return None if value is None else parse(inner, value, where)
+    if origin is tuple:
+        fixed = args[-1] is not Ellipsis
+        if not isinstance(value, list) or fixed and len(value) != len(args):
+            raise _bad(where, f"a list of {len(args)}" if fixed else "a list", value)
+        items = args if fixed else args[:1] * len(value)
+        return tuple(parse(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
+    if tp is RigidTransform:
+        try:
+            return RigidTransform.from_matrix(_array(value, (16,), where))
+        except ValidationError as err:  # "coil.matrix" reads "coil matrix ..."
+            raise ValidationError(f"{where.removesuffix('.matrix')} {err}") from None
+    if origin is dict or dataclasses.is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise _bad(where, "an object", value)
+        if origin is dict:
+            return {k: parse(args[1], v, f"{where}.{k}") for k, v in value.items()}
+        return _dataclass(tp, value, where)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        try:
+            return tp(value)
+        except (ValueError, TypeError):
+            raise _bad(where, "one of " + ", ".join(m.value for m in tp), value) from None
+    if tp is float:  # the bound also keeps out NaN, inf and ints too large for a float
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif type(value) is (str if tp is Path else tp):  # so never a bool for an int
+        return tp(value)
+    kinds = {float: "a finite number", int: "an integer", bool: "true or false"}
+    raise _bad(where, kinds.get(tp, "a string"), value)
+
+
+def _dataclass(cls, doc: dict, where: str):
+    kwargs, known = {}, set()
+    for f in [f for f in dataclasses.fields(cls) if f.init]:
+        key = f.metadata.get("json", f.name)
+        keys = key if isinstance(key, tuple) else (key,)
+        known.update(keys)
+        missing = [k for k in keys if k not in doc]
+        if missing:
+            required = f.default is f.default_factory is dataclasses.MISSING
+            if not required and len(missing) == len(keys):
+                continue
+            raise ValidationError(f"{where}.{missing[0]} is required")
+        if isinstance(key, tuple):  # [R | t] from the two keys
+            r, t = (_array(doc[k], s, f"{where}.{k}") for k, s in zip(key, ((9,), (3,))))
+            value = [*np.c_[r.reshape(3, 3), t].ravel(), 0.0, 0.0, 0.0, 1.0]
+        else:
+            value = doc[key]
+        kwargs[f.name] = parse(_hints(cls)[f.name], value, f"{where}.{keys[0]}")
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise ValidationError(f"{where}.{unknown[0]} is not a known key; expected one of "
+                              + ", ".join(sorted(known)))
+    try:
+        return cls(**kwargs)
+    except ValueError as err:
+        raise ValidationError(f"{where}: {err}") from None
 
 
 def format_float(x: float) -> str:

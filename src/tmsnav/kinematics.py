@@ -10,7 +10,7 @@ stored. A graph instance is an immutable snapshot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,8 +40,8 @@ APPROACH_FLIP = RigidTransform(np.diag([1.0, -1.0, -1.0]), np.zeros(3))
 
 @dataclass(frozen=True)
 class GraphEdge:
-    transform: RigidTransform
-    provenance: str
+    transform: RigidTransform = field(metadata={"json": "matrix"})
+    provenance: str = "unknown"
     timestamp_ms: float | None = None
 
     def to_dict(self) -> dict:
@@ -82,16 +82,25 @@ class FrameGraph:
             rows.append({"from": a, "to": b, **edge.to_dict()})
         return {"edges": rows}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FrameGraph":
-        edges = {}
-        for row in d["edges"]:
-            edges[(row["from"], row["to"])] = GraphEdge(
-                RigidTransform.from_matrix(np.asarray(row["matrix"], dtype=float).reshape(4, 4)),
-                row.get("provenance", "unknown"),
-                row.get("timestamp_ms"),
-            )
-        return cls(edges)
+
+@dataclass(frozen=True)
+class GraphEdgeRow(GraphEdge):
+    """One entry of a frame-graph document: an edge and the frame pair it joins."""
+    frame_a: str = field(kw_only=True, metadata={"json": "from"})
+    frame_b: str = field(kw_only=True, metadata={"json": "to"})
+
+    def __post_init__(self):
+        if (self.frame_a, self.frame_b) not in CANONICAL_EDGES:
+            raise ValueError(f"unknown frame-graph edge {{{self.frame_a}->{self.frame_b}}}")
+
+
+@dataclass(frozen=True)
+class GraphDocument:
+    """A frame-graph snapshot as stored in JSON (`FrameGraph.to_dict`)."""
+    edges: tuple[GraphEdgeRow, ...]
+
+    def graph(self) -> FrameGraph:
+        return FrameGraph({(row.frame_a, row.frame_b): row for row in self.edges})
 
 
 def _adjacency() -> dict[str, list[str]]:

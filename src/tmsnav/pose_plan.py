@@ -13,7 +13,7 @@ identical poses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -24,9 +24,11 @@ from .errors import (
     GridEscapedSurface,
     NoSkinIntersection,
     TargetOffSurface,
+    ValidationError,
 )
+from .fileio import Vec3
 from .mesh import TriangleMesh, closest_point, contains_point, ray_intersect, triangle_normal
-from .transforms import RigidTransform
+from .transforms import RigidTransform, as_vec3
 
 DEGENERATE_CROSS_MM2 = 2e-9  # matches the mesh degenerate-area bound
 TAIL_PROJECTION_MIN_MM = 1e-9
@@ -49,34 +51,29 @@ class Strategy(str, Enum):
     CLOSEST_SKIN = "closest_skin"
 
 
-def _vec3(v) -> np.ndarray:
-    a = np.asarray(v, dtype=float).reshape(3).copy()
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class PoseConstraintInput:
-    kind: ConstraintKind
-    center: np.ndarray  # pc, mm
-    plane_points: tuple[np.ndarray, np.ndarray, np.ndarray] | None  # (p, p1, p2)
-    tail_point: np.ndarray | None  # explicit pt (two-point only)
-    tail_selector: str | None  # "p1" | "p2" (four/three-point)
+    kind: ConstraintKind = field(metadata={"json": "constraint_kind"})
+    center: Vec3  # pc, mm
+    plane_points: tuple[Vec3, Vec3, Vec3] | None = None  # (p, p1, p2)
+    tail_point: Vec3 | None = None  # explicit pt (two-point only)
+    tail_selector: str | None = None  # "p1" | "p2" (four/three-point)
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _vec3(self.center))
+        two = self.kind is ConstraintKind.TWO_POINT
+        if self.tail_point is None if two else (
+                self.plane_points is None or self.tail_selector not in ("p1", "p2")):
+            need = "tail_point" if two else "plane_points and a tail_selector of p1 or p2"
+            raise ValueError(f"a {self.kind.value} constraint needs {need}")
+        object.__setattr__(self, "center", as_vec3(self.center))
         if self.plane_points is not None:
-            object.__setattr__(
-                self, "plane_points", tuple(_vec3(p) for p in self.plane_points)
-            )
+            object.__setattr__(self, "plane_points", tuple(map(as_vec3, self.plane_points)))
         if self.tail_point is not None:
-            object.__setattr__(self, "tail_point", _vec3(self.tail_point))
+            object.__setattr__(self, "tail_point", as_vec3(self.tail_point))
 
     @classmethod
     def four_point(cls, center, p, p1, p2, tail: str = "p1") -> "PoseConstraintInput":
         """Center point plus a full plane triple; tail picked from p1/p2."""
-        if tail not in ("p1", "p2"):
-            raise ValueError("tail must be 'p1' or 'p2'")
         return cls(ConstraintKind.FOUR_POINT, center, (p, p1, p2), None, tail)
 
     @classmethod
@@ -84,16 +81,14 @@ class PoseConstraintInput:
         """Plane triple only; one of the three points doubles as the center."""
         if center not in ("p", "p1", "p2"):
             raise ValueError("center must be one of 'p', 'p1', 'p2'")
-        if tail not in ("p1", "p2"):
-            raise ValueError("tail must be 'p1' or 'p2'")
         points = {"p": p, "p1": p1, "p2": p2}
         return cls(ConstraintKind.THREE_POINT, points[center], (p, p1, p2), None, tail)
 
     @classmethod
     def two_point(cls, center, tail_point) -> "PoseConstraintInput":
         """Center and tail only; the containing mesh triangle fixes the plane."""
-        c = _vec3(center)
-        t = _vec3(tail_point)
+        c = as_vec3(center)
+        t = as_vec3(tail_point)
         if np.array_equal(c, t):
             raise DegenerateTail("tail point coincides with the center point")
         return cls(ConstraintKind.TWO_POINT, c, None, t, None)
@@ -109,29 +104,19 @@ class PoseConstraintInput:
             "tail_selector": self.tail_selector,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PoseConstraintInput":
-        plane = d.get("plane_points")
-        return cls(
-            ConstraintKind(d["constraint_kind"]),
-            d["center"],
-            None if plane is None else tuple(plane),
-            d.get("tail_point"),
-            d.get("tail_selector"),
-        )
-
 
 @dataclass(frozen=True)
 class PlanPose:
-    pose: RigidTransform  # {head-image -> plan} for head plans
+    # {head-image -> plan} for head plans; stored as "rotation" and "translation"
+    pose: RigidTransform = field(metadata={"json": ("rotation", "translation")})
     strategy: Strategy
     source: PoseConstraintInput
-    cortex_target: np.ndarray | None = None
+    cortex_target: Vec3 | None = None
     skin_collision_warning: bool = False
 
     def __post_init__(self):
         if self.cortex_target is not None:
-            object.__setattr__(self, "cortex_target", _vec3(self.cortex_target))
+            object.__setattr__(self, "cortex_target", as_vec3(self.cortex_target))
 
     def to_dict(self) -> dict:
         return {
@@ -143,24 +128,13 @@ class PlanPose:
             "skin_collision_warning": self.skin_collision_warning,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PlanPose":
-        return cls(
-            RigidTransform(np.asarray(d["rotation"], dtype=float).reshape(3, 3),
-                           d["translation"]),
-            Strategy(d["strategy"]),
-            PoseConstraintInput.from_dict(d["source"]),
-            d.get("cortex_target"),
-            bool(d.get("skin_collision_warning", False)),
-        )
-
 
 @dataclass(frozen=True)
 class HotspotGrid:
     poses: tuple[PlanPose, ...]
     rows: int
     cols: int
-    spacing: float
+    spacing: float = field(metadata={"json": "spacing_mm"})
 
     def __len__(self) -> int:
         return len(self.poses)
@@ -172,13 +146,6 @@ class HotspotGrid:
             "spacing_mm": self.spacing,
             "poses": [p.to_dict() for p in self.poses],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HotspotGrid":
-        return cls(
-            tuple(PlanPose.from_dict(p) for p in d["poses"]),
-            int(d["rows"]), int(d["cols"]), float(d["spacing_mm"]),
-        )
 
 
 def _frame_from_normal_and_tail(n: np.ndarray, y_raw: np.ndarray) -> np.ndarray:
@@ -307,9 +274,9 @@ def hotspot_grid(
     onto the skin and re-oriented by the local triangle; the seed sits at
     the lattice center."""
     if rows < 1 or cols < 1:
-        raise ValueError("rows and cols must be >= 1")
-    if spacing <= 0.0:
-        raise ValueError("spacing must be positive")
+        raise ValidationError("rows and cols must be >= 1")
+    if not 0.0 < spacing < np.inf:
+        raise ValidationError("spacing must be positive and finite")
     if rows == 1 and cols == 1:
         return HotspotGrid((seed_pose,), 1, 1, spacing)
     x_axis = seed_pose.pose.rotation[:, 0]
@@ -340,6 +307,8 @@ def select_hotspot(grid: HotspotGrid, responses) -> tuple[int, PlanPose]:
     """Highest-responding grid pose; ties go to the lowest index."""
     r = np.asarray(responses, dtype=float).reshape(-1)
     if len(r) != len(grid):
-        raise ValueError(f"got {len(r)} responses for a {len(grid)}-pose grid")
+        raise ValidationError(f"got {len(r)} responses for a {len(grid)}-pose grid")
+    if not np.isfinite(r).all():
+        raise ValidationError(f"responses must be finite, got {r.tolist()}")
     idx = int(np.argmax(r))
     return idx, grid.poses[idx]

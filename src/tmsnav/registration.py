@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateCorrespondences, DegenerateLandmarks, MismatchedLandmarks
+from .fileio import Points
 from .mesh import TriangleMesh, closest_point_batch
 from .transforms import RigidTransform, compose
 
@@ -27,8 +28,8 @@ _COLLINEAR_SV_MIN = 1e-6
 @dataclass(frozen=True)
 class LandmarkSet:
     names: tuple[str, ...]
-    image_points: np.ndarray  # (N, 3) in the image frame, mm
-    probe_points: np.ndarray  # (N, 3) in the head-marker frame, mm
+    image_points: Points  # (N, 3) in the image frame, mm
+    probe_points: Points  # (N, 3) in the head-marker frame, mm
 
     def __post_init__(self):
         img = np.asarray(self.image_points, dtype=float).reshape(-1, 3).copy()
@@ -58,16 +59,14 @@ class LandmarkSet:
             "probe_points": [list(p) for p in self.probe_points],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LandmarkSet":
-        return cls(tuple(d["names"]), d["image_points"], d["probe_points"])
-
 
 @dataclass(frozen=True)
 class IcpConfig:
-    max_iterations: int = 100
-    convergence_delta_mm: float = 1e-4
-    trim_fraction: float = 0.0
+    # keyed "icp_*" in the project config's registration section
+    max_iterations: int = field(default=100, metadata={"json": "icp_max_iterations"})
+    convergence_delta_mm: float = field(default=1e-4,
+                                        metadata={"json": "icp_convergence_delta_mm"})
+    trim_fraction: float = field(default=0.0, metadata={"json": "icp_trim_fraction"})
 
     def __post_init__(self):
         if not (0.0 <= self.trim_fraction < 1.0):
@@ -78,7 +77,8 @@ class IcpConfig:
 
 @dataclass(frozen=True)
 class RegistrationResult:
-    transform: RigidTransform  # probe/head-marker frame -> image frame
+    # probe/head-marker frame -> image frame
+    transform: RigidTransform = field(metadata={"json": "matrix"})
     pairpoint_residual_mean: float | None
     icp_residual_mean: float | None
     accepted: bool
@@ -95,17 +95,6 @@ class RegistrationResult:
             "iterations": self.iterations,
             "converged": self.converged,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RegistrationResult":
-        return cls(
-            RigidTransform.from_matrix(np.asarray(d["matrix"], dtype=float).reshape(4, 4)),
-            d["pairpoint_residual_mean"],
-            d["icp_residual_mean"],
-            bool(d["accepted"]),
-            int(d.get("iterations", 0)),
-            bool(d.get("converged", True)),
-        )
 
 
 def _gate(pairpoint: float | None, icp: float | None,

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import ValidationError
 from .fieldsim import CoilModel, PulseTrain, SensorModel, induced_voltage
 from .kinematics import APPROACH_FLIP, PoseError, pose_error
 from .pose_plan import PlanPose
@@ -69,11 +70,6 @@ class ActuationModel:
             "rng_seed": self.rng_seed,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ActuationModel":
-        return cls(d["label"], d["translation_sigma_mm"], d["rotation_sigma_rad"],
-                   d.get("drift_mm_per_min", 0.0), int(d.get("rng_seed", 0)))
-
 
 @dataclass(frozen=True)
 class SessionSample:
@@ -116,7 +112,7 @@ def run_alignment_trials(plan: PlanPose, model: ActuationModel,
                          repetitions: int = ALIGNMENT_REPETITIONS) -> SessionRecord:
     """Repeatedly actuate to the planned pose and log the pose errors."""
     if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+        raise ValidationError("repetitions must be >= 1")
     rng = np.random.default_rng(model.rng_seed)
     samples = []
     for k in range(repetitions):

@@ -11,11 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
+
 # Rotation drift beyond this triggers re-orthonormalization on compose.
 ORTHO_DRIFT_TOL = 1e-12
+RIGID_TOL = 1e-6  # max orthonormality error of a rotation read from outside
 
 
-def _as_vec3(v) -> np.ndarray:
+def as_vec3(v) -> np.ndarray:
     a = np.asarray(v, dtype=float).reshape(3).copy()
     a.setflags(write=False)
     return a
@@ -43,6 +46,18 @@ def orthonormalize(rotation: np.ndarray) -> np.ndarray:
     return r
 
 
+def check_rigid(matrix, what: str) -> None:
+    """Reject a 4x4 matrix unless finite, bottom row [0, 0, 0, 1], rotation proper."""
+    m = np.asarray(matrix, dtype=float).reshape(4, 4)
+    if not np.array_equal(m[3], [0.0, 0.0, 0.0, 1.0]):
+        raise ValidationError(f"{what}: bottom row must be [0, 0, 0, 1], got {m[3].tolist()}")
+    err = orthonormality_error(m[:3, :3]) if np.isfinite(m).all() else np.nan
+    if not (err <= RIGID_TOL and np.linalg.det(m[:3, :3]) > 0.0):
+        raise ValidationError(f"{what} is not rigid: the rotation must be orthonormal "
+                              f"within {RIGID_TOL:g} (error {err:.3g}) with determinant +1, "
+                              "and every value finite")
+
+
 @dataclass(frozen=True)
 class RigidTransform:
     rotation: np.ndarray  # (3, 3), orthonormal, det +1
@@ -50,7 +65,7 @@ class RigidTransform:
 
     def __post_init__(self):
         object.__setattr__(self, "rotation", _as_mat3(self.rotation))
-        object.__setattr__(self, "translation", _as_vec3(self.translation))
+        object.__setattr__(self, "translation", as_vec3(self.translation))
 
     @classmethod
     def identity(cls) -> "RigidTransform":
@@ -58,8 +73,9 @@ class RigidTransform:
 
     @classmethod
     def from_matrix(cls, matrix) -> "RigidTransform":
-        """Build from a 4x4 homogeneous matrix (row-major layout)."""
+        """Build from a rigid 4x4 homogeneous matrix (row-major), checked as rigid."""
         m = np.asarray(matrix, dtype=float).reshape(4, 4)
+        check_rigid(m, "matrix")
         return cls(m[:3, :3], m[:3, 3])
 
     def to_matrix(self) -> np.ndarray:

@@ -358,3 +358,231 @@ def test_register_without_config_is_usage_error(tmp_path):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "register" in capsys.readouterr().out
+
+# --- malformed input exits 64 and names the key or flag, never 1 ----------------------
+
+MISSING = object()
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """Small project with absolute paths, plus one output of each command that
+    later commands read: plan, registration and session record."""
+    root = tmp_path_factory.mktemp("tiny")
+    skin = icosphere(85.0, subdivisions=2)
+    save_stl(skin, root / "skin.stl", name="skin")
+    save_stl(icosphere(70.0, subdivisions=1), root / "cortex.stl", name="cortex")
+    probe = sample_surface(skin, 6, np.random.default_rng(91))
+    write_json(root / "landmarks.json", {
+        "names": [f"f{i}" for i in range(6)],
+        "image_points": [list(p) for p in probe], "probe_points": [list(p) for p in probe],
+    })
+    cloud = sample_surface(skin, 20, np.random.default_rng(92))
+    write_json(root / "cloud.json", {"points": [list(p) for p in cloud]})
+    write_json(root / "constraint.json", PoseConstraintInput.two_point(
+        [0.0, 0.0, 70.0], [8.0, 0.0, 70.0]).to_dict())
+    write_json(root / "constraint4.json", PoseConstraintInput.four_point(
+        [0.0, 0.0, 70.0], [0.0, 0.0, 70.0], [1.0, 0.0, 70.0], [0.0, 1.0, 70.0]).to_dict())
+    write_json(root / "responses.json", {"responses": [0, 1, 5, 1, 0, 0, 0, 0, 0]})
+    rng = np.random.default_rng(93)
+    write_json(root / "graph.json", {"edges": [
+        {"from": a, "to": b, "provenance": provenance, "timestamp_ms": float(i),
+         "matrix": [float(x) for x in random_transform(rng).to_matrix().reshape(16)]}
+        for i, ((a, b), provenance) in enumerate(sorted(CANONICAL_EDGES.items()))
+        if (a, b) not in (("H", "b"), ("E", "Cr"), ("Cr", "C"))
+    ]})
+    write_json(root / "config.json", {
+        "skin_mesh": str(root / "skin.stl"),
+        "cortex_mesh": str(root / "cortex.stl"),
+        "landmarks": str(root / "landmarks.json"),
+        "calibration": {
+            "e_to_cr": [float(x) for x in random_transform(rng).to_matrix().reshape(16)],
+            "cr_to_c": [float(x) for x in random_transform(rng).to_matrix().reshape(16)],
+        },
+        "registration": {"pairpoint_threshold_mm": 6.0, "icp_max_iterations": 5},
+        "coil": {"segments_per_loop": 64},
+        "sensor": {"matrix": [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, -20.0, 0, 0, 0, 1]},
+        "train": {"trains": 2},
+        "output_dir": str(root / "out"),
+    })
+    cfg = f"--config={root / 'config.json'}"
+    assert main([cfg, f"--out={root}", "plan", "--strategy=closest-skin",
+                 f"--constraint={root / 'constraint.json'}"]) == EXIT_OK
+    assert main([cfg, f"--out={root}", "register"]) == EXIT_OK
+    assert main([cfg, f"--out={root}", "session", "--mode=alignment",
+                 "--repetitions=2"]) == EXIT_OK
+    return root
+
+
+def _argv(root: Path, name: str, path: Path, key: str = "") -> list[str]:
+    """A command that reads input document `name` from `path`, the rest from `root`.
+
+    Config documents pick the command that uses the section `key` is in.
+    """
+    cfg = f"--config={root / 'config.json'}"
+    plan, graph = f"--plan={root / 'plan.json'}", f"--graph={root / 'graph.json'}"
+    register = ["register", f"--cloud={root / 'cloud.json'}"]
+    if name == "config":
+        cfg = f"--config={path}"
+        section = key.split(".")[0]
+        if section == "calibration":
+            return [cfg, "chain", graph, plan]
+        if section in ("coil", "sensor", "train"):
+            return [cfg, "fieldsim", "--offsets=0,2"]
+        if section == "cortex_mesh":
+            return [cfg, "plan", "--strategy=closest-skin",
+                     f"--constraint={root / 'constraint.json'}"]
+    if name == "landmarks":
+        config = dict(read_json(root / "config.json"), landmarks=str(path))
+        cfg = f"--config={path.with_name('landmarks_config.json')}"
+        write_json(path.with_name("landmarks_config.json"), config)
+    commands = {
+        "config": register, "landmarks": ["register"],
+        "cloud": ["register", f"--cloud={path}"],
+        "constraint": ["plan", "--strategy=closest-skin", f"--constraint={path}"],
+        "constraint4": ["plan", "--strategy=closest-skin", f"--constraint={path}"],
+        "plan": ["chain", graph, f"--plan={path}"],
+        "graph": ["chain", f"--graph={path}", plan],
+        "registration": ["chain", graph, plan, f"--registration={path}"],
+        "responses": ["hotspot", plan, "--spacing=8", f"--responses={path}"],
+        "session": ["report", f"--input={path}"],
+    }
+    return [cfg, f"--out={path.parent / 'out'}", *commands[name]]
+
+
+def _with(doc, key: str, value):
+    """Deep copy of `doc` with the dotted `key` set to `value` (or deleted)."""
+    doc = json.loads(json.dumps(doc))
+    *head, last = [int(k) if k.isdigit() else k for k in key.split(".")]
+    target = doc
+    for k in head:
+        target = target[k]
+    if value is MISSING:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+# (input document, edit of the well-formed document, extra flags, text stderr must name)
+MALFORMED = {
+    "constraint kind bogus": ("constraint", lambda d: _with(d, "constraint_kind", "bogus"),
+                              "constraint.constraint_kind"),
+    "constraint kind missing": ("constraint",
+                                lambda d: _with(d, "constraint_kind", MISSING),
+                                "constraint.constraint_kind"),
+    "two-value center": ("constraint", lambda d: _with(d, "center", [0.0, 70.0]),
+                         "constraint.center"),
+    "config is a list": ("config", lambda d: [d], "config"),
+    "skin_mesh number": ("config", lambda d: _with(d, "skin_mesh", 5), "config.skin_mesh"),
+    "threshold text": ("config",
+                       lambda d: _with(d, "registration.pairpoint_threshold_mm", "abc"),
+                       "config.registration.pairpoint_threshold_mm"),
+    "threshold NaN": ("config",
+                      lambda d: _with(d, "registration.pairpoint_threshold_mm", float("nan")),
+                      "config.registration.pairpoint_threshold_mm"),
+    "trains text": ("config", lambda d: _with(d, "train.trains", "3"), "config.train.trains"),
+    "trains fraction": ("config", lambda d: _with(d, "train.trains", 2.5),
+                        "config.train.trains"),
+    "wing_senses text": ("config", lambda d: _with(d, "coil.wing_senses", "ab"),
+                         "config.coil.wing_senses"),
+    "three wing senses": ("config", lambda d: _with(d, "coil.wing_senses", [1, -1, 1]),
+                          "wing_senses"),
+    "coil a list": ("config", lambda d: _with(d, "coil", [1, 2]), "config.coil"),
+    "misspelt coil key": ("config", lambda d: _with(d, "coil.loop_radius", 30.0),
+                          "config.coil.loop_radius"),
+    "e_to_cr three values": ("config", lambda d: _with(d, "calibration.e_to_cr", [1, 2, 3]),
+                             "config.calibration.e_to_cr"),
+    "e_to_cr scaled": ("config", lambda d: _with(
+        d, "calibration.e_to_cr", [2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 1]),
+        "config.calibration.e_to_cr"),
+    "cr_to_c bottom row": ("config", lambda d: _with(
+        d, "calibration.cr_to_c", d["calibration"]["cr_to_c"][:12] + [5, 5, 5, 7]),
+        "config.calibration.cr_to_c"),
+    "graph edge from Z": ("graph", lambda d: _with(d, "edges.0.from", "Z"), "graph.edges[0]"),
+    "graph edge without matrix": ("graph", lambda d: _with(d, "edges.0.matrix", MISSING),
+                                  "graph.edges[0].matrix"),
+    "graph edge R00 tripled": ("graph", lambda d: _with(d, "edges.0.matrix.0",
+                                                        3.0 * d["edges"][0]["matrix"][0]),
+                               "graph.edges[0]"),
+    "plan strategy": ("plan", lambda d: _with(d, "strategy", "x"), "plan.strategy"),
+    "plan rotation scaled": ("plan", lambda d: _with(
+        d, "rotation", [2, 0, 0, 0, 2, 0, 0, 0, 2]), "plan.rotation"),
+    "registration without pairpoint": ("registration", lambda d: _with(
+        d, "pairpoint_residual_mean", MISSING), "registration.pairpoint_residual_mean"),
+    "registration scaled": ("registration", lambda d: _with(
+        d, "matrix", [2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 1]),
+        "registration matrix"),
+    "landmarks without names": ("landmarks", lambda d: _with(d, "names", MISSING),
+                                "landmarks.names"),
+    "cloud without points": ("cloud", lambda d: _with(d, "points", MISSING), "cloud.points"),
+    "responses missing": ("responses", lambda d: _with(d, "responses", MISSING),
+                          "responses.responses"),
+    "responses NaN": ("responses", lambda d: _with(d, "responses.4", float("nan")),
+                      "responses"),
+    "stats a list": ("session", lambda d: _with(d, "stats", [1]), "session record.stats"),
+    "stat without std": ("session", lambda d: _with(
+        d, "stats.rotation_error_rad.std", MISSING), "stats.rotation_error_rad.std"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_usage_error_naming_the_key(tiny, tmp_path, capsys, case):
+    name, edit, named = MALFORMED[case]
+    path = tmp_path / f"{name}.json"
+    # plain json: NaN must reach the parser as written
+    path.write_text(json.dumps(edit(read_json(tiny / f"{name}.json"))))
+    assert main(_argv(tiny, name, path)) == EXIT_USAGE
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["hotspot", "--rows=0"], "rows"),
+    (["hotspot", "--spacing=-5"], "spacing"),
+    (["hotspot", "--spacing=inf"], "spacing"),
+    (["session", "--mode=alignment", "--repetitions=0"], "repetitions"),
+    (["--seed=-1", "session", "--mode=alignment"], "--seed"),
+    (["fieldsim", "--direction=0,0,0"], "--direction"),
+    (["fieldsim", "--offsets=a,b"], "--offsets"),
+    (["fieldsim", "--offsets=0:1:0"], "--offsets"),
+    (["fieldsim", "--offsets=nan,1"], "--offsets"),
+    (["fieldsim", "--standoff=nan"], "--standoff"),
+])
+def test_bad_flag_value_is_usage_error_naming_the_flag(tiny, tmp_path, capsys, argv, named):
+    if argv[0] == "hotspot":
+        argv = [*argv, f"--plan={tiny / 'plan.json'}"]
+    code = main([f"--config={tiny / 'config.json'}", f"--out={tmp_path}", *argv])
+    assert code == EXIT_USAGE
+    assert named in capsys.readouterr().err
+
+
+def _key_paths(doc, prefix: str = ""):
+    """Dotted path of every object key, recursing into objects and the first
+    element of lists of objects."""
+    if isinstance(doc, list) and doc and isinstance(doc[0], dict):
+        yield from _key_paths(doc[0], f"{prefix}0.")
+    elif isinstance(doc, dict):
+        for key, value in doc.items():
+            yield prefix + key
+            yield from _key_paths(value, f"{prefix}{key}.")
+
+
+REPLACEMENTS = {"missing": MISSING, "null": None, '"x"': "x", "NaN": float("nan"),
+                "[]": [], "{}": {}, "2.5": 2.5, "true": True}
+
+
+@pytest.mark.parametrize("name", ["config", "constraint", "constraint4", "plan", "graph",
+                                  "registration", "landmarks", "cloud", "responses",
+                                  "session"])
+def test_no_single_key_replacement_exits_internal(tiny, tmp_path, capsys, name):
+    doc = read_json(tiny / f"{name}.json")
+    path = tmp_path / f"{name}.json"
+    internal = []
+    for key in _key_paths(doc):
+        for label, value in REPLACEMENTS.items():
+            path.write_text(json.dumps(_with(doc, key, value)))
+            code = main(_argv(tiny, name, path, key))
+            err = capsys.readouterr().err
+            if code not in (EXIT_OK, EXIT_REJECTED, EXIT_USAGE):
+                internal.append(f"{key} = {label}: exit {code}: {err.strip()}")
+    assert not internal

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tmsnav.fileio import parse
 from tmsnav.errors import SingularEvaluation
 from tmsnav.fieldsim import (
     MU0,
@@ -278,9 +279,9 @@ def test_matrix_bottom_row_must_be_affine():
     matrix[3] = [0.0, 0.0, 1.0, 1.0]
     values = [float(x) for x in matrix.reshape(16)]
     with pytest.raises(ValueError, match="coil matrix: bottom row"):
-        CoilModel.from_dict({"matrix": values})
+        parse(CoilModel, {"matrix": values}, "coil")
     with pytest.raises(ValueError, match="sensor matrix: bottom row"):
-        SensorModel.from_dict({"matrix": values})
+        parse(SensorModel, {"matrix": values}, "sensor")
 
 
 @pytest.mark.parametrize("fields, name", [

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from tmsnav.errors import MissingEdge, StaleSnapshot
-from tmsnav.fileio import canonical_json, read_json
+from tmsnav.fileio import canonical_json, parse, read_json
 from tmsnav.kinematics import (
     APPROACH_FLIP,
     CANONICAL_EDGES,
     FrameGraph,
+    GraphDocument,
     GraphEdge,
     achieved_coil_pose,
     chain,
@@ -119,7 +120,7 @@ def test_graph_rejects_unknown_edge():
 def test_graph_json_round_trip():
     rng = np.random.default_rng(57)
     graph = random_graph(rng, timestamps=True)
-    back = FrameGraph.from_dict(graph.to_dict())
+    back = parse(GraphDocument, graph.to_dict(), "graph").graph()
     assert canonical_json(back.to_dict()) == canonical_json(graph.to_dict())
 
 
@@ -182,8 +183,8 @@ def test_solve_stale_snapshot():
 
 def test_solve_regression_fixture_is_byte_stable():
     record = read_json(FIXTURES / "chain_seed42.json")
-    graph = FrameGraph.from_dict(record["graph"])
-    plan = PlanPose.from_dict(record["plan"])
+    graph = parse(GraphDocument, record["graph"], "graph").graph()
+    plan = parse(PlanPose, record["plan"], "plan")
     commanded = solve_commanded_end_effector(graph, plan)
     out = {"matrix": [float(x) for x in commanded.to_matrix().reshape(16)]}
     assert canonical_json(out) == canonical_json({"matrix": record["commanded_matrix"]})

@@ -6,6 +6,7 @@ from tmsnav.errors import (
     DegenerateLandmarks,
     MismatchedLandmarks,
 )
+from tmsnav.fileio import parse
 from tmsnav.mesh import sample_surface
 from tmsnav.meshgen import ellipsoid, icosphere
 from tmsnav.registration import (
@@ -308,9 +309,9 @@ def test_registration_result_round_trip(head):
     rng = np.random.default_rng(48)
     lm = landmark_fixture(rng, random_transform(rng), noise=1.0)
     res = pairpoint_register(lm)
-    back = RegistrationResult.from_dict(res.to_dict())
+    back = parse(RegistrationResult, res.to_dict(), "registration")
     assert back.to_dict() == res.to_dict()
-    back_lm = LandmarkSet.from_dict(lm.to_dict())
+    back_lm = parse(LandmarkSet, lm.to_dict(), "landmarks")
     assert back_lm.to_dict() == lm.to_dict()
 
 
