@@ -343,38 +343,47 @@ def contains_point(mesh: TriangleMesh, point) -> bool:
     return ray_crossing_count(mesh, point, _PARITY_DIRECTION) % 2 == 1
 
 
-# one facet loop of exactly three vertices
+# one facet loop of exactly three vertices, each captured as its coordinate text
 _STL_LOOP_RE = re.compile(
-    r"outer\s+loop\s+" + 3 * r"vertex\s+(\S+)\s+(\S+)\s+(\S+)\s+" + r"endloop"
+    rb"outer\s+loop\s+" + 3 * rb"vertex\s+(\S+\s+\S+\s+\S+)\s+" + rb"endloop"
 )
 
 
 def load_stl(path, drop_degenerate: bool = False) -> TriangleMesh:
     """Read an ASCII STL file (facet normals are ignored and recomputed).
 
-    Vertices are deduplicated by exact coordinate so the result is an
-    indexed mesh. Every facet must be one loop of exactly three vertices.
-    Degenerate facets raise unless drop_degenerate is set.
+    Every facet must be one ``outer loop`` of exactly three ``vertex x y z``
+    lines before its ``endfacet``; text outside the loops is ignored.
+    Vertices are deduplicated by exact coordinate value, in first-occurrence
+    order, so the result is an indexed mesh. Degenerate facets raise unless
+    drop_degenerate is set.
     """
-    with open(path, "r") as fh:
-        text = fh.read()
-    if not text.lstrip().startswith("solid"):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.lstrip().startswith(b"solid"):
         raise MeshValidationError(f"{path}: not an ASCII STL file")
-    vertex_index: dict[tuple, int] = {}  # insertion-ordered: the keys are the vertices
-    triangles = []
-    for m in _STL_LOOP_RE.finditer(text):
-        g = tuple(map(float, m.groups()))
-        triangles.append([vertex_index.setdefault(corner, len(vertex_index))
-                          for corner in (g[0:3], g[3:6], g[6:9])])
-    if len(triangles) != text.count("endfacet"):
-        facets = text.split("endfacet")  # the piece after the last endfacet holds no loop
+    # each vertex is spelled once per facet that uses it: parse each spelling once
+    spellings: dict[bytes, int] = {}
+    corners = [spellings.setdefault(s, len(spellings))
+               for m in _STL_LOOP_RE.finditer(data) for s in m.groups()]
+    if len(corners) != 3 * data.count(b"endfacet"):
+        facets = data.split(b"endfacet")  # the piece after the last endfacet holds no loop
         bad = next((i for i, f in enumerate(facets)
                     if len(_STL_LOOP_RE.findall(f)) != (i < len(facets) - 1)), len(facets) - 1)
         raise MeshValidationError(f"{path}: facet {bad} is not one loop of exactly three vertices")
-    if not triangles:
+    if not corners:
         raise MeshValidationError(f"{path}: no facets found")
+    vertex_index: dict[tuple, int] = {}  # insertion-ordered: the keys are the vertices
+    merged = []  # vertex id of each spelling
+    for s in spellings:
+        try:
+            xyz = tuple(map(float, s.split()))
+        except ValueError as exc:  # the message names the token
+            raise MeshValidationError(
+                f"{path}: facet {corners.index(len(merged)) // 3}: {exc}") from None
+        merged.append(vertex_index.setdefault(xyz, len(vertex_index)))
     v = np.asarray(list(vertex_index), dtype=float)
-    t = np.asarray(triangles, dtype=np.int64)
+    t = np.asarray(merged, dtype=np.int64)[np.asarray(corners)].reshape(-1, 3)
     if drop_degenerate:
         t = t[_areas(v, t) > DEGENERATE_AREA_MM2]
     return TriangleMesh(v, t)

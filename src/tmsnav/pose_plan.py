@@ -65,6 +65,10 @@ class PoseConstraintInput:
                 self.plane_points is None or self.tail_selector not in ("p1", "p2")):
             need = "tail_point" if two else "plane_points and a tail_selector of p1 or p2"
             raise ValueError(f"a {self.kind.value} constraint needs {need}")
+        unused = ("plane_points", "tail_selector") if two else ("tail_point",)
+        for key in unused:  # a value the pose would silently ignore
+            if getattr(self, key) is not None:
+                raise ValueError(f"a {self.kind.value} constraint takes no {key}; set it to null")
         object.__setattr__(self, "center", as_vec3(self.center))
         if self.plane_points is not None:
             object.__setattr__(self, "plane_points", tuple(map(as_vec3, self.plane_points)))

@@ -70,9 +70,11 @@ class IcpConfig:
 
     def __post_init__(self):
         if not (0.0 <= self.trim_fraction < 1.0):
-            raise ValueError("trim_fraction must be in [0, 1)")
+            raise ValueError("icp_trim_fraction must be in [0, 1)")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise ValueError("icp_max_iterations must be >= 1")
+        if not self.convergence_delta_mm >= 0.0:
+            raise ValueError("icp_convergence_delta_mm must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -124,20 +124,36 @@ def test_register_missing_mesh_is_usage_error(project, tmp_path):
     assert code == EXIT_USAGE
 
 
+def _register_with_skin(project, tmp_path, skin: bytes) -> int:
+    """Exit code of `register --cloud` on the project with its skin file replaced."""
+    (tmp_path / "skin_bad.stl").write_bytes(skin)
+    config = read_json(project / "config.json")
+    config.update(skin_mesh=str(tmp_path / "skin_bad.stl"),
+                  cortex_mesh=str(project / "cortex.stl"),
+                  landmarks=str(project / "landmarks.json"))
+    write_json(tmp_path / "config.json", config)
+    return main([f"--config={tmp_path / 'config.json'}", f"--out={tmp_path / 'out'}",
+                 "register", f"--cloud={project / 'cloud.json'}"])
+
+
 def test_register_short_facet_skin_is_usage_error(project, tmp_path):
     # drop the third vertex of facet 1: the skin file no longer parses
     lines = (project / "skin.stl").read_text().splitlines()
     third_vertex = [i for i, line in enumerate(lines) if "vertex" in line][5]
     del lines[third_vertex]
-    (tmp_path / "skin_short.stl").write_text("\n".join(lines) + "\n")
-    config = read_json(project / "config.json")
-    config.update(skin_mesh=str(tmp_path / "skin_short.stl"),
-                  cortex_mesh=str(project / "cortex.stl"),
-                  landmarks=str(project / "landmarks.json"))
-    write_json(tmp_path / "config.json", config)
-    code = main([f"--config={tmp_path / 'config.json'}", f"--out={tmp_path / 'out'}",
-                 "register", f"--cloud={project / 'cloud.json'}"])
-    assert code == EXIT_USAGE
+    assert _register_with_skin(project, tmp_path, ("\n".join(lines) + "\n").encode()) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("token", [b"abc", b"\xff"])
+def test_register_non_numeric_vertex_skin_is_usage_error(project, tmp_path, capsys, token):
+    # replace the first coordinate of facet 1's first vertex
+    lines = (project / "skin.stl").read_bytes().split(b"\n")
+    first = [i for i, line in enumerate(lines) if b"vertex" in line][3]
+    indent, _, coordinates = lines[first].partition(b"vertex ")
+    lines[first] = indent + b"vertex " + token + b" " + coordinates.split(b" ", 1)[1]
+    assert _register_with_skin(project, tmp_path, b"\n".join(lines)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "facet 1:" in err and repr(token) in err
 
 
 # --- plan ----------------------------------------------------------------------------
@@ -473,6 +489,13 @@ MALFORMED = {
                                 "constraint.constraint_kind"),
     "two-value center": ("constraint", lambda d: _with(d, "center", [0.0, 70.0]),
                          "constraint.center"),
+    "two-point with plane_points": ("constraint", lambda d: _with(
+        d, "plane_points", [[0.0, 0.0, 70.0], [1.0, 0.0, 70.0], [0.0, 1.0, 70.0]]),
+        "plane_points"),
+    "two-point with tail_selector": ("constraint", lambda d: _with(d, "tail_selector", "p1"),
+                                     "tail_selector"),
+    "four-point with tail_point": ("constraint4", lambda d: _with(
+        d, "tail_point", [8.0, 0.0, 70.0]), "tail_point"),
     "config is a list": ("config", lambda d: [d], "config"),
     "skin_mesh number": ("config", lambda d: _with(d, "skin_mesh", 5), "config.skin_mesh"),
     "threshold text": ("config",
@@ -481,6 +504,12 @@ MALFORMED = {
     "threshold NaN": ("config",
                       lambda d: _with(d, "registration.pairpoint_threshold_mm", float("nan")),
                       "config.registration.pairpoint_threshold_mm"),
+    "icp trim fraction": ("config", lambda d: _with(d, "registration.icp_trim_fraction", 2.5),
+                          "icp_trim_fraction"),
+    "icp zero iterations": ("config", lambda d: _with(d, "registration.icp_max_iterations", 0),
+                            "icp_max_iterations"),
+    "icp negative delta": ("config", lambda d: _with(
+        d, "registration.icp_convergence_delta_mm", -1e-4), "icp_convergence_delta_mm"),
     "trains text": ("config", lambda d: _with(d, "train.trains", "3"), "config.train.trains"),
     "trains fraction": ("config", lambda d: _with(d, "train.trains", 2.5),
                         "config.train.trains"),

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from tmsnav.errors import EmptyMeshError, MeshValidationError, ValidationError
 from tmsnav.mesh import (
+    DEGENERATE_AREA_MM2,
     TriangleMesh,
     closest_point,
     closest_point_batch,
@@ -322,9 +325,105 @@ def test_stl_unterminated_last_facet_rejected(tmp_path):
 
 def test_stl_rejects_binary_like_input(tmp_path):
     path = tmp_path / "bad.stl"
-    path.write_bytes(b"\x00\x01\x02binarysoup")
-    with pytest.raises((MeshValidationError, UnicodeDecodeError)):
+    good = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
+    for content in (b"\x00\x01\x02binarysoup", b"\xff\xfe\x00solid",
+                    stl_text(good, good).encode().replace(b"vertex 1 0 0", b"vertex 1 \xff 0")):
+        path.write_bytes(content)
+        with pytest.raises(MeshValidationError):
+            load_stl(path)
+
+
+@pytest.mark.parametrize("token", [b"abc", b"1.0\xff"])
+def test_stl_non_numeric_vertex_token_names_facet_and_token(tmp_path, token):
+    good = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
+    path = tmp_path / "token.stl"
+    # the bad spelling is in facets 1 and 2; the first facet using it is named
+    text = stl_text(good, [(0, 0, 1), (1, 0, 1), (0, 1, 1)], [(0, 0, 1), (1, 0, 1), (1, 1, 1)])
+    path.write_bytes(text.encode().replace(b"vertex 1 0 1", b"vertex " + token + b" 0 1"))
+    with pytest.raises(MeshValidationError, match="facet 1: ") as err:
         load_stl(path)
+    assert repr(token) in str(err.value)
+
+
+def test_stl_non_ascii_whitespace_between_tokens_rejected(tmp_path):
+    good = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
+    path = tmp_path / "nbsp.stl"
+    path.write_text(stl_text(good, good).replace("vertex 0 1 0", "vertex 0\u00a01 0", 1),
+                    encoding="utf-8")
+    with pytest.raises(MeshValidationError, match="facet 0 "):
+        load_stl(path)
+
+
+def test_stl_bytes_outside_the_loops_are_ignored(tmp_path):
+    good = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
+    plain = tmp_path / "plain.stl"
+    plain.write_text(stl_text(good))
+    noisy = tmp_path / "noisy.stl"
+    noisy.write_bytes(stl_text(good).encode().replace(b"solid test", b"solid t\xffst")
+                      .replace(b"normal 0 0 1", b"normal \xff \xc3\xa9 1"))
+    a, b = load_stl(plain), load_stl(noisy)
+    assert a.vertices.tobytes() == b.vertices.tobytes()
+    assert a.triangles.tobytes() == b.triangles.tobytes()
+
+
+_REFERENCE_LOOP_RE = re.compile(
+    r"outer\s+loop\s+" + 3 * r"vertex\s+(\S+)\s+(\S+)\s+(\S+)\s+" + r"endloop"
+)
+
+
+def reference_load_stl(path, drop_degenerate=False):
+    """Dict loader kept as the oracle: every vertex occurrence parsed to a
+    float tuple, deduplicated by an insertion-ordered dict (no file checks)."""
+    with open(path, "r") as fh:
+        text = fh.read()
+    vertex_index = {}
+    triangles = []
+    for m in _REFERENCE_LOOP_RE.finditer(text):
+        g = tuple(map(float, m.groups()))
+        triangles.append([vertex_index.setdefault(corner, len(vertex_index))
+                          for corner in (g[0:3], g[3:6], g[6:9])])
+    v = np.asarray(list(vertex_index), dtype=float)
+    t = np.asarray(triangles, dtype=np.int64)
+    if drop_degenerate:
+        e1, e2 = v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]
+        t = t[0.5 * np.linalg.norm(np.cross(e1, e2), axis=1) > DEGENERATE_AREA_MM2]
+    return TriangleMesh(v, t)
+
+
+# the same vertices spelled with signed zeros, integer and exponent forms,
+# tabs, runs of spaces and CRLF line ends
+MIXED_SPELLING_STL = (
+    "solid mixed\n"
+    "facet normal 0 0 1\n outer loop\n"
+    "  vertex 0.0 -0.0 0\n  vertex 1 0.0 0.0\n  vertex\t0\t1.0\t-0.0\n"
+    " endloop\nendfacet\n"
+    "facet normal 0 0 1\r\n  outer   loop\r\n"
+    "    vertex  1e0   0  -0.0\r\n    vertex 1.0 1 0\r\n    vertex 0e0 1e0 0.00\r\n"
+    "  endloop\r\nendfacet\r\n"
+    "facet normal 0 0 1\n\touter loop\n"
+    "\t\tvertex -0.0 0 0\n\t\tvertex 0 -0 1\n\t\tvertex 1.0 0 0\n"
+    "\tendloop\nendfacet\n"
+    "endsolid mixed\n"
+)
+
+
+@pytest.mark.parametrize("case", ["icosphere_20480", "mixed_spelling", "degenerate_dropped",
+                                  "icosphere_5120"])
+def test_stl_loader_matches_reference(tmp_path, case):
+    path = tmp_path / f"{case}.stl"
+    drop = case == "degenerate_dropped"
+    if case.startswith("icosphere"):
+        save_stl(icosphere(85.0, subdivisions=5 if case.endswith("20480") else 4), path)
+    elif case == "mixed_spelling":
+        path.write_text(MIXED_SPELLING_STL, newline="")
+    else:
+        good = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
+        collinear = [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
+        path.write_text(stl_text(good, collinear, [(1, 0, 0), (1, 1, 0), (0, 1, 0)]))
+    mesh, ref = load_stl(path, drop_degenerate=drop), reference_load_stl(path, drop_degenerate=drop)
+    assert mesh.vertices.tobytes() == ref.vertices.tobytes()
+    assert mesh.triangles.dtype == ref.triangles.dtype
+    np.testing.assert_array_equal(mesh.triangles, ref.triangles)
 
 
 def test_outward_winding_of_generated_sphere(sphere85):
