@@ -22,7 +22,7 @@ from . import session as session_mod
 from .config import ProjectConfig, load_config
 from .errors import ToolkitError, ValidationError
 from .fieldsim import CoilModel, displacement_sweep
-from .fileio import Points, parse, polyline_svg, read_json, write_csv, write_json
+from .fileio import Points, dump, parse, polyline_svg, read_json, write_csv, write_json
 from .kinematics import FrameGraph, GraphDocument, GraphEdge, solve_commanded_end_effector
 from .pose_plan import (
     PlanPose,
@@ -102,7 +102,7 @@ def cmd_register(args) -> int:
             icp_threshold_mm=settings.icp_threshold_mm,
         )
     out = _out_dir(args, config)
-    write_json(out / "registration.json", result.to_dict())
+    write_json(out / "registration.json", dump(result))
     state = "accepted" if result.accepted else "rejected"
     print(f"registration {state}: pair-point {result.pairpoint_residual_mean:.4f} mm"
           + (f", surface {result.icp_residual_mean:.4f} mm"
@@ -125,7 +125,7 @@ def cmd_plan(args) -> int:
     else:
         plan = closest_skin_pose(config.cortex_mesh(), config.skin_mesh(), constraint)
     out = _out_dir(args, config)
-    write_json(out / "plan.json", plan.to_dict())
+    write_json(out / "plan.json", dump(plan))
     t = plan.pose.translation
     flag = " [skin-collision warning]" if plan.skin_collision_warning else ""
     print(f"{strategy.value} pose at ({t[0]:.2f}, {t[1]:.2f}, {t[2]:.2f}) mm{flag}")
@@ -149,9 +149,7 @@ def cmd_chain(args) -> int:
     plan = parse(PlanPose, read_json(args.plan), "plan")
     commanded = solve_commanded_end_effector(graph, plan)
     out = _out_dir(args, config)
-    write_json(out / "commanded.json", {
-        "matrix": [float(x) for x in commanded.to_matrix().reshape(16)],
-    })
+    write_json(out / "commanded.json", {"matrix": dump(commanded)})
     t = commanded.translation
     print(f"commanded end-effector at ({t[0]:.2f}, {t[1]:.2f}, {t[2]:.2f}) mm")
     return EXIT_OK
@@ -161,12 +159,12 @@ def cmd_hotspot(args) -> int:
     config = _require_config(args)
     seed_plan = parse(PlanPose, read_json(args.plan), "plan")
     grid = hotspot_grid(config.skin_mesh(), seed_plan, args.rows, args.cols, args.spacing)
-    doc = grid.to_dict()
+    doc = dump(grid)
     if args.responses is not None:
         responses = parse(_Responses, read_json(args.responses), "responses").responses
         idx, best = select_hotspot(grid, responses)
         doc["selected_index"] = idx
-        doc["selected_pose"] = best.to_dict()
+        doc["selected_pose"] = dump(best)
     out = _out_dir(args, config)
     write_json(out / "hotspot.json", doc)
     note = f", selected {doc['selected_index']}" if "selected_index" in doc else ""

@@ -1,4 +1,4 @@
-"""File boundary: the one validated JSON parse path and byte-stable writers.
+"""File boundary: one JSON codec (`parse` and its inverse `dump`) and byte-stable writers.
 
 Identical inputs produce identical bytes, which the command-line layer
 relies on for reproducibility.
@@ -134,6 +134,34 @@ def _dataclass(cls, doc: dict, where: str):
         return cls(**kwargs)
     except ValueError as err:
         raise ValidationError(f"{where}: {err}") from None
+
+
+def dump(value):
+    """JSON-ready form of `value`, the inverse of `parse` over the same field metadata.
+
+    A dataclass writes one key per init field, named by the field or its
+    metadata "json" (a key pair: a pose as 9-value "rotation" and
+    "translation"); a RigidTransform writes its 16 matrix values, an enum
+    its value, an array its nested lists and a tuple each element.
+    """
+    if isinstance(value, RigidTransform):
+        return value.to_matrix().reshape(16).tolist()
+    if dataclasses.is_dataclass(value):
+        doc = {}
+        for f in [f for f in dataclasses.fields(value) if f.init]:
+            key, v = f.metadata.get("json", f.name), getattr(value, f.name)
+            if isinstance(key, tuple):  # [R | t] as the two keys
+                doc.update(zip(key, (v.rotation.reshape(9).tolist(), v.translation.tolist())))
+            else:
+                doc[key] = dump(v)
+        return doc
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [dump(v) for v in value]
+    return value
 
 
 def format_float(x: float) -> str:

@@ -44,13 +44,6 @@ class GraphEdge:
     provenance: str = "unknown"
     timestamp_ms: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "matrix": [float(x) for x in self.transform.to_matrix().reshape(16)],
-            "provenance": self.provenance,
-            "timestamp_ms": self.timestamp_ms,
-        }
-
 
 class FrameGraph:
     """Immutable snapshot of frame-to-frame transforms."""
@@ -76,12 +69,6 @@ class FrameGraph:
         key = (frame_a, frame_b) if (frame_a, frame_b) in CANONICAL_EDGES else (frame_b, frame_a)
         raise MissingEdge(*key)
 
-    def to_dict(self) -> dict:
-        rows = []
-        for (a, b), edge in sorted(self._edges.items()):
-            rows.append({"from": a, "to": b, **edge.to_dict()})
-        return {"edges": rows}
-
 
 @dataclass(frozen=True)
 class GraphEdgeRow(GraphEdge):
@@ -96,7 +83,7 @@ class GraphEdgeRow(GraphEdge):
 
 @dataclass(frozen=True)
 class GraphDocument:
-    """A frame-graph snapshot as stored in JSON (`FrameGraph.to_dict`)."""
+    """A frame-graph snapshot as stored in JSON: one row per stored edge."""
     edges: tuple[GraphEdgeRow, ...]
 
     def graph(self) -> FrameGraph:
@@ -203,13 +190,6 @@ class PoseError:
         t = np.asarray(self.translation_components_mm, dtype=float).reshape(3).copy()
         t.setflags(write=False)
         object.__setattr__(self, "translation_components_mm", t)
-
-    def to_dict(self) -> dict:
-        return {
-            "translation_error_mm": self.translation_error_mm,
-            "rotation_error_rad": self.rotation_error_rad,
-            "translation_components_mm": list(self.translation_components_mm),
-        }
 
 
 def pose_error(planned: RigidTransform, measured: RigidTransform) -> PoseError:

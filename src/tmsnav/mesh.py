@@ -343,9 +343,10 @@ def contains_point(mesh: TriangleMesh, point) -> bool:
     return ray_crossing_count(mesh, point, _PARITY_DIRECTION) % 2 == 1
 
 
-# one facet loop of exactly three vertices, each captured as its coordinate text
-_STL_LOOP_RE = re.compile(
-    rb"outer\s+loop\s+" + 3 * rb"vertex\s+(\S+\s+\S+\s+\S+)\s+" + rb"endloop"
+# one facet record: a loop of exactly three vertices, each captured as its
+# coordinate text, closed by the facet's endfacet
+_STL_FACET_RE = re.compile(
+    rb"outer\s+loop\s+" + 3 * rb"vertex\s+(\S+\s+\S+\s+\S+)\s+" + rb"endloop\s+endfacet\b"
 )
 
 
@@ -353,7 +354,8 @@ def load_stl(path, drop_degenerate: bool = False) -> TriangleMesh:
     """Read an ASCII STL file (facet normals are ignored and recomputed).
 
     Every facet must be one ``outer loop`` of exactly three ``vertex x y z``
-    lines before its ``endfacet``; text outside the loops is ignored.
+    lines, then ``endloop``, then its ``endfacet``; other text between the
+    facets and the names on the ``solid``/``endsolid`` lines are ignored.
     Vertices are deduplicated by exact coordinate value, in first-occurrence
     order, so the result is an indexed mesh. Degenerate facets raise unless
     drop_degenerate is set.
@@ -362,14 +364,24 @@ def load_stl(path, drop_degenerate: bool = False) -> TriangleMesh:
         data = fh.read()
     if not data.lstrip().startswith(b"solid"):
         raise MeshValidationError(f"{path}: not an ASCII STL file")
+    # the solid and endsolid lines end in free-text names: scan between them
+    start = data.find(b"\n", data.find(b"solid")) + 1
+    end = data.rfind(b"\n", 0, data.rfind(b"endsolid")) + 1  # the endsolid line, if last
+    if not re.fullmatch(rb"\s*endsolid[^\n]*\s*", data[end:]):
+        end = len(data)
     # each vertex is spelled once per facet that uses it: parse each spelling once
     spellings: dict[bytes, int] = {}
     corners = [spellings.setdefault(s, len(spellings))
-               for m in _STL_LOOP_RE.finditer(data) for s in m.groups()]
-    if len(corners) != 3 * data.count(b"endfacet"):
-        facets = data.split(b"endfacet")  # the piece after the last endfacet holds no loop
-        bad = next((i for i, f in enumerate(facets)
-                    if len(_STL_LOOP_RE.findall(f)) != (i < len(facets) - 1)), len(facets) - 1)
+               for m in _STL_FACET_RE.finditer(data, start, end) for s in m.groups()]
+    n = len(corners) // 3
+    # a well-formed body holds "end" only in each record's endloop and endfacet;
+    # count those two apart only when it holds more (an endsolid between solids)
+    if 2 * n != data.count(b"end", start, end) and not (
+            n == data.count(b"endfacet", start, end) == data.count(b"endloop", start, end)):
+        pieces = data[start:end].split(b"endfacet")  # the one after the last holds no loop
+        bad = next((i for i, f in enumerate(pieces[:-1])  # one loop, right before endfacet
+                    if f.count(b"endloop") != 1 or not _STL_FACET_RE.search(f + b"endfacet")),
+                   len(pieces) - 1)
         raise MeshValidationError(f"{path}: facet {bad} is not one loop of exactly three vertices")
     if not corners:
         raise MeshValidationError(f"{path}: no facets found")

@@ -97,17 +97,6 @@ class PoseConstraintInput:
             raise DegenerateTail("tail point coincides with the center point")
         return cls(ConstraintKind.TWO_POINT, c, None, t, None)
 
-    def to_dict(self) -> dict:
-        return {
-            "constraint_kind": self.kind.value,
-            "center": list(self.center),
-            "plane_points": None
-            if self.plane_points is None
-            else [list(p) for p in self.plane_points],
-            "tail_point": None if self.tail_point is None else list(self.tail_point),
-            "tail_selector": self.tail_selector,
-        }
-
 
 @dataclass(frozen=True)
 class PlanPose:
@@ -122,16 +111,6 @@ class PlanPose:
         if self.cortex_target is not None:
             object.__setattr__(self, "cortex_target", as_vec3(self.cortex_target))
 
-    def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy.value,
-            "rotation": [float(x) for x in self.pose.rotation.reshape(9)],
-            "translation": list(self.pose.translation),
-            "source": self.source.to_dict(),
-            "cortex_target": None if self.cortex_target is None else list(self.cortex_target),
-            "skin_collision_warning": self.skin_collision_warning,
-        }
-
 
 @dataclass(frozen=True)
 class HotspotGrid:
@@ -142,14 +121,6 @@ class HotspotGrid:
 
     def __len__(self) -> int:
         return len(self.poses)
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "spacing_mm": self.spacing,
-            "poses": [p.to_dict() for p in self.poses],
-        }
 
 
 def _frame_from_normal_and_tail(n: np.ndarray, y_raw: np.ndarray) -> np.ndarray:

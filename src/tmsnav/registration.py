@@ -52,13 +52,6 @@ class LandmarkSet:
     def __len__(self) -> int:
         return len(self.names)
 
-    def to_dict(self) -> dict:
-        return {
-            "names": list(self.names),
-            "image_points": [list(p) for p in self.image_points],
-            "probe_points": [list(p) for p in self.probe_points],
-        }
-
 
 @dataclass(frozen=True)
 class IcpConfig:
@@ -87,16 +80,6 @@ class RegistrationResult:
     iterations: int = 0
     converged: bool = True
     residual_history: tuple[float, ...] = field(default=(), repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "matrix": [float(x) for x in self.transform.to_matrix().reshape(16)],
-            "pairpoint_residual_mean": self.pairpoint_residual_mean,
-            "icp_residual_mean": self.icp_residual_mean,
-            "accepted": self.accepted,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
 
 
 def _gate(pairpoint: float | None, icp: float | None,

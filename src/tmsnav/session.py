@@ -9,12 +9,13 @@ Identical seeds reproduce identical sessions bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ValidationError
 from .fieldsim import CoilModel, PulseTrain, SensorModel, induced_voltage
+from .fileio import dump
 from .kinematics import APPROACH_FLIP, PoseError, pose_error
 from .pose_plan import PlanPose
 from .transforms import RigidTransform, compose, rotation_about_axis
@@ -61,27 +62,18 @@ class ActuationModel:
     def seeded(self, rng_seed: int) -> "ActuationModel":
         return replace(self, rng_seed=rng_seed)
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "translation_sigma_mm": self.translation_sigma_mm,
-            "rotation_sigma_rad": self.rotation_sigma_rad,
-            "drift_mm_per_min": self.drift_mm_per_min,
-            "rng_seed": self.rng_seed,
-        }
-
 
 @dataclass(frozen=True)
 class SessionSample:
     timestamp_s: float
-    measured: RigidTransform
+    measured: RigidTransform = field(metadata={"json": "matrix"})
     error: PoseError
 
 
 @dataclass(frozen=True)
 class SessionRecord:
     planned: PlanPose
-    model: ActuationModel
+    model: ActuationModel = field(metadata={"json": "actuation"})
     samples: tuple[SessionSample, ...]
     voltages_vpp: np.ndarray | None = None  # (trains, axes)
     stats: dict | None = None
@@ -218,22 +210,11 @@ def summarize(record: SessionRecord) -> dict:
 
 
 def session_to_dict(record: SessionRecord) -> dict:
-    rows = []
-    for i, s in enumerate(record.samples):
-        row = {
-            "timestamp_s": s.timestamp_s,
-            "matrix": [float(x) for x in s.measured.to_matrix().reshape(16)],
-            "error": s.error.to_dict(),
-        }
-        if record.voltages_vpp is not None:
-            row["voltages_vpp"] = [float(v) for v in record.voltages_vpp[i]]
-        rows.append(row)
-    return {
-        "planned": record.planned.to_dict(),
-        "actuation": record.model.to_dict(),
-        "samples": rows,
-        "stats": record.stats,
-    }
+    """The session document, each train's voltages written on its sample row."""
+    doc = dump(record)
+    for row, v in zip(doc["samples"], doc.pop("voltages_vpp") or ()):
+        row["voltages_vpp"] = v
+    return doc
 
 
 def session_csv_rows(record: SessionRecord) -> tuple[list[str], list[tuple]]:

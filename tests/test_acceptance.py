@@ -14,7 +14,7 @@ import pytest
 from tmsnav.cli import EXIT_OK, main
 from tmsnav.fieldsim import CoilModel, PulseTrain, SensorModel, b_field, \
     displacement_sweep, on_axis_loop_field
-from tmsnav.fileio import write_json
+from tmsnav.fileio import dump, write_json
 from tmsnav.kinematics import APPROACH_FLIP, pose_error
 from tmsnav.mesh import closest_point, sample_surface, save_stl
 from tmsnav.meshgen import icosphere
@@ -294,8 +294,8 @@ def acceptance_project(tmp_path_factory):
     })
     cloud = sample_surface(skin, 30, np.random.default_rng(110))
     write_json(root / "cloud.json", {"points": [list(p) for p in cloud]})
-    write_json(root / "constraint.json", PoseConstraintInput.two_point(
-        [0.0, 0.0, 70.0], [8.0, 0.0, 70.0]).to_dict())
+    write_json(root / "constraint.json", dump(PoseConstraintInput.two_point(
+        [0.0, 0.0, 70.0], [8.0, 0.0, 70.0])))
     from tmsnav.kinematics import CANONICAL_EDGES
     edges = []
     g_rng = np.random.default_rng(111)

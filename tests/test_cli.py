@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from tmsnav.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
-from tmsnav.fileio import read_json, write_json
+from tmsnav.fileio import dump, parse, read_json, write_json
 from tmsnav.kinematics import CANONICAL_EDGES
 from tmsnav.mesh import sample_surface, save_stl
 from tmsnav.meshgen import icosphere
-from tmsnav.pose_plan import PoseConstraintInput
+from tmsnav.pose_plan import PlanPose, PoseConstraintInput
+from tmsnav.registration import RegistrationResult
 from tmsnav.transforms import random_transform
 
 
@@ -40,9 +41,9 @@ def project(tmp_path_factory):
     cloud = sample_surface(skin, 40, np.random.default_rng(82))
     write_json(root / "cloud.json", {"points": [list(p) for p in cloud]})
 
-    write_json(root / "constraint.json", PoseConstraintInput.two_point(
+    write_json(root / "constraint.json", dump(PoseConstraintInput.two_point(
         [0.0, 0.0, 70.0], [8.0, 0.0, 70.0]
-    ).to_dict())
+    )))
 
     config = {
         "skin_mesh": "skin.stl",
@@ -107,6 +108,26 @@ def test_register_with_surface_refinement(project, tmp_path):
     doc = read_json(tmp_path / "registration.json")
     assert doc["icp_residual_mean"] <= 1e-6
     assert doc["accepted"] is True
+
+
+def test_registration_json_carries_the_icp_residual_history(project, tmp_path):
+    icp, plain = tmp_path / "icp", tmp_path / "plain"
+    assert run(project, f"--out={icp}", "register", f"--cloud={project / 'cloud.json'}") == EXIT_OK
+    assert run(project, f"--out={plain}", "register") == EXIT_OK
+    doc = read_json(icp / "registration.json")
+    assert len(doc["residual_history"]) == doc["iterations"] >= 1
+    assert doc["residual_history"][-1] == doc["icp_residual_mean"]
+    assert read_json(plain / "registration.json")["residual_history"] == []
+    # chain reads both, and a file written before the key existed (its default is empty)
+    del doc["residual_history"]
+    write_json(tmp_path / "older.json", doc)
+    plan = make_plan(project, tmp_path)
+    outs = []
+    for reg in (icp / "registration.json", plain / "registration.json", tmp_path / "older.json"):
+        outs.append(tmp_path / f"chain_{len(outs)}")
+        assert run(project, f"--out={outs[-1]}", "chain", f"--graph={project / 'graph.json'}",
+                   f"--plan={plan}", f"--registration={reg}") == EXIT_OK
+    assert tree_bytes(outs[0]) == tree_bytes(outs[2])
 
 
 def test_register_bad_landmarks_rejected(project, tmp_path):
@@ -184,9 +205,9 @@ def test_plan_deterministic_bytes(project, tmp_path):
 
 
 def test_plan_off_surface_is_domain_error(project, tmp_path):
-    write_json(tmp_path / "far.json", PoseConstraintInput.two_point(
+    write_json(tmp_path / "far.json", dump(PoseConstraintInput.two_point(
         [0.0, 0.0, 200.0], [8.0, 0.0, 200.0]
-    ).to_dict())
+    )))
     code = run(project, f"--out={tmp_path}", "plan", "--strategy=free-skin",
                f"--constraint={tmp_path / 'far.json'}")
     assert code == EXIT_REJECTED
@@ -345,9 +366,16 @@ def test_outputs_round_trip_through_their_parsers(project, tmp_path):
     f_out = tmp_path / "f"
     assert run(project, f"--out={f_out}", "fieldsim", "--single-loop",
                "--standoff=20", "--offsets=0,2,4") == EXIT_OK
+    r_out = tmp_path / "r"
+    assert run(project, f"--out={r_out}", "register",
+               f"--cloud={project / 'cloud.json'}") == EXIT_OK
+    registration = r_out / "registration.json"
     # JSON outputs: read -> canonical re-dump reproduces the bytes
-    for path in (plan, s_out / "session.json"):
+    for path in (plan, s_out / "session.json", registration):
         assert canonical_json(read_json(path)) == path.read_text()
+    # and so does parse -> dump through the library types
+    for tp, path in ((PlanPose, plan), (RegistrationResult, registration)):
+        assert canonical_json(dump(parse(tp, read_json(path), path.stem))) == path.read_text()
     # CSV outputs: parse -> rewrite reproduces the bytes
     csv_path = f_out / "sweep.csv"
     lines = csv_path.read_text().strip().splitlines()
@@ -395,10 +423,10 @@ def tiny(tmp_path_factory):
     })
     cloud = sample_surface(skin, 20, np.random.default_rng(92))
     write_json(root / "cloud.json", {"points": [list(p) for p in cloud]})
-    write_json(root / "constraint.json", PoseConstraintInput.two_point(
-        [0.0, 0.0, 70.0], [8.0, 0.0, 70.0]).to_dict())
-    write_json(root / "constraint4.json", PoseConstraintInput.four_point(
-        [0.0, 0.0, 70.0], [0.0, 0.0, 70.0], [1.0, 0.0, 70.0], [0.0, 1.0, 70.0]).to_dict())
+    write_json(root / "constraint.json", dump(PoseConstraintInput.two_point(
+        [0.0, 0.0, 70.0], [8.0, 0.0, 70.0])))
+    write_json(root / "constraint4.json", dump(PoseConstraintInput.four_point(
+        [0.0, 0.0, 70.0], [0.0, 0.0, 70.0], [1.0, 0.0, 70.0], [0.0, 1.0, 70.0])))
     write_json(root / "responses.json", {"responses": [0, 1, 5, 1, 0, 0, 0, 0, 0]})
     rng = np.random.default_rng(93)
     write_json(root / "graph.json", {"edges": [

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from tmsnav.errors import MissingEdge, StaleSnapshot
-from tmsnav.fileio import canonical_json, parse, read_json
+from tmsnav.fileio import canonical_json, dump, parse, read_json
 from tmsnav.kinematics import (
     APPROACH_FLIP,
     CANONICAL_EDGES,
     FrameGraph,
     GraphDocument,
     GraphEdge,
+    GraphEdgeRow,
     achieved_coil_pose,
     chain,
     pose_error,
@@ -120,8 +121,11 @@ def test_graph_rejects_unknown_edge():
 def test_graph_json_round_trip():
     rng = np.random.default_rng(57)
     graph = random_graph(rng, timestamps=True)
-    back = parse(GraphDocument, graph.to_dict(), "graph").graph()
-    assert canonical_json(back.to_dict()) == canonical_json(graph.to_dict())
+    doc = GraphDocument(tuple(GraphEdgeRow(e.transform, e.provenance, e.timestamp_ms,
+                                           frame_a=a, frame_b=b)
+                              for (a, b), e in sorted(graph.edges.items())))
+    back = parse(GraphDocument, dump(doc), "graph")
+    assert canonical_json(dump(back)) == canonical_json(dump(doc))
 
 
 # --- solve_commanded_end_effector -------------------------------------------------

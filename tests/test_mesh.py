@@ -323,6 +323,36 @@ def test_stl_unterminated_last_facet_rejected(tmp_path):
         load_stl(path)
 
 
+def test_stl_facet_with_two_loops_and_facet_with_none_rejected(tmp_path):
+    # the loop total matches the endfacet total, but facet 0 holds both loops
+    path = tmp_path / "two_loops.stl"
+    path.write_text(
+        "solid test\n"
+        "  facet normal 0 0 1\n"
+        "    outer loop\n      vertex 0 0 0\n      vertex 1 0 0\n      vertex 0 1 0\n"
+        "    endloop\n"
+        "    outer loop\n      vertex 0 0 1\n      vertex 1 0 1\n      vertex 0 1 1\n"
+        "    endloop\n"
+        "  endfacet\n"
+        "  facet normal 0 0 1\n"
+        "  endfacet\n"
+        "endsolid test\n"
+    )
+    with pytest.raises(MeshValidationError, match="facet [01] "):
+        load_stl(path)
+
+
+def test_stl_solid_name_containing_endfacet_loads(tmp_path):
+    good = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
+    plain = tmp_path / "plain.stl"
+    plain.write_text(stl_text(good))
+    named = tmp_path / "named.stl"
+    named.write_text(stl_text(good).replace("solid test", "solid endfacet_test"))
+    a, b = load_stl(plain), load_stl(named)
+    assert a.vertices.tobytes() == b.vertices.tobytes()
+    np.testing.assert_array_equal(a.triangles, b.triangles)
+
+
 def test_stl_rejects_binary_like_input(tmp_path):
     path = tmp_path / "bad.stl"
     good = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]

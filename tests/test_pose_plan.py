@@ -8,7 +8,7 @@ from tmsnav.errors import (
     NoSkinIntersection,
     TargetOffSurface,
 )
-from tmsnav.fileio import parse
+from tmsnav.fileio import dump, parse
 from tmsnav.mesh import closest_point, closest_point_brute, sample_surface, triangle_normal
 from tmsnav.meshgen import grid_patch, hemisphere, icosphere
 from tmsnav.pose_plan import (
@@ -385,20 +385,23 @@ def test_planning_is_bitwise_deterministic(sphere85, cortex70):
     c = PoseConstraintInput.two_point([2.0, -3.0, 69.8], [9.0, 0.0, 69.0])
     a = closest_skin_pose(cortex70, sphere85, c)
     b = closest_skin_pose(cortex70, sphere85, c)
-    assert a.to_dict() == b.to_dict()
+    assert dump(a) == dump(b)
 
 
 def test_plan_pose_json_round_trip(sphere85, cortex70):
     c = PoseConstraintInput.two_point([2.0, -3.0, 69.8], [9.0, 0.0, 69.0])
     plan = closest_skin_pose(cortex70, sphere85, c)
-    back = parse(PlanPose, plan.to_dict(), "plan")
-    assert back.to_dict() == plan.to_dict()
-    con = PoseConstraintInput.four_point([1, 2, 3], [1, 2, 3], [4, 5, 6], [7, 8, 10], tail="p2")
-    assert parse(PoseConstraintInput, con.to_dict(), "constraint").to_dict() == con.to_dict()
+    back = parse(PlanPose, dump(plan), "plan")
+    assert dump(back) == dump(plan)
+    for con in (
+        PoseConstraintInput.four_point([1, 2, 3], [1, 2, 3], [4, 5, 6], [7, 8, 10], tail="p2"),
+        PoseConstraintInput.three_point([1, 2, 3], [4, 5, 6], [7, 8, 10], center="p1"),
+    ):
+        assert dump(parse(PoseConstraintInput, dump(con), "constraint")) == dump(con)
 
 
 def test_grid_json_round_trip(sphere85):
     seed = seed_on_sphere(sphere85)
     grid = hotspot_grid(sphere85, seed, 2, 3, 8.0)
-    back = parse(HotspotGrid, grid.to_dict(), "grid")
-    assert back.to_dict() == grid.to_dict()
+    back = parse(HotspotGrid, dump(grid), "grid")
+    assert dump(back) == dump(grid)

@@ -1,0 +1,27 @@
+"""The README's demo runs as written."""
+
+import re
+import shlex
+from pathlib import Path
+
+from tmsnav.cli import EXIT_OK, main
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def demo_blocks() -> tuple[str, str]:
+    """The python and sh code blocks of the "Demo fixtures" section."""
+    section = README.read_text().split("## Demo fixtures", 1)[1].split("\n## ", 1)[0]
+    (python,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    (sh,) = re.findall(r"```sh\n(.*?)```", section, re.S)
+    return python, sh
+
+
+def test_demo_fixtures_drive_the_plan_command(tmp_path, monkeypatch):
+    python, sh = demo_blocks()
+    monkeypatch.chdir(tmp_path)
+    exec(compile(python, "README.md:demo", "exec"), {})
+    argv = shlex.split(sh)
+    assert argv[0] == "tmsnav" and "plan" in argv
+    assert main(argv[1:]) == EXIT_OK
+    assert (tmp_path / "out" / "plan.json").is_file()

@@ -6,7 +6,7 @@ from tmsnav.errors import (
     DegenerateLandmarks,
     MismatchedLandmarks,
 )
-from tmsnav.fileio import parse
+from tmsnav.fileio import dump, parse
 from tmsnav.mesh import sample_surface
 from tmsnav.meshgen import ellipsoid, icosphere
 from tmsnav.registration import (
@@ -309,10 +309,14 @@ def test_registration_result_round_trip(head):
     rng = np.random.default_rng(48)
     lm = landmark_fixture(rng, random_transform(rng), noise=1.0)
     res = pairpoint_register(lm)
-    back = parse(RegistrationResult, res.to_dict(), "registration")
-    assert back.to_dict() == res.to_dict()
-    back_lm = parse(LandmarkSet, lm.to_dict(), "landmarks")
-    assert back_lm.to_dict() == lm.to_dict()
+    refined = icp_refine(head, sample_surface(head, 50, rng), RigidTransform(
+        rotation_about_axis([0, 0, 1], 0.02), [1.0, 0.0, 0.0]))
+    assert refined.residual_history
+    for r in (res, refined):
+        back = parse(RegistrationResult, dump(r), "registration")
+        assert dump(back) == dump(r)
+    back_lm = parse(LandmarkSet, dump(lm), "landmarks")
+    assert dump(back_lm) == dump(lm)
 
 
 def test_solve_rigid_composition_property():
