@@ -47,7 +47,6 @@ from .fieldsim import (
     SensorModel,
     b_field,
     displacement_sweep,
-    flux_coefficient,
     induced_voltage,
 )
 from .session import (
@@ -72,7 +71,7 @@ __all__ = [
     "FrameGraph", "GraphEdge", "PoseError", "chain",
     "solve_commanded_end_effector", "pose_error",
     "CoilModel", "SensorModel", "SensorKind", "PulseTrain",
-    "b_field", "flux_coefficient", "induced_voltage", "displacement_sweep",
+    "b_field", "induced_voltage", "displacement_sweep",
     "ActuationModel", "SessionRecord", "run_alignment_trials",
     "run_holding_session", "summarize",
     "__version__",

@@ -21,7 +21,7 @@ import numpy as np
 from . import session as session_mod
 from .config import ProjectConfig, load_config
 from .errors import ToolkitError, ValidationError
-from .fieldsim import CoilModel, displacement_sweep
+from .fieldsim import displacement_sweep
 from .fileio import Points, dump, parse, polyline_svg, read_json, write_csv, write_json
 from .kinematics import FrameGraph, GraphDocument, GraphEdge, solve_commanded_end_effector
 from .pose_plan import (
@@ -203,12 +203,7 @@ def cmd_fieldsim(args) -> int:
     config = _require_config(args)
     coil = config.coil
     if args.single_loop:
-        coil = CoilModel.single_loop(
-            loop_radius_mm=coil.loop_radius_mm,
-            segments_per_loop=coil.segments_per_loop,
-            peak_current_a=coil.peak_current_a,
-            pose=coil.pose,
-        )
+        coil = replace(coil, wing_senses=(1.0,))  # wing_offsets() centers a single wing
     sensor = config.sensor
     if args.standoff is not None:
         if not np.isfinite(args.standoff):
@@ -330,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--standoff", type=float,
                    help="place the sensor this far under the coil, mm")
     p.add_argument("--single-loop", action="store_true",
-                   help="use a single-wing coil instead of the figure-8")
+                   help="one wing of the configured coil: same turns, current, segments, pose")
     p.set_defaults(func=cmd_fieldsim)
 
     p = sub.add_parser("session", help="simulated alignment or holding session")

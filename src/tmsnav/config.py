@@ -50,22 +50,15 @@ class ProjectConfig:
     train: PulseTrain = field(default_factory=PulseTrain)
     output_dir: Path = Path("out")
 
-    _skin: TriangleMesh | None = field(default=None, init=False, repr=False)
-    _cortex: TriangleMesh | None = field(default=None, init=False, repr=False)
-
     def skin_mesh(self) -> TriangleMesh:
         if self.skin_mesh_path is None:
             raise ValidationError("config has no skin_mesh entry")
-        if self._skin is None:
-            self._skin = load_stl(self.skin_mesh_path)
-        return self._skin
+        return load_stl(self.skin_mesh_path)
 
     def cortex_mesh(self) -> TriangleMesh:
         if self.cortex_mesh_path is None:
             raise ValidationError("config has no cortex_mesh entry")
-        if self._cortex is None:
-            self._cortex = load_stl(self.cortex_mesh_path)
-        return self._cortex
+        return load_stl(self.cortex_mesh_path)
 
 
 def load_config(path) -> ProjectConfig:

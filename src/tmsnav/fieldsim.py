@@ -129,12 +129,6 @@ class SensorModel:
     def n_axes(self) -> int:
         return 1 if self.kind is SensorKind.SENSOR_2D else 3
 
-    def axis_direction(self, axis: int) -> np.ndarray:
-        """Unit normal of the winding for one axis (0 = primary = local z)."""
-        if not (0 <= axis < self.n_axes):
-            raise ValueError(f"axis {axis} out of range for {self.kind.value}")
-        return self.pose.rotation[:, _AXIS_COLUMN[axis]]
-
     def displaced(self, offset_vector) -> "SensorModel":
         moved = RigidTransform(
             self.pose.rotation, self.pose.translation + np.asarray(offset_vector, float)
@@ -243,19 +237,13 @@ def _disc_nodes(sensor: SensorModel, axes, n_radial: int, n_angular: int):
 
 
 def _flux_coefficients(coil: CoilModel, sensor: SensorModel, axes,
-                       n_radial: int, n_angular: int) -> np.ndarray:
+                       n_radial: int = 8, n_angular: int = 16) -> np.ndarray:
     """Webers per ampere through each listed winding, from one b_field call."""
-    normals = [sensor.axis_direction(axis) for axis in axes]
+    normals = [sensor.pose.rotation[:, _AXIS_COLUMN[axis]] for axis in axes]
     nodes, weight_mm2 = _disc_nodes(sensor, axes, n_radial, n_angular)
     b = b_field(coil, nodes, current_a=1.0).reshape(len(normals), -1, 3)
     flux_wb = np.array([(b[i] @ n).sum() for i, n in enumerate(normals)])
     return flux_wb * weight_mm2 * 1e-6 * sensor.turns_per_axis  # mm^2 -> m^2
-
-
-def flux_coefficient(coil: CoilModel, sensor: SensorModel, axis: int,
-                     n_radial: int = 8, n_angular: int = 16) -> float:
-    """Webers per ampere through one sensor winding (turns included)."""
-    return float(_flux_coefficients(coil, sensor, (axis,), n_radial, n_angular)[0])
 
 
 @dataclass(frozen=True)
@@ -272,8 +260,7 @@ class VoltageTrace:
 
 
 def induced_voltage(coil: CoilModel, sensor: SensorModel, train: PulseTrain,
-                    samples_per_cycle: int = 64,
-                    n_radial: int = 8, n_angular: int = 16) -> VoltageTrace:
+                    samples_per_cycle: int = 64) -> VoltageTrace:
     """Per-axis EMF for one biphasic pulse cycle.
 
     I(t) = intensity * peak * sin(2 pi f t) over one cycle; EMF is
@@ -282,7 +269,7 @@ def induced_voltage(coil: CoilModel, sensor: SensorModel, train: PulseTrain,
     """
     omega = 2.0 * np.pi * train.pulse_frequency_hz
     amp = train.intensity_fraction * coil.peak_current_a
-    ks = _flux_coefficients(coil, sensor, range(sensor.n_axes), n_radial, n_angular)
+    ks = _flux_coefficients(coil, sensor, range(sensor.n_axes))
     times = np.arange(samples_per_cycle + 1) / (
         samples_per_cycle * train.pulse_frequency_hz
     )
@@ -291,8 +278,7 @@ def induced_voltage(coil: CoilModel, sensor: SensorModel, train: PulseTrain,
 
 
 def displacement_sweep(coil: CoilModel, sensor: SensorModel, direction,
-                       offsets_mm, train: PulseTrain | None = None,
-                       n_radial: int = 8, n_angular: int = 16) -> dict:
+                       offsets_mm, train: PulseTrain | None = None) -> dict:
     """Per-axis peak-to-peak voltage at each lateral sensor offset.
 
     Returns a CSV-ready table: one row per offset with primary and the
@@ -309,21 +295,10 @@ def displacement_sweep(coil: CoilModel, sensor: SensorModel, direction,
     train = train or PulseTrain()
     rows = []
     for off in offs:
-        trace = induced_voltage(
-            coil, sensor.displaced(off * d), train,
-            n_radial=n_radial, n_angular=n_angular,
-        )
+        trace = induced_voltage(coil, sensor.displaced(off * d), train)
         vpp = list(trace.peak_to_peak_v) + [0.0, 0.0]
         rows.append((off, float(vpp[0]), float(vpp[1]), float(vpp[2])))
     return {
         "header": ["offset_mm", "primary_vpp", "secondary1_vpp", "secondary2_vpp"],
         "rows": rows,
     }
-
-
-def on_axis_loop_field(radius_mm: float, z_mm: float, current_a: float,
-                       turns: int = 1) -> float:
-    """Closed-form |B| on the axis of one circular loop, tesla."""
-    r = radius_mm * 1e-3
-    z = z_mm * 1e-3
-    return MU0 * current_a * turns * r**2 / (2.0 * (r**2 + z**2) ** 1.5)

@@ -65,7 +65,7 @@ def _array(value, shape: tuple, where: str) -> np.ndarray:
 def parse(tp, value, where: str):
     """Value of annotation `tp` built from decoded JSON, checked all the way down.
 
-    A dataclass reads one key per init field, named by the field or its
+    A dataclass reads one key per field, named by the field or its
     metadata "json" (a key pair: a pose as 9-value "rotation" and
     "translation"); absent optional keys take the field defaults. A
     missing, unknown, ill-typed or non-finite value, or a ValueError from
@@ -110,7 +110,7 @@ def parse(tp, value, where: str):
 
 def _dataclass(cls, doc: dict, where: str):
     kwargs, known = {}, set()
-    for f in [f for f in dataclasses.fields(cls) if f.init]:
+    for f in dataclasses.fields(cls):
         key = f.metadata.get("json", f.name)
         keys = key if isinstance(key, tuple) else (key,)
         known.update(keys)
@@ -139,7 +139,7 @@ def _dataclass(cls, doc: dict, where: str):
 def dump(value):
     """JSON-ready form of `value`, the inverse of `parse` over the same field metadata.
 
-    A dataclass writes one key per init field, named by the field or its
+    A dataclass writes one key per field, named by the field or its
     metadata "json" (a key pair: a pose as 9-value "rotation" and
     "translation"); a RigidTransform writes its 16 matrix values, an enum
     its value, an array its nested lists and a tuple each element.
@@ -148,7 +148,7 @@ def dump(value):
         return value.to_matrix().reshape(16).tolist()
     if dataclasses.is_dataclass(value):
         doc = {}
-        for f in [f for f in dataclasses.fields(value) if f.init]:
+        for f in dataclasses.fields(value):
             key, v = f.metadata.get("json", f.name), getattr(value, f.name)
             if isinstance(key, tuple):  # [R | t] as the two keys
                 doc.update(zip(key, (v.rotation.reshape(9).tolist(), v.translation.tolist())))

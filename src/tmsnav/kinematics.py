@@ -165,21 +165,6 @@ def solve_commanded_end_effector(
     return compose(compose(compose(r_o, o_c_desired), invert(cr_c)), invert(e_cr))
 
 
-def achieved_coil_pose(graph: FrameGraph, commanded: RigidTransform) -> RigidTransform:
-    """Coil pose {O->C} that results from driving the arm to `commanded`.
-
-    Round-trip helper: with a static head, substituting the solve's
-    output here reproduces the planned pose (plus the approach flip).
-    """
-    r_e = graph.edge("R", "E")
-    e_cr = graph.edge("E", "Cr")
-    o_cr = graph.edge("O", "Cr")
-    r_o = compose(compose(r_e, e_cr), invert(o_cr))
-    return compose(
-        compose(compose(invert(r_o), commanded), e_cr), graph.edge("Cr", "C")
-    )
-
-
 @dataclass(frozen=True)
 class PoseError:
     translation_error_mm: float

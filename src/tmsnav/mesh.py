@@ -6,7 +6,6 @@ volume. Queries (closest point, ray intersection) are exact and
 deterministic; ties are broken by lowest triangle id. Every mesh is served
 by one flat index, built on its first query: triangles sorted by the Morton
 code of their centroids and cut into chunks of 32 with a bounding box each.
-The ``*_brute`` functions scan every triangle and are the reference oracle.
 """
 
 from __future__ import annotations
@@ -204,17 +203,6 @@ def _closest_on_triangles(a, b, c, q):
     return result, (diff * diff).sum(-1)
 
 
-def closest_point_brute(mesh: TriangleMesh, query) -> SurfaceHit:
-    """Exhaustive per-triangle closest point; the reference query path."""
-    if len(mesh) == 0:
-        raise EmptyMeshError("closest_point on empty mesh")
-    q = np.asarray(query, dtype=float).reshape(3)
-    a, b, c = mesh.corners()
-    pts, d2 = _closest_on_triangles(a, b, c, q)
-    best = int(np.argmin(d2))  # argmin keeps the lowest id on exact ties
-    return SurfaceHit(pts[best], best)
-
-
 def _nearest(mesh: TriangleMesh, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest surface point (Q, 3) and triangle id (Q,) for each query row.
 
@@ -308,12 +296,6 @@ def _ray_args(origin, direction) -> tuple[np.ndarray, np.ndarray]:
     return o, d
 
 
-def ray_intersect_brute(mesh: TriangleMesh, origin, direction) -> SurfaceHit | None:
-    """Exhaustive nearest ray hit; the reference query path."""
-    o, d = _ray_args(origin, direction)
-    return _first_hit(mesh, np.arange(len(mesh)), o, d)
-
-
 def ray_intersect(mesh: TriangleMesh, origin, direction) -> SurfaceHit | None:
     """Nearest intersection with ray_parameter > 1e-9 mm, or None."""
     o, d = _ray_args(origin, direction)
@@ -348,6 +330,8 @@ def contains_point(mesh: TriangleMesh, point) -> bool:
 _STL_FACET_RE = re.compile(
     rb"outer\s+loop\s+" + 3 * rb"vertex\s+(\S+\s+\S+\s+\S+)\s+" + rb"endloop\s+endfacet\b"
 )
+# a bare "outer" may appear in the name of a solid other than the first
+_STL_OUTER_LOOP_RE = re.compile(rb"outer\s+loop")
 
 
 def load_stl(path, drop_degenerate: bool = False) -> TriangleMesh:
@@ -374,13 +358,15 @@ def load_stl(path, drop_degenerate: bool = False) -> TriangleMesh:
     corners = [spellings.setdefault(s, len(spellings))
                for m in _STL_FACET_RE.finditer(data, start, end) for s in m.groups()]
     n = len(corners) // 3
-    # a well-formed body holds "end" only in each record's endloop and endfacet;
-    # count those two apart only when it holds more (an endsolid between solids)
-    if 2 * n != data.count(b"end", start, end) and not (
-            n == data.count(b"endfacet", start, end) == data.count(b"endloop", start, end)):
+    # a well-formed body holds "outer loop" once per record and "end" only in its endloop
+    # and endfacet; count those two apart only when it holds more (an endsolid between solids)
+    ends_ok = 2 * n == data.count(b"end", start, end) or (
+        n == data.count(b"endfacet", start, end) == data.count(b"endloop", start, end))
+    if n != len(_STL_OUTER_LOOP_RE.findall(data, start, end)) or not ends_ok:
         pieces = data[start:end].split(b"endfacet")  # the one after the last holds no loop
         bad = next((i for i, f in enumerate(pieces[:-1])  # one loop, right before endfacet
-                    if f.count(b"endloop") != 1 or not _STL_FACET_RE.search(f + b"endfacet")),
+                    if len(_STL_OUTER_LOOP_RE.findall(f)) != 1 or f.count(b"endloop") != 1
+                    or not _STL_FACET_RE.search(f + b"endfacet")),
                    len(pieces) - 1)
         raise MeshValidationError(f"{path}: facet {bad} is not one loop of exactly three vertices")
     if not corners:

@@ -59,10 +59,6 @@ class ActuationModel:
         return cls("manual", MANUAL_TRANSLATION_SIGMA_MM,
                    MANUAL_ROTATION_SIGMA_RAD, MANUAL_DRIFT_MM_PER_MIN, rng_seed)
 
-    def seeded(self, rng_seed: int) -> "ActuationModel":
-        return replace(self, rng_seed=rng_seed)
-
-
 @dataclass(frozen=True)
 class SessionSample:
     timestamp_s: float

@@ -128,23 +128,3 @@ def rotation_angle(rotation: np.ndarray) -> float:
     )
     c = 0.5 * (np.trace(r) - 1.0)
     return float(np.arctan2(s, c))
-
-
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Uniform random rotation via a random unit quaternion."""
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
-def random_transform(rng: np.random.Generator, translation_scale: float = 100.0) -> RigidTransform:
-    return RigidTransform(
-        random_rotation(rng), rng.uniform(-translation_scale, translation_scale, size=3)
-    )

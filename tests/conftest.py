@@ -1,8 +1,78 @@
 import numpy as np
 import pytest
 
-from tmsnav.mesh import TriangleMesh
+from tmsnav.errors import EmptyMeshError
+from tmsnav.fieldsim import MU0, _flux_coefficients
+from tmsnav.mesh import SurfaceHit, TriangleMesh, _closest_on_triangles, _first_hit, _ray_args
 from tmsnav.meshgen import icosphere
+from tmsnav.transforms import RigidTransform, compose, invert
+
+
+# --- reference paths the library's fast queries are checked against ---------
+
+def closest_point_brute(mesh: TriangleMesh, query) -> SurfaceHit:
+    """Exhaustive per-triangle closest point; the reference query path."""
+    if len(mesh) == 0:
+        raise EmptyMeshError("closest_point on empty mesh")
+    q = np.asarray(query, dtype=float).reshape(3)
+    a, b, c = mesh.corners()
+    pts, d2 = _closest_on_triangles(a, b, c, q)
+    best = int(np.argmin(d2))  # argmin keeps the lowest id on exact ties
+    return SurfaceHit(pts[best], best)
+
+
+def ray_intersect_brute(mesh: TriangleMesh, origin, direction) -> SurfaceHit | None:
+    """Exhaustive nearest ray hit; the reference query path."""
+    o, d = _ray_args(origin, direction)
+    return _first_hit(mesh, np.arange(len(mesh)), o, d)
+
+
+def on_axis_loop_field(radius_mm: float, z_mm: float, current_a: float,
+                       turns: int = 1) -> float:
+    """Closed-form |B| on the axis of one circular loop, tesla."""
+    r = radius_mm * 1e-3
+    z = z_mm * 1e-3
+    return MU0 * current_a * turns * r**2 / (2.0 * (r**2 + z**2) ** 1.5)
+
+
+def flux_coefficient(coil, sensor, axis: int, **quadrature) -> float:
+    """Webers per ampere through one sensor winding (turns included)."""
+    return float(_flux_coefficients(coil, sensor, (axis,), **quadrature)[0])
+
+
+def achieved_coil_pose(graph, commanded: RigidTransform) -> RigidTransform:
+    """Coil pose {O->C} that results from driving the arm to `commanded`.
+
+    Round-trip helper: with a static head, substituting the solve's
+    output here reproduces the planned pose (plus the approach flip).
+    """
+    r_e = graph.edge("R", "E")
+    e_cr = graph.edge("E", "Cr")
+    o_cr = graph.edge("O", "Cr")
+    r_o = compose(compose(r_e, e_cr), invert(o_cr))
+    return compose(
+        compose(compose(invert(r_o), commanded), e_cr), graph.edge("Cr", "C")
+    )
+
+
+def random_rotation(rng: np.random.Generator) -> np.ndarray:
+    """Uniform random rotation via a random unit quaternion."""
+    q = rng.normal(size=4)
+    q /= np.linalg.norm(q)
+    w, x, y, z = q
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def random_transform(rng: np.random.Generator, translation_scale: float = 100.0) -> RigidTransform:
+    return RigidTransform(
+        random_rotation(rng), rng.uniform(-translation_scale, translation_scale, size=3)
+    )
 
 
 # --- independent scalar closest-point oracle --------------------------------

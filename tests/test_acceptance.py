@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from tmsnav.cli import EXIT_OK, main
-from tmsnav.fieldsim import CoilModel, PulseTrain, SensorModel, b_field, \
-    displacement_sweep, on_axis_loop_field
+from tmsnav.fieldsim import CoilModel, PulseTrain, SensorModel, b_field, displacement_sweep
 from tmsnav.fileio import dump, write_json
 from tmsnav.kinematics import APPROACH_FLIP, pose_error
 from tmsnav.mesh import closest_point, sample_surface, save_stl
@@ -36,10 +35,11 @@ from tmsnav.session import ActuationModel, run_holding_session
 from tmsnav.transforms import (
     RigidTransform,
     compose,
-    random_transform,
     rotation_about_axis,
     rotation_angle,
 )
+
+from conftest import achieved_coil_pose, on_axis_loop_field, random_transform
 
 
 def criterion(num, title):
@@ -188,7 +188,7 @@ def test_criterion_3_pose_validity(sphere85, cortex70):
 @criterion(4, "10^3 chain round trips reproduce the planned coil pose to 1e-9")
 def test_criterion_4_chain_round_trip():
     from tmsnav.kinematics import CANONICAL_EDGES, FrameGraph, GraphEdge, \
-        achieved_coil_pose, solve_commanded_end_effector
+        solve_commanded_end_effector
 
     rng = np.random.default_rng(104)
     con = PoseConstraintInput.four_point([0, 0, 0], [0, 0, 0], [1, 0, 0], [0, 1, 0])

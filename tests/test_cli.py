@@ -11,7 +11,8 @@ from tmsnav.mesh import sample_surface, save_stl
 from tmsnav.meshgen import icosphere
 from tmsnav.pose_plan import PlanPose, PoseConstraintInput
 from tmsnav.registration import RegistrationResult
-from tmsnav.transforms import random_transform
+
+from conftest import random_transform
 
 
 @pytest.fixture(scope="module")
@@ -310,6 +311,21 @@ def test_fieldsim_deterministic(project, tmp_path):
         assert run(project, f"--out={out}", "fieldsim", "--single-loop",
                    "--standoff=20", "--offsets=0,2,4") == EXIT_OK
     assert tree_bytes(a) == tree_bytes(b)
+
+
+def test_fieldsim_single_loop_keeps_the_configured_turns(project, tmp_path):
+    config = read_json(project / "config.json")
+    config = {key: config[key] for key in ("coil", "sensor", "train")}  # no meshes needed
+    primary = {}
+    for turns in (1, 9):
+        write_json(tmp_path / "config.json",
+                   dict(config, coil=dict(config["coil"], loop_turns=turns)))
+        out = tmp_path / str(turns)
+        assert main([f"--config={tmp_path / 'config.json'}", f"--out={out}", "fieldsim",
+                     "--single-loop", "--standoff=20", "--offsets=0,2,4"]) == EXIT_OK
+        lines = (out / "sweep.csv").read_text().strip().splitlines()[1:]
+        primary[turns] = np.array([float(line.split(",")[1]) for line in lines])
+    np.testing.assert_allclose(primary[9], 9.0 * primary[1], rtol=1e-12, atol=0.0)
 
 
 # --- session / report --------------------------------------------------------------------------

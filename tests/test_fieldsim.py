@@ -14,11 +14,11 @@ from tmsnav.fieldsim import (
     SensorModel,
     b_field,
     displacement_sweep,
-    flux_coefficient,
     induced_voltage,
-    on_axis_loop_field,
 )
-from tmsnav.transforms import RigidTransform, random_transform, rotation_about_axis
+from tmsnav.transforms import RigidTransform, rotation_about_axis
+
+from conftest import flux_coefficient, on_axis_loop_field, random_transform
 
 
 def sensor_at(z_mm, kind=SensorKind.SENSOR_3D):

@@ -12,7 +12,6 @@ from tmsnav.kinematics import (
     GraphDocument,
     GraphEdge,
     GraphEdgeRow,
-    achieved_coil_pose,
     chain,
     pose_error,
     solve_commanded_end_effector,
@@ -22,10 +21,11 @@ from tmsnav.transforms import (
     RigidTransform,
     compose,
     invert,
-    random_transform,
     rotation_about_axis,
     rotation_angle,
 )
+
+from conftest import achieved_coil_pose, random_transform
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -9,11 +9,9 @@ from tmsnav.mesh import (
     TriangleMesh,
     closest_point,
     closest_point_batch,
-    closest_point_brute,
     contains_point,
     load_stl,
     ray_intersect,
-    ray_intersect_brute,
     sample_surface,
     save_stl,
     triangle_normal,
@@ -21,7 +19,13 @@ from tmsnav.mesh import (
 )
 from tmsnav.meshgen import grid_patch, hemisphere, icosphere
 
-from conftest import oracle_closest_on_mesh, oracle_closest_on_triangle, random_soup
+from conftest import (
+    closest_point_brute,
+    oracle_closest_on_mesh,
+    oracle_closest_on_triangle,
+    random_soup,
+    ray_intersect_brute,
+)
 
 
 def unit_triangle(z=0.0):
@@ -342,6 +346,26 @@ def test_stl_facet_with_two_loops_and_facet_with_none_rejected(tmp_path):
         load_stl(path)
 
 
+@pytest.mark.parametrize("between", ["", "  facet normal 0 0 1\n"],
+                         ids=["same_facet", "next_facet"])
+def test_stl_unterminated_loop_before_a_complete_loop_rejected(tmp_path, between):
+    # two vertices and no endloop, then a complete loop: one triangle if only
+    # the complete records were counted
+    path = tmp_path / "open_loop.stl"
+    path.write_text(
+        "solid test\n"
+        "  facet normal 0 0 1\n"
+        "    outer loop\n      vertex 0 0 1\n      vertex 1 0 1\n"
+        + between +
+        "    outer loop\n      vertex 0 0 0\n      vertex 1 0 0\n      vertex 0 1 0\n"
+        "    endloop\n"
+        "  endfacet\n"
+        "endsolid test\n"
+    )
+    with pytest.raises(MeshValidationError, match="facet 0 "):
+        load_stl(path)
+
+
 def test_stl_solid_name_containing_endfacet_loads(tmp_path):
     good = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
     plain = tmp_path / "plain.stl"
@@ -351,6 +375,13 @@ def test_stl_solid_name_containing_endfacet_loads(tmp_path):
     a, b = load_stl(plain), load_stl(named)
     assert a.vertices.tobytes() == b.vertices.tobytes()
     np.testing.assert_array_equal(a.triangles, b.triangles)
+
+
+def test_stl_later_solid_named_outer_loads(tmp_path):
+    good = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
+    path = tmp_path / "two_solids.stl"
+    path.write_text(stl_text(good) + stl_text(good).replace("solid test", "solid outer_skin"))
+    assert len(load_stl(path)) == 2
 
 
 def test_stl_rejects_binary_like_input(tmp_path):

@@ -9,7 +9,7 @@ from tmsnav.errors import (
     TargetOffSurface,
 )
 from tmsnav.fileio import dump, parse
-from tmsnav.mesh import closest_point, closest_point_brute, sample_surface, triangle_normal
+from tmsnav.mesh import closest_point, sample_surface, triangle_normal
 from tmsnav.meshgen import grid_patch, hemisphere, icosphere
 from tmsnav.pose_plan import (
     ConstraintKind,
@@ -25,7 +25,7 @@ from tmsnav.pose_plan import (
     select_hotspot,
 )
 
-from conftest import oracle_closest_on_mesh
+from conftest import closest_point_brute, oracle_closest_on_mesh
 
 
 def assert_right_handed(rotation, tol=1e-9):

@@ -1,9 +1,10 @@
-"""The README's demo runs as written."""
+"""The README's demo runs as written, and the package exports what it lists."""
 
 import re
 import shlex
 from pathlib import Path
 
+import tmsnav
 from tmsnav.cli import EXIT_OK, main
 
 README = Path(__file__).parent.parent / "README.md"
@@ -25,3 +26,8 @@ def test_demo_fixtures_drive_the_plan_command(tmp_path, monkeypatch):
     assert argv[0] == "tmsnav" and "plan" in argv
     assert main(argv[1:]) == EXIT_OK
     assert (tmp_path / "out" / "plan.json").is_file()
+
+
+def test_every_public_name_resolves():
+    # `import tmsnav` succeeds with a stale __all__ entry; `from tmsnav import *` does not
+    assert [name for name in tmsnav.__all__ if not hasattr(tmsnav, name)] == []

@@ -22,10 +22,11 @@ from tmsnav.transforms import (
     RigidTransform,
     compose,
     invert,
-    random_transform,
     rotation_about_axis,
     rotation_angle,
 )
+
+from conftest import random_transform
 
 NAMES6 = ("nose_tip", "nasion", "mid_eyes", "tragus_l", "tragus_r", "inion")
 

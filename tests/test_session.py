@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,8 +80,8 @@ def test_smaller_sigmas_give_smaller_errors():
     big = ActuationModel("b", 1.5, 1e-1)
     margins_t, margins_r = [], []
     for seed in range(20):
-        ra = run_alignment_trials(flat_plan(), small.seeded(seed), repetitions=10)
-        rb = run_alignment_trials(flat_plan(), big.seeded(seed), repetitions=10)
+        ra = run_alignment_trials(flat_plan(), replace(small, rng_seed=seed), repetitions=10)
+        rb = run_alignment_trials(flat_plan(), replace(big, rng_seed=seed), repetitions=10)
         margins_t.append(rb.stats["translation_error_mm"]["mean"]
                          - ra.stats["translation_error_mm"]["mean"])
         margins_r.append(rb.stats["rotation_error_rad"]["mean"]

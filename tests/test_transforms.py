@@ -6,10 +6,11 @@ from tmsnav.transforms import (
     compose,
     invert,
     orthonormality_error,
-    random_transform,
     rotation_about_axis,
     rotation_angle,
 )
+
+from conftest import random_transform
 
 
 def rz(deg):
