@@ -21,7 +21,7 @@ import numpy as np
 from . import session as session_mod
 from .config import ProjectConfig, load_config
 from .errors import ToolkitError, ValidationError
-from .fieldsim import displacement_sweep
+from .fieldsim import VOLTAGE_COLUMNS, displacement_sweep
 from .fileio import Points, dump, parse, polyline_svg, read_json, write_csv, write_json
 from .kinematics import FrameGraph, GraphDocument, GraphEdge, solve_commanded_end_effector
 from .pose_plan import (
@@ -252,10 +252,8 @@ def cmd_session(args) -> int:
     header, rows = session_mod.session_csv_rows(record)
     write_csv(out / "session.csv", header, rows)
     if args.svg and record.voltages_vpp is not None:
-        series = {}
-        names = ("primary_vpp", "secondary1_vpp", "secondary2_vpp")
-        for i in range(record.voltages_vpp.shape[1]):
-            series[names[i]] = [float(v) for v in record.voltages_vpp[:, i]]
+        series = {name: [float(v) for v in column]
+                  for name, column in zip(VOLTAGE_COLUMNS, record.voltages_vpp.T)}
         times = [s.timestamp_s for s in record.samples]
         (out / "session.svg").write_text(
             polyline_svg(series, times, title=f"{model.label} per-train voltages")

@@ -34,6 +34,7 @@ MIN_SEGMENTS_PER_LOOP = 64
 _BLOCK_ELEMENTS = 2**14
 # sensor-frame column of each winding normal: primary z, then x and y
 _AXIS_COLUMN = (2, 0, 1)
+VOLTAGE_COLUMNS = ("primary_vpp", "secondary1_vpp", "secondary2_vpp")  # one per axis, as above
 
 
 @dataclass(frozen=True)
@@ -299,6 +300,6 @@ def displacement_sweep(coil: CoilModel, sensor: SensorModel, direction,
         vpp = list(trace.peak_to_peak_v) + [0.0, 0.0]
         rows.append((off, float(vpp[0]), float(vpp[1]), float(vpp[2])))
     return {
-        "header": ["offset_mm", "primary_vpp", "secondary1_vpp", "secondary2_vpp"],
+        "header": ["offset_mm", *VOLTAGE_COLUMNS],
         "rows": rows,
     }

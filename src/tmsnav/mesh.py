@@ -2,10 +2,11 @@
 
 Meshes are consumed in millimeters with outward-winding triangles:
 normal = normalize((v1 - v0) x (v2 - v0)) points away from the enclosed
-volume. Queries (closest point, ray intersection) are exact and
-deterministic; ties are broken by lowest triangle id. Every mesh is served
-by one flat index, built on its first query: triangles sorted by the Morton
-code of their centroids and cut into chunks of 32 with a bounding box each.
+volume. Closest-point and ray queries are exact and deterministic, ties
+going to the lowest triangle id, and are served by one flat index, built on
+its first query: triangles sorted by the Morton code of their centroids and
+cut into chunks of 32 with a bounding box each. Containment sums the
+generalized winding number over every triangle, so open surfaces need no cap.
 """
 
 from __future__ import annotations
@@ -27,11 +28,6 @@ _BLOCK_ELEMENTS = 1 << 15
 # chunk boxes are widened by this fraction of the mesh's coordinate scale, so
 # rounding in the per-triangle distances can never cull the winning chunk
 _BOX_PAD = 1e-9
-
-# Direction used for point-containment parity casts; chosen with no axis
-# alignment so rays do not graze mesh edges of axis-aligned fixtures.
-_PARITY_DIRECTION = np.array([0.578167235, 0.577090427, 0.576790941])
-_PARITY_DIRECTION = _PARITY_DIRECTION / np.linalg.norm(_PARITY_DIRECTION)
 
 
 @dataclass(frozen=True)
@@ -312,17 +308,21 @@ def ray_intersect(mesh: TriangleMesh, origin, direction) -> SurfaceHit | None:
     return _first_hit(mesh, np.unique(ids[leave >= np.maximum(enter, RAY_MIN_PARAMETER)]), o, d)
 
 
-def ray_crossing_count(mesh: TriangleMesh, origin, direction) -> int:
-    a, b, c = mesh.corners()
-    _, valid = _ray_hits_triangles(
-        a, b, c, np.asarray(origin, float).reshape(3), np.asarray(direction, float).reshape(3)
-    )
-    return int(valid.sum())
-
-
 def contains_point(mesh: TriangleMesh, point) -> bool:
-    """Parity containment test for closed meshes."""
-    return ray_crossing_count(mesh, point, _PARITY_DIRECTION) % 2 == 1
+    """Whether the surface's generalized winding number w at point has |w| > 1/2.
+
+    w sums each triangle's signed solid angle over 4 pi (Jacobson et al. 2013): +-1 inside
+    a closed mesh of either winding, 0 outside, fractional near an open rim, 1/2 on a face.
+    """
+    p = np.asarray(point, dtype=float).reshape(3)
+    if not np.isfinite(p).all():  # a nan would read as outside
+        raise ValidationError(f"non-finite point: {p.tolist()}")
+    a, b, c = (x - p for x in mesh.corners())
+    la, lb, lc = (np.sqrt(np.einsum("ij,ij->i", x, x)) for x in (a, b, c))
+    det = np.einsum("ij,ij->i", a, np.cross(b, c))
+    den = (la * lb * lc + np.einsum("ij,ij->i", a, b) * lc
+           + np.einsum("ij,ij->i", b, c) * la + np.einsum("ij,ij->i", c, a) * lb)
+    return bool(abs(np.arctan2(det, den).sum()) > np.pi)  # Van Oosterom-Strackee half angles
 
 
 # one facet record: a loop of exactly three vertices, each captured as its
@@ -358,17 +358,21 @@ def load_stl(path, drop_degenerate: bool = False) -> TriangleMesh:
     corners = [spellings.setdefault(s, len(spellings))
                for m in _STL_FACET_RE.finditer(data, start, end) for s in m.groups()]
     n = len(corners) // 3
-    # a well-formed body holds "outer loop" once per record and "end" only in its endloop
-    # and endfacet; count those two apart only when it holds more (an endsolid between solids)
+    # a well-formed body holds "outer loop" once per record and "end" only in its endloop and
+    # endfacet; else count those apart, then again without inner solid lines (free-text names)
     ends_ok = 2 * n == data.count(b"end", start, end) or (
         n == data.count(b"endfacet", start, end) == data.count(b"endloop", start, end))
     if n != len(_STL_OUTER_LOOP_RE.findall(data, start, end)) or not ends_ok:
-        pieces = data[start:end].split(b"endfacet")  # the one after the last holds no loop
-        bad = next((i for i, f in enumerate(pieces[:-1])  # one loop, right before endfacet
-                    if len(_STL_OUTER_LOOP_RE.findall(f)) != 1 or f.count(b"endloop") != 1
-                    or not _STL_FACET_RE.search(f + b"endfacet")),
-                   len(pieces) - 1)
-        raise MeshValidationError(f"{path}: facet {bad} is not one loop of exactly three vertices")
+        body = re.sub(rb"(?m)^[ \t]*(?:end)?solid\b[^\n]*", b"", data[start:end])
+        pieces = body.split(b"endfacet")  # the one after the last holds no loop
+        if not n == len(pieces) - 1 == body.count(b"endloop") \
+                == len(_STL_OUTER_LOOP_RE.findall(body)):
+            bad = next((i for i, f in enumerate(pieces[:-1])  # one loop, right before endfacet
+                        if len(_STL_OUTER_LOOP_RE.findall(f)) != 1 or f.count(b"endloop") != 1
+                        or not _STL_FACET_RE.search(f + b"endfacet")),
+                       len(pieces) - 1)
+            raise MeshValidationError(
+                f"{path}: facet {bad} is not one loop of exactly three vertices")
     if not corners:
         raise MeshValidationError(f"{path}: no facets found")
     vertex_index: dict[tuple, int] = {}  # insertion-ordered: the keys are the vertices

@@ -191,13 +191,12 @@ def restricted_cortex_pose(
     skin: TriangleMesh,
     cortex_constraint: PoseConstraintInput,
     surface_bound_mm: float = DEFAULT_SURFACE_BOUND_MM,
-    footprint_half_extents_mm: tuple[float, float] = DEFAULT_FOOTPRINT_HALF_EXTENTS_MM,
 ) -> PlanPose:
     """Cortex-tangential plan projected outward onto the skin.
 
     The orientation stays tangential to the cortex even when that plane
     cuts the skin; a collision warning is set when any footprint corner
-    ends up inside the skin surface.
+    ends up inside the skin surface (`mesh.contains_point`).
     """
     cortex_pose = pose_from_constraint(cortex_constraint, cortex, surface_bound_mm)
     n = cortex_pose.pose.rotation[:, 2]
@@ -205,7 +204,7 @@ def restricted_cortex_pose(
     if hit is None:
         raise NoSkinIntersection("outward ray from the cortex pose misses the skin")
     pose = RigidTransform(cortex_pose.pose.rotation, hit.point)
-    hx, hy = footprint_half_extents_mm
+    hx, hy = DEFAULT_FOOTPRINT_HALF_EXTENTS_MM
     corners = pose.apply(
         np.array([[hx, hy, 0.0], [hx, -hy, 0.0], [-hx, hy, 0.0], [-hx, -hy, 0.0]])
     )

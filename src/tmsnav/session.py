@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ValidationError
-from .fieldsim import CoilModel, PulseTrain, SensorModel, induced_voltage
+from .fieldsim import VOLTAGE_COLUMNS, CoilModel, PulseTrain, SensorModel, induced_voltage
 from .fileio import dump
 from .kinematics import APPROACH_FLIP, PoseError, pose_error
 from .pose_plan import PlanPose
@@ -33,7 +33,6 @@ MANUAL_DRIFT_MM_PER_MIN = 0.5
 
 ALIGNMENT_REPETITIONS = 10
 ALIGNMENT_PERIOD_S = 1.0
-TRAIN_PERIOD_S = 15.0  # 5 s train + 10 s wait
 
 
 @dataclass(frozen=True)
@@ -153,7 +152,8 @@ def run_holding_session(plan: PlanPose, model: ActuationModel, coil: CoilModel,
     """
     rng = np.random.default_rng(model.rng_seed)
     contact = _contact_radius(coil)
-    drift_step = model.drift_mm_per_min * np.sqrt(TRAIN_PERIOD_S / 60.0)
+    period_s = train.pulses_per_train / train.train_rate_hz + train.inter_train_wait_s
+    drift_step = model.drift_mm_per_min * np.sqrt(period_s / 60.0)
     drift_xy = np.zeros(2)
     samples = []
     voltages = []
@@ -165,7 +165,7 @@ def run_holding_session(plan: PlanPose, model: ActuationModel, coil: CoilModel,
         measured = compose(actuated_plan, APPROACH_FLIP)
         trace = induced_voltage(replace(coil, pose=measured), sensor, train)
         voltages.append(trace.peak_to_peak_v)
-        samples.append(SessionSample(k * TRAIN_PERIOD_S, measured,
+        samples.append(SessionSample(k * period_s, measured,
                                      pose_error(target, measured)))
     record = SessionRecord(plan, model, tuple(samples), np.array(voltages))
     return replace(record, stats=summarize(record))
@@ -199,9 +199,7 @@ def summarize(record: SessionRecord) -> dict:
     for i, axis in enumerate(("x", "y", "z")):
         metrics[f"translation_{axis}_mm"] = components[:, i]
     if record.voltages_vpp is not None:
-        names = ("primary_vpp", "secondary1_vpp", "secondary2_vpp")
-        for i in range(record.voltages_vpp.shape[1]):
-            metrics[names[i]] = record.voltages_vpp[:, i]
+        metrics.update(zip(VOLTAGE_COLUMNS, record.voltages_vpp.T))
     return {name: _stats(values) for name, values in metrics.items()}
 
 
@@ -218,7 +216,7 @@ def session_csv_rows(record: SessionRecord) -> tuple[list[str], list[tuple]]:
     n_axes = 0
     if record.voltages_vpp is not None:
         n_axes = record.voltages_vpp.shape[1]
-        header += ["primary_vpp", "secondary1_vpp", "secondary2_vpp"][:n_axes]
+        header += VOLTAGE_COLUMNS[:n_axes]
     rows = []
     for i, s in enumerate(record.samples):
         row = [i, s.timestamp_s, s.error.translation_error_mm, s.error.rotation_error_rad]

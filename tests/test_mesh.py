@@ -17,7 +17,7 @@ from tmsnav.mesh import (
     triangle_normal,
     triangle_normals,
 )
-from tmsnav.meshgen import grid_patch, hemisphere, icosphere
+from tmsnav.meshgen import ellipsoid, grid_patch, hemisphere, icosphere
 
 from conftest import (
     closest_point_brute,
@@ -144,6 +144,8 @@ def test_non_finite_query_rejected():
         closest_point(m, [np.nan, 0.0, 0.0])
     with pytest.raises(ValidationError, match="row 1"):
         closest_point_batch(m, [[0.0, 0.0, 90.0], [np.inf, 0.0, 0.0]])
+    with pytest.raises(ValidationError, match="non-finite point"):
+        contains_point(m, [0.0, np.nan, 0.0])
 
 
 def test_closest_point_matches_scalar_oracle():
@@ -257,6 +259,30 @@ def test_contains_point_parity(sphere85):
     assert contains_point(sphere85, [10.0, -20.0, 40.0])
     assert not contains_point(sphere85, [0.0, 0.0, 100.0])
     assert not contains_point(sphere85, [200.0, 0.0, 0.0])
+
+
+def test_contains_point_on_open_surfaces():
+    # nothing closes the rim: below the bowl and on either side of the patch is outside
+    bowl = hemisphere(85.0, subdivisions=3)
+    assert not contains_point(bowl, [0.0, 0.0, -40.0])  # w about 0.28
+    assert contains_point(bowl, [0.0, 0.0, 10.0])  # w about 0.55
+    patch = grid_patch(4, 4, spacing=5.0)
+    for z in (-1.0, 1.0, 0.0):  # on the face itself w is exactly 1/2
+        assert not contains_point(patch, [1.0, 1.0, z])
+
+
+def test_contains_point_matches_ellipsoid_oracle():
+    semi_axes = np.array([80.0, 95.0, 70.0])
+    outward = ellipsoid(tuple(semi_axes), subdivisions=4)
+    inward = TriangleMesh(outward.vertices, outward.triangles[:, ::-1])
+    points = np.random.default_rng(8).uniform(-110.0, 110.0, size=(2000, 3))
+    norm = np.linalg.norm(points / semi_axes, axis=1)
+    # the facets lie within 0.1% of the analytic surface; skip a 2% band around it
+    kept = (norm < 0.98) | (norm > 1.02)
+    assert kept.sum() > 1900
+    expected = (norm < 1.0)[kept].tolist()
+    for mesh in (outward, inward):  # either winding gives the same answers
+        assert [contains_point(mesh, p) for p in points[kept]] == expected
 
 
 def test_sample_surface_points_lie_on_mesh(sphere85):
@@ -381,6 +407,15 @@ def test_stl_later_solid_named_outer_loads(tmp_path):
     good = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
     path = tmp_path / "two_solids.stl"
     path.write_text(stl_text(good) + stl_text(good).replace("solid test", "solid outer_skin"))
+    assert len(load_stl(path)) == 2
+
+
+@pytest.mark.parametrize("name", ["endfacet_x", "endloop_x", "outer loop"])
+def test_stl_later_solid_named_like_a_keyword_loads(tmp_path, name):
+    # the name on an inner solid/endsolid line is free text, like the first one's
+    good = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
+    path = tmp_path / "two_solids.stl"
+    path.write_text(stl_text(good) + stl_text(good).replace("solid test", f"solid {name}"))
     assert len(load_stl(path)) == 2
 
 

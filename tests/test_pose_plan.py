@@ -250,6 +250,21 @@ def test_restricted_cortex_collision_warning(sphere85, cortex70):
     assert warned.skin_collision_warning
 
 
+def test_restricted_cortex_corners_below_an_open_scalp_do_not_warn():
+    from tmsnav.mesh import TriangleMesh
+    from tmsnav.transforms import RigidTransform, rotation_about_axis
+
+    # the tilted footprint puts two corners near (23, +-35, -20), below the
+    # open rim of the scalp: outside it, so the plan must not warn
+    skin = hemisphere(85.0, subdivisions=4)
+    move = RigidTransform(rotation_about_axis([0, 1, 0], np.deg2rad(-30.0)), [93.7, 0.0, -2.5])
+    patch = grid_patch(4, 4, spacing=4.0)
+    cortex = TriangleMesh(move.apply(patch.vertices), patch.triangles)
+    c = PoseConstraintInput.two_point(move.apply([0.0, 0.0, 0.0]), move.apply([0.0, 5.0, 0.0]))
+    plan = restricted_cortex_pose(cortex, skin, c)
+    assert not plan.skin_collision_warning
+
+
 # --- closest skin ---------------------------------------------------------------
 
 def test_closest_skin_concentric_matches_restricted(sphere85, cortex70):

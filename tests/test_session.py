@@ -113,6 +113,22 @@ def test_holding_timeline():
         assert s.timestamp_s == k * 15.0
 
 
+def test_holding_period_follows_the_configured_train():
+    # a train starts one period after the last: its pulses at its rate, then its wait
+    plan, coil, sensor, _ = holding_fixture()
+    train = PulseTrain(pulses_per_train=50, train_rate_hz=5.0, trains=4, inter_train_wait_s=20.0)
+    record = run_holding_session(plan, ActuationModel.manual(5), coil, sensor, train)
+    assert [s.timestamp_s for s in record.samples] == [0.0, 30.0, 60.0, 90.0]
+    # the drift step grows with the square root of the period: 4x the period, 2x the slip
+    drift = ActuationModel("manual", 0.0, 0.0, drift_mm_per_min=3.0, rng_seed=4)
+    slips = []
+    for wait in (5.0, 50.0):  # periods of 15 s and 60 s
+        drifted = run_holding_session(plan, drift, coil, sensor,
+                                      replace(train, inter_train_wait_s=wait))
+        slips.append([s.error.translation_error_mm for s in drifted.samples])
+    np.testing.assert_allclose(slips[1], 2.0 * np.asarray(slips[0]), rtol=1e-12)
+
+
 def test_holding_nonzero_noise_nonzero_std():
     plan, coil, sensor, train = holding_fixture()
     record = run_holding_session(plan, ActuationModel.manual(8), coil, sensor, train)
