@@ -3,10 +3,10 @@
 Meshes are consumed in millimeters with outward-winding triangles:
 normal = normalize((v1 - v0) x (v2 - v0)) points away from the enclosed
 volume. Closest-point and ray queries are exact and deterministic, ties
-going to the lowest triangle id, and are served by one flat index, built on
-its first query: triangles sorted by the Morton code of their centroids and
-cut into chunks of 32 with a bounding box each. Containment sums the
-generalized winding number over every triangle, so open surfaces need no cap.
+going to the lowest triangle id, and are served by one index, built on its
+first query: a 32-ary tree over the triangles in the Morton order of their
+centroids, from each triangle's box up. Containment sums the generalized
+winding number over every triangle, so open surfaces need no cap.
 """
 
 from __future__ import annotations
@@ -22,12 +22,14 @@ DEGENERATE_AREA_MM2 = 1e-9
 RAY_MIN_PARAMETER = 1e-9
 _RAY_PARALLEL_EPS = 1e-12
 
-CHUNK_SIZE = 32
-# cap on the elements of one query x chunk or query x triangle temporary
-_BLOCK_ELEMENTS = 1 << 15
-# chunk boxes are widened by this fraction of the mesh's coordinate scale, so
-# rounding in the per-triangle distances can never cull the winning chunk
+CHUNK_SIZE = 32  # children per tree node
+# cap on the (query, node) pairs of one step of a tree walk, so on its temporaries
+_BLOCK_PAIRS = 1 << 14
+# boxes are widened by this fraction of the mesh's coordinate scale, so rounding
+# in the per-triangle distances can never cull the winning triangle
 _BOX_PAD = 1e-9
+# (lo, hi, anchor) of the nodes that pad a level: an empty box, an anchor at infinity
+_EMPTY_NODE = np.array([[np.inf] * 3, [-np.inf] * 3, [np.inf] * 3])
 
 
 @dataclass(frozen=True)
@@ -96,23 +98,51 @@ class TriangleMesh:
             )
         return self._corners
 
-    def index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Spatial index (ids, lo, hi, anchor), built on first use (non-empty meshes).
+    def index(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Spatial index (ids, levels), built on first use (non-empty meshes).
 
-        ids (C, 32) holds the triangle ids in Morton order, ties in id order,
-        the last chunk padded by repeating one id; lo and hi (C, 3) are the
-        widened chunk boxes; anchor (C, 3) is one vertex of each chunk.
+        ids holds the triangle ids in Morton order, ties in id order. Each level
+        is (N, 3, 3) node rows (lo, hi, anchor): a widened box and a vertex in
+        it. levels[0] has one node per triangle of ids, and node j of a level
+        above bounds nodes 32j to 32j + 31 below it, up to a top level of at most
+        32 nodes. Empty nodes (_EMPTY_NODE) pad each level to a multiple of 32.
         """
         if self._index is None:
             a, b, c = self.corners()
-            order = np.argsort(_morton_codes((a + b + c) / 3.0), kind="stable")
-            order = np.concatenate([order, np.full(-len(order) % CHUNK_SIZE, order[-1])])
-            ids = order.reshape(-1, CHUNK_SIZE)
+            ids = np.argsort(_morton_codes((a + b + c) / 3.0), kind="stable")
             pad = _BOX_PAD * (1.0 + np.abs(self.vertices).max())
-            lo = np.minimum(np.minimum(a, b), c)[ids].min(axis=1) - pad
-            hi = np.maximum(np.maximum(a, b), c)[ids].max(axis=1) + pad
-            self._index = (ids, lo, hi, a[ids[:, 0]])
+            nodes = np.stack([np.minimum(np.minimum(a, b), c) - pad,
+                              np.maximum(np.maximum(a, b), c) + pad, a], axis=1)[ids]
+            levels = []
+            while not levels or len(nodes) > 1:  # up to the root, which is not kept
+                empty = np.broadcast_to(_EMPTY_NODE, (-len(nodes) % CHUNK_SIZE, 3, 3))
+                levels.append(np.concatenate([nodes, empty]))
+                g = levels[-1].reshape(-1, CHUNK_SIZE, 3, 3)
+                nodes = np.stack([g[:, :, 0].min(axis=1), g[:, :, 1].max(axis=1), g[:, 0, 2]], 1)
+            self._index = (ids, levels)
         return self._index
+
+
+def _descend(mesh: TriangleMesh, n_rows: int, keep):
+    """Walk the index depth first from the root for n_rows queries and yield the kept leaf
+    pairs as (rows, triangle ids), at least once. A step expands at most _BLOCK_PAIRS / 32
+    (row, node) pairs; keep(rows, nodes) flags which of their children to keep."""
+    ids, levels = mesh.index()
+    step = _BLOCK_PAIRS // CHUNK_SIZE
+    stack = [(len(levels) - 1, np.arange(n_rows), np.zeros(n_rows, dtype=np.int64))]
+    while stack:
+        level, rows, parents = stack.pop()
+        if len(rows) > step:
+            stack.append((level, rows[step:], parents[step:]))
+            rows, parents = rows[:step], parents[:step]
+        children = (parents[:, None] * CHUNK_SIZE + np.arange(CHUNK_SIZE)).ravel()
+        rows = rows.repeat(CHUNK_SIZE)
+        kept = keep(rows, levels[level][children])
+        rows, children = rows[kept], children[kept]
+        if level:
+            stack.append((level - 1, rows, children))
+        else:
+            yield rows, ids[children]
 
 
 def triangle_normal(mesh: TriangleMesh, triangle_id: int) -> np.ndarray:
@@ -202,55 +232,48 @@ def _closest_on_triangles(a, b, c, q):
 def _nearest(mesh: TriangleMesh, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest surface point (Q, 3) and triangle id (Q,) for each query row.
 
-    Per block of queries: box lower bounds for every query x chunk, an
-    upper bound from each chunk's anchor vertex, then the exact routine on
-    every (query, chunk) pair whose bound can win. Ties go to the lowest id.
+    The index walk keeps a node whose box's lower bound is at or below the row's
+    upper bound, which each visited anchor and exact distance tightens; the exact
+    routine runs on kept leaf triangles only. Ties go to the lowest id.
     """
+    if len(mesh) == 0:
+        raise EmptyMeshError("closest_point on empty mesh")
     bad = np.flatnonzero(~np.isfinite(q).all(axis=1))
-    if bad.size:  # a nan row would have no candidate chunk
+    if bad.size:  # a nan row would have no candidate triangle
         raise ValidationError(f"non-finite query point at row {bad[0]}: {q[bad[0]].tolist()}")
-    ids, lo, hi, anchor = mesh.index()
     a, b, c = mesh.corners()
+    upper = np.full(len(q), np.inf)
+    best_d2 = np.full(len(q), np.inf)
+    tri_ids = np.zeros(len(q), dtype=np.int64)
     points = np.empty_like(q)
-    tri_ids = np.empty(len(q), dtype=np.int64)
-    step = max(1, _BLOCK_ELEMENTS // (3 * len(ids)))
-    pair_step = max(1, _BLOCK_ELEMENTS // (3 * CHUNK_SIZE))
-    for start in range(0, len(q), step):
-        block = q[start:start + step, None, :]
-        gap = np.maximum(lo - block, 0.0) + np.maximum(block - hi, 0.0)
-        lower = (gap * gap).sum(-1)
-        diff = anchor - block
-        upper = (diff * diff).sum(-1).min(axis=1)
-        rows, chunks = np.nonzero(lower <= upper[:, None])  # rows ascending
-        found = []  # per pair: the chunk's nearest d2, its lowest-id triangle, the point
-        for p in range(0, len(rows), pair_step):
-            sl = slice(p, p + pair_step)
-            tris = ids[chunks[sl]]
-            pts, d2 = _closest_on_triangles(a[tris], b[tris], c[tris], block[rows[sl], 0])
-            best_d2 = d2.min(axis=1)
-            k = np.argmin(np.where(d2 == best_d2[:, None], tris, len(mesh)), axis=1)
-            r = np.arange(len(k))
-            found.append((best_d2, tris[r, k], pts[r, k]))
-        pair_d2, pair_id, pair_pt = (np.concatenate(x) for x in zip(*found))
-        order = np.lexsort((pair_id, pair_d2, rows))
-        first = order[np.flatnonzero(np.diff(rows[order], prepend=-1))]
-        points[start:start + step] = pair_pt[first]
-        tri_ids[start:start + step] = pair_id[first]
+
+    def keep(rows, nodes):
+        p = q[rows]
+        gap = np.maximum(nodes[:, 0] - p, 0.0) + np.maximum(p - nodes[:, 1], 0.0)
+        diff = nodes[:, 2] - p
+        np.minimum.at(upper, rows, np.einsum("ij,ij->i", diff, diff))
+        return np.einsum("ij,ij->i", gap, gap) <= upper[rows]
+
+    for rows, tris in _descend(mesh, len(q), keep):
+        pts, d2 = _closest_on_triangles(a[tris, None], b[tris, None], c[tris, None], q[rows])
+        first = np.lexsort((tris, d2[:, 0], rows))  # per row: nearest, then lowest id
+        first = first[np.flatnonzero(np.diff(rows[first], prepend=-1))]
+        r, d2, tris = rows[first], d2[first, 0], tris[first]
+        better = (d2 < best_d2[r]) | ((d2 == best_d2[r]) & (tris < tri_ids[r]))
+        r, first = r[better], first[better]
+        best_d2[r], tri_ids[r], points[r] = d2[better], tris[better], pts[first, 0]
+        np.minimum(upper, best_d2, out=upper)
     return points, tri_ids
 
 
 def closest_point(mesh: TriangleMesh, query) -> SurfaceHit:
     """Globally nearest surface point; exact ties go to the lowest id."""
-    if len(mesh) == 0:
-        raise EmptyMeshError("closest_point on empty mesh")
     points, tri_ids = _nearest(mesh, np.asarray(query, dtype=float).reshape(1, 3))
     return SurfaceHit(points[0], tri_ids[0])
 
 
 def closest_point_batch(mesh: TriangleMesh, queries) -> np.ndarray:
     """Nearest surface point for each query row; returns (Q, 3)."""
-    if len(mesh) == 0:
-        raise EmptyMeshError("closest_point on empty mesh")
     return _nearest(mesh, np.asarray(queries, dtype=float).reshape(-1, 3))[0]
 
 
@@ -297,15 +320,20 @@ def ray_intersect(mesh: TriangleMesh, origin, direction) -> SurfaceHit | None:
     o, d = _ray_args(origin, direction)
     if len(mesh) == 0:
         return None
-    ids, lo, hi, _ = mesh.index()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t0 = (lo - o) / d
-        t1 = (hi - o) / d
-    # an axis with d == 0 gives -inf/+inf inside its slab (no constraint), equal
-    # infinities outside it (a miss), and nan on its faces, which is ignored
-    enter = np.nanmax(np.minimum(t0, t1), axis=1, initial=-np.inf)
-    leave = np.nanmin(np.maximum(t0, t1), axis=1, initial=np.inf)
-    return _first_hit(mesh, np.unique(ids[leave >= np.maximum(enter, RAY_MIN_PARAMETER)]), o, d)
+    negative = np.signbit(d)  # -0.0 too: its slab times are signed like a negative axis's
+
+    def keep(rows, nodes):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            near = (np.where(negative, nodes[:, 1], nodes[:, 0]) - o) / d
+            far = (np.where(negative, nodes[:, 0], nodes[:, 1]) - o) / d
+        # d == 0 on an axis gives -inf/+inf inside its slab (no constraint), equal infinities
+        # outside it (a miss) and nan on its faces (ignored); an empty node enters at +inf
+        enter = np.nanmax(near, axis=1, initial=-np.inf)
+        leave = np.nanmin(far, axis=1, initial=np.inf)
+        return leave >= np.maximum(enter, RAY_MIN_PARAMETER)
+
+    tris = np.concatenate([t for _, t in _descend(mesh, 1, keep)])
+    return _first_hit(mesh, np.sort(tris), o, d)
 
 
 def contains_point(mesh: TriangleMesh, point) -> bool:
@@ -350,6 +378,8 @@ def load_stl(path, drop_degenerate: bool = False) -> TriangleMesh:
         raise MeshValidationError(f"{path}: not an ASCII STL file")
     # the solid and endsolid lines end in free-text names: scan between them
     start = data.find(b"\n", data.find(b"solid")) + 1
+    if start > data.rfind(b"endfacet"):  # one line: the facets follow the name on it
+        start = 0
     end = data.rfind(b"\n", 0, data.rfind(b"endsolid")) + 1  # the endsolid line, if last
     if not re.fullmatch(rb"\s*endsolid[^\n]*\s*", data[end:]):
         end = len(data)

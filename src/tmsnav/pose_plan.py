@@ -27,7 +27,14 @@ from .errors import (
     ValidationError,
 )
 from .fileio import Vec3
-from .mesh import TriangleMesh, closest_point, contains_point, ray_intersect, triangle_normal
+from .mesh import (
+    TriangleMesh,
+    _nearest,
+    closest_point,
+    contains_point,
+    ray_intersect,
+    triangle_normal,
+)
 from .transforms import RigidTransform, as_vec3
 
 DEGENERATE_CROSS_MM2 = 2e-9  # matches the mesh degenerate-area bound
@@ -256,24 +263,21 @@ def hotspot_grid(
     x_axis = seed_pose.pose.rotation[:, 0]
     y_axis = seed_pose.pose.rotation[:, 1]
     origin = seed_pose.pose.translation
-    poses = []
+    lattice = []
     for r in range(rows):
         dv = (r - (rows - 1) / 2.0) * spacing
         for c in range(cols):
             du = (c - (cols - 1) / 2.0) * spacing
-            q = origin + du * x_axis + dv * y_axis
-            hit = closest_point(skin, q)
-            if np.linalg.norm(hit.point - q) > 2.0 * spacing:
-                raise GridEscapedSurface(
-                    f"lattice point ({r},{c}) projected "
-                    f"{np.linalg.norm(hit.point - q):.1f} mm away"
-                )
-            n = triangle_normal(skin, hit.triangle_id)
-            rotation = _frame_from_normal_and_tail(n, y_axis)
-            source = PoseConstraintInput.two_point(q, q + y_axis)
-            poses.append(
-                PlanPose(RigidTransform(rotation, hit.point), seed_pose.strategy, source)
-            )
+            lattice.append(((r, c), origin + du * x_axis + dv * y_axis))
+    points, tri_ids = _nearest(skin, np.array([q for _, q in lattice]))
+    poses = []
+    for ((r, c), q), point, tri in zip(lattice, points, tri_ids):
+        gap = np.linalg.norm(point - q)
+        if gap > 2.0 * spacing:
+            raise GridEscapedSurface(f"lattice point ({r},{c}) projected {gap:.1f} mm away")
+        rotation = _frame_from_normal_and_tail(triangle_normal(skin, tri), y_axis)
+        source = PoseConstraintInput.two_point(q, q + y_axis)
+        poses.append(PlanPose(RigidTransform(rotation, point), seed_pose.strategy, source))
     return HotspotGrid(tuple(poses), rows, cols, spacing)
 
 

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from tmsnav.errors import EmptyMeshError, MeshValidationError, ValidationError
 from tmsnav.mesh import (
     DEGENERATE_AREA_MM2,
     TriangleMesh,
+    _nearest,
     closest_point,
     closest_point_batch,
     contains_point,
@@ -33,7 +35,13 @@ def unit_triangle(z=0.0):
 
 
 # Shapes the spatial index must serve exactly as the brute-force oracles do.
-INDEX_SHAPES = ["soup", "one_triangle", "padded_chunk", "grid_patch", "hemisphere"]
+INDEX_SHAPES = ["soup", "one_triangle", "padded_chunk", "grid_patch", "hemisphere",
+                "two_top_nodes"]
+
+
+def real_nodes_per_level(mesh):
+    """Node counts of the index levels, bottom up, without the empty padding nodes."""
+    return [int(np.isfinite(level[:, 2, 0]).sum()) for level in mesh.index()[1]]
 
 
 def index_shape(name, rng):
@@ -44,6 +52,11 @@ def index_shape(name, rng):
     if name == "padded_chunk":  # one full chunk of 32 plus one padded chunk
         mesh = random_soup(rng, 33)
         assert len(mesh) == 33
+        return mesh
+    if name == "two_top_nodes":  # padded leaves, then 34 nodes, then a top level of 2
+        mesh = random_soup(rng, 1057)
+        assert real_nodes_per_level(mesh) == [1057, 34, 2]
+        assert [len(level) for level in mesh.index()[1]] == [1088, 64, 32]
         return mesh
     if name == "grid_patch":  # zero z extent: flat boxes and Morton codes
         return grid_patch(12, 12, spacing=5.0, z=3.0)
@@ -175,6 +188,69 @@ def test_index_closest_point_identical_to_brute_force(shape):
         assert accel.triangle_id == brute.triangle_id
         np.testing.assert_array_equal(accel.point, brute.point)
         np.testing.assert_array_equal(row, brute.point)
+
+
+TIE_QUERY = np.array([-1.0, -1.0, 11.0])
+
+
+def two_top_node_tie(upper_first):
+    """1,057 triangles in which ids 0 and 1 tie for TIE_QUERY and sit in different top nodes.
+
+    Both share the vertex (0, 0, 0), the nearest point of each to TIE_QUERY
+    (d2 = 123), and a ray from TIE_QUERY through it hits both at t = 1. One
+    spans the top corner of the centroids' box, the other the bottom corner,
+    so they are the last and the first in Morton order; upper_first gives id
+    0 to the top one. The other 1,055 small triangles lie over 15 mm away.
+    """
+    fan = np.array([[0, 0, 0], [60, 50, 10], [50, 60, 10],
+                    [0, 0, 0], [-60, -50, -10], [-50, -60, -10]], dtype=float)
+    if not upper_first:
+        fan = fan[[3, 4, 5, 0, 1, 2]]
+    rng = np.random.default_rng(21)
+    anchors = rng.uniform([-30, -30, -5], [30, 30, 5], size=(4000, 3))
+    anchors = anchors[np.linalg.norm(anchors - TIE_QUERY, axis=1) > 15.0][:1055]
+    others = anchors[:, None] + np.concatenate(
+        [np.zeros((len(anchors), 1, 3)), rng.uniform(-2, 2, size=(len(anchors), 2, 3))], axis=1)
+    verts = np.concatenate([fan, others.reshape(-1, 3)])
+    return TriangleMesh(verts, np.arange(len(verts)).reshape(-1, 3))
+
+
+@pytest.mark.parametrize("upper_first", [True, False], ids=["winner_in_top_node_1",
+                                                            "winner_in_top_node_0"])
+def test_tie_across_two_top_nodes_goes_to_lowest_id(upper_first):
+    mesh = two_top_node_tie(upper_first)
+    assert len(mesh) == 1057 and real_nodes_per_level(mesh)[-1] == 2
+    rank = np.argsort(mesh.index()[0])  # Morton rank of each id; top node 1 starts at 1024
+    assert sorted(rank[:2] >= 1024) == [False, True] and (rank[0] >= 1024) == upper_first
+    for k in (0, 1):  # each tied triangle alone: the same nearest point and ray hit
+        alone = TriangleMesh(mesh.vertices, mesh.triangles[k:k + 1])
+        assert closest_point_brute(alone, TIE_QUERY).point.tolist() == [0.0, 0.0, 0.0]
+        assert ray_intersect_brute(alone, TIE_QUERY, -TIE_QUERY).ray_parameter == 1.0
+    hit = closest_point(mesh, TIE_QUERY)
+    assert hit.triangle_id == closest_point_brute(mesh, TIE_QUERY).triangle_id == 0
+    # enough rows that some rows' kept nodes straddle two steps of the walk
+    points, tri_ids = _nearest(mesh, np.tile(TIE_QUERY, (700, 1)))
+    assert not points.any() and not tri_ids.any()
+    ray = ray_intersect(mesh, TIE_QUERY, -TIE_QUERY)
+    assert ray.triangle_id == ray_intersect_brute(mesh, TIE_QUERY, -TIE_QUERY).triangle_id == 0
+    assert ray.ray_parameter == 1.0
+
+
+def test_every_leaf_a_candidate_keeps_memory_bounded():
+    # near the centre of a sphere every leaf box can hold the nearest point
+    mesh = icosphere(85.0, subdivisions=5)
+    assert len(mesh) == 20480
+    rng = np.random.default_rng(23)
+    queries = rng.uniform(-0.01, 0.01, size=(100, 3))
+    tracemalloc.start()
+    try:
+        batch = closest_point_batch(mesh, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
+    for q, row in zip(queries[::25], batch[::25]):
+        np.testing.assert_array_equal(row, closest_point_brute(mesh, q).point)
 
 
 def test_closest_point_hit_lies_on_triangle():
@@ -401,6 +477,20 @@ def test_stl_solid_name_containing_endfacet_loads(tmp_path):
     a, b = load_stl(plain), load_stl(named)
     assert a.vertices.tobytes() == b.vertices.tobytes()
     np.testing.assert_array_equal(a.triangles, b.triangles)
+
+
+@pytest.mark.parametrize("name", ["x", "facet_x"])
+def test_stl_one_line_file_loads_with_or_without_final_newline(tmp_path, name):
+    body = ("facet normal 0 0 1 outer loop vertex 0 0 0 vertex 1 0 0 vertex 0 1 0 "
+            "endloop endfacet")
+    meshes = []
+    for tail in ("", "\n"):
+        path = tmp_path / f"one_line{len(tail)}.stl"
+        path.write_text(f"solid {name} {body} endsolid {name}{tail}")
+        meshes.append(load_stl(path))
+    assert len(meshes[0]) == 1
+    assert meshes[0].vertices.tobytes() == meshes[1].vertices.tobytes()
+    np.testing.assert_array_equal(meshes[0].triangles, meshes[1].triangles)
 
 
 def test_stl_later_solid_named_outer_loads(tmp_path):

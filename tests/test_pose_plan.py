@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -370,6 +372,32 @@ def test_hotspot_grid_escape_raises():
     )
     with pytest.raises(GridEscapedSurface):
         hotspot_grid(skin, seed, 1, 21, 5.0)
+
+
+def test_hotspot_grid_escape_names_the_first_escaped_point_in_row_major_order():
+    skin = grid_patch(4, 4, spacing=5.0)  # 20 mm square patch
+    seed = free_skin_pose(
+        skin, PoseConstraintInput.two_point([5.0, 5.0, 0.0], [5.0, 8.0, 0.0])
+    )
+    x_axis, y_axis = seed.pose.rotation[:, 0], seed.pose.rotation[:, 1]
+    escaped = []  # 9 x 9 at 3 mm reaches 17 mm on +x and +y: 7 mm off the patch
+    for r in range(9):
+        for c in range(9):
+            q = seed.pose.translation + (c - 4) * 3.0 * x_axis + (r - 4) * 3.0 * y_axis
+            if np.linalg.norm(closest_point_brute(skin, q).point - q) > 6.0:
+                escaped.append((r, c))
+    assert escaped[0] == (0, 8) and (8, 0) in escaped  # column-major would name (8,0)
+    with pytest.raises(GridEscapedSurface, match=re.escape("lattice point (0,8) ")):
+        hotspot_grid(skin, seed, 9, 9, 3.0)
+
+
+def test_hotspot_grid_poses_sit_on_the_nearest_triangle(sphere85):
+    seed = seed_on_sphere(sphere85)
+    for pose in hotspot_grid(sphere85, seed, 4, 5, 7.0).poses:
+        hit = closest_point_brute(sphere85, pose.source.center)
+        np.testing.assert_array_equal(pose.pose.translation, hit.point)
+        np.testing.assert_array_equal(pose.pose.rotation[:, 2],
+                                      triangle_normal(sphere85, hit.triangle_id))
 
 
 def test_hotspot_grid_validates_shape(sphere85):
