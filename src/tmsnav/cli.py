@@ -65,12 +65,15 @@ class _Stat:
 
 def _out_dir(args, config: ProjectConfig | None) -> Path:
     if args.out is not None:
-        out = Path(args.out)
+        out, source = Path(args.out), "--out"
     elif config is not None:
-        out = config.output_dir
+        out, source = config.output_dir, "config output_dir"
     else:
-        out = Path("out")
-    out.mkdir(parents=True, exist_ok=True)
+        out, source = Path("out"), "the default output directory"
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ValidationError(f"{source} cannot be created: {err}") from err
     return out
 
 

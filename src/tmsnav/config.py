@@ -68,8 +68,9 @@ def load_config(path) -> ProjectConfig:
     for key in ("skin_mesh", "cortex_mesh", "landmarks"):
         rel = getattr(cfg, f"{key}_path")
         if rel is not None:
-            if not (base / rel).exists():
-                raise ValidationError(f"config {key} points to a missing file: {base / rel}")
+            if not (base / rel).is_file():
+                raise ValidationError(f"config {key} points to a missing file or a directory: "
+                                      f"{base / rel}")
             setattr(cfg, f"{key}_path", base / rel)
     cfg.output_dir = base / cfg.output_dir
     return cfg

@@ -2,18 +2,21 @@
 
 The coil is discretized into straight wire segments per wing, lying in
 the z = 0 plane of the coil frame. `b_field` moves the evaluation points
-into that frame with one rigid transform, evaluates the Biot-Savart
-midpoint sum there in blocks of points, and rotates the result back. A
-point within 0.1 mm of any segment raises SingularEvaluation; the exact
-point-to-segment distance is computed only for pairs whose midpoint
-distance is below half the segment length plus that clearance. Coil and
-sensor poses must be rigid.
+into that frame with one rigid transform and sums each wing's
+Biot-Savart midpoint sum in that wing's centred frame, in blocks of
+points: a block's squared pair distances come from one matrix product,
+|q|^2 + |m|^2 - 2 q.m, and pairs nearer than 5 mm are taken again from
+exact differences. A point within 0.1 mm of any segment raises
+SingularEvaluation; the exact point-to-segment distance is computed only
+for pairs whose midpoint distance is below half the segment length plus
+that clearance. Coil and sensor poses must be rigid.
 
-Sensor flux is a polar quadrature of B over each winding disc, with the
-nodes of all axes evaluated in one `b_field` call, and induced EMF
-follows from the flux coefficient times dI/dt of a one-cycle biphasic
-pulse. Everything is linear in current and turns by construction;
-geometry is in millimeters, fields in tesla.
+Sensor flux is a polar quadrature of B over each winding disc. The nodes
+of every axis and every sensor pose go through one `b_field` call, so a
+holding session or a displacement sweep evaluates the field once.
+Induced EMF follows from the flux coefficient times dI/dt of a one-cycle
+biphasic pulse. Everything is linear in current and turns by
+construction; geometry is in millimeters, fields in tesla.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ MIN_SEGMENTS_PER_LOOP = 64
 # cap on each point x segment temporary in b_field; cache-sized blocks
 # ran fastest
 _BLOCK_ELEMENTS = 2**14
+# pairs nearer than this (mm^2) get r^2 again from exact differences: the
+# expanded form's rounding, relative to r^2, grows as (|q|^2 + |m|^2) / r^2
+_EXACT_R2_MM2 = 25.0
 # sensor-frame column of each winding normal: primary z, then x and y
 _AXIS_COLUMN = (2, 0, 1)
 VOLTAGE_COLUMNS = ("primary_vpp", "secondary1_vpp", "secondary2_vpp")  # one per axis, as above
@@ -52,7 +58,7 @@ class CoilModel:
     def __post_init__(self):
         if self.segments_per_loop < MIN_SEGMENTS_PER_LOOP:
             raise ValueError(f"segments_per_loop must be >= {MIN_SEGMENTS_PER_LOOP}")
-        if len(self.wing_senses) not in (1, 2):  # wire() builds one or two wings
+        if len(self.wing_senses) not in (1, 2):  # wing_offsets() places one or two
             raise ValueError("coil wing_senses must list one or two wings")
         if not self.loop_radius_mm > 0:
             raise ValueError("coil loop_radius_mm must be positive")
@@ -81,15 +87,14 @@ class CoilModel:
             return (0.0,)
         return (-self.wing_center_offset_mm, self.wing_center_offset_mm)
 
-    def wire(self) -> tuple[np.ndarray, np.ndarray]:
-        """Segment midpoints and direction vectors (dl), coil frame, mm.
+    def wings(self) -> list[tuple[float, np.ndarray, np.ndarray]]:
+        """Per wing: its centre's offset along coil x, segment midpoints and dl.
 
-        Each wing is a closed regular polygon in the z=0 plane; a negative
-        sense reverses the traversal direction. Both arrays are (S, 3)
-        with a zero z column; the pose is applied by the caller.
+        Each wing is a closed regular polygon in the z=0 plane, given in its
+        own centred frame (mm); a negative sense reverses the traversal
+        direction. Midpoints and dl are (S, 3) with a zero z column; the
+        offset and the pose are applied by the caller.
         """
-        mids = []
-        dls = []
         theta = np.linspace(0.0, 2.0 * np.pi, self.segments_per_loop + 1)
         ring = np.stack(
             [self.loop_radius_mm * np.cos(theta),
@@ -97,13 +102,11 @@ class CoilModel:
              np.zeros_like(theta)],
             axis=1,
         )
+        wings = []
         for offset, sense in zip(self.wing_offsets(), self.wing_senses):
-            pts = ring + np.array([offset, 0.0, 0.0])
-            if sense < 0:
-                pts = pts[::-1]
-            mids.append(0.5 * (pts[:-1] + pts[1:]))
-            dls.append(pts[1:] - pts[:-1])
-        return np.concatenate(mids), np.concatenate(dls)
+            pts = ring[::-1] if sense < 0 else ring
+            wings.append((offset, 0.5 * (pts[:-1] + pts[1:]), pts[1:] - pts[:-1]))
+        return wings
 
 
 class SensorKind(str, Enum):
@@ -159,14 +162,29 @@ def b_field(coil: CoilModel, points, current_a: float | None = None) -> np.ndarr
     """Magnetic field at one point (3,) or a batch (N, 3), in tesla.
 
     Discretized Biot-Savart line sum over both wings at the given current
-    (peak current by default), evaluated in the coil frame. Points closer
-    than 0.1 mm to any wire segment raise SingularEvaluation.
+    (peak current by default), evaluated in the coil frame, each wing in
+    its centred frame. Points closer than 0.1 mm to any wire segment raise
+    SingularEvaluation.
     """
     p = np.asarray(points, dtype=float)
     single = p.ndim == 1
     rot = coil.pose.rotation
     q = (p.reshape(-1, 3) - coil.pose.translation) @ rot  # coil frame, mm
-    mids, dls = coil.wire()
+    out = np.zeros_like(q)
+    for offset, mids, dls in coil.wings():
+        out += _wing_sum(q - [offset, 0.0, 0.0], mids, dls)
+    current = coil.peak_current_a if current_a is None else current_a
+    # r and dl in mm: the sum carries a factor 1e3 against SI units
+    out = (MU0 * current * coil.loop_turns / (4.0 * np.pi) * 1e3) * (out @ rot.T)
+    return out[0] if single else out
+
+
+def _wing_sum(q, mids, dls) -> np.ndarray:
+    """Sum of dl x r / |r|^3 over one wing's segments at each point, (N, 3).
+
+    q and mids are in the wing's centred frame, where |q| and |m| are
+    smallest, so the expansion r^2 = |q|^2 + |m|^2 - 2 q.m loses least.
+    """
     # contiguous rows: broadcasting against strided columns is much slower
     mx, my = np.ascontiguousarray(mids[:, :2].T)
     dlx, dly = np.ascontiguousarray(dls[:, :2].T)
@@ -178,21 +196,26 @@ def b_field(coil: CoilModel, points, current_a: float | None = None) -> np.ndarr
     # below half the segment length plus the clearance (padded for rounding)
     reach = (0.5 * np.hypot(dlx, dly) + WIRE_CLEARANCE_MM) * (1.0 + 1e-9)
     reach2 = reach * reach
-    reach2_max = reach2.max()
+    exact2 = max(_EXACT_R2_MM2, reach2.max())
+    # r^2 of a block is [|q|^2, 1, qx, qy] @ [1; |m|^2; -2 mx; -2 my] (mz = 0)
+    point_terms = np.column_stack([(q * q).sum(axis=1), np.ones(len(q)), q[:, :2]])
+    segment_terms = np.stack([np.ones_like(mx), mx * mx + my * my, -2.0 * mx, -2.0 * my])
     out = np.empty_like(q)
-    block = max(1, _BLOCK_ELEMENTS // len(mids))
+    # a power of two: with 128 or more segments per wing a block has at most
+    # 128 rows, so each sensor pose's nodes (128 per winding with the default
+    # quadrature) fill whole blocks and equal poses give equal fields
+    block = 1 << max(0, (_BLOCK_ELEMENTS // len(mids)).bit_length() - 1)
     for lo in range(0, len(q), block):
         qb = q[lo:lo + block]
-        qx, qy, qz = qb[:, 0:1], qb[:, 1:2], qb[:, 2:3]
-        r2 = qx - mx
-        r2 *= r2
-        dy = qy - my
-        dy *= dy
-        r2 += dy
-        r2 += qz * qz
-        if r2.min() < reach2_max:
-            rows, segs = np.nonzero(r2 < reach2)
-            _check_clearance(qb[rows], mids[segs], dls[segs])
+        r2 = point_terms[lo:lo + block] @ segment_terms
+        if r2.min() < exact2:
+            rows, segs = np.nonzero(r2 < exact2)
+            d = qb[rows] - mids[segs]
+            near2 = (d * d).sum(axis=1)
+            r2[rows, segs] = near2
+            close = near2 < reach2[segs]
+            if close.any():
+                _check_clearance(qb[rows[close]], mids[segs[close]], dls[segs[close]])
         inv3 = np.sqrt(r2)
         inv3 *= r2
         np.divide(1.0, inv3, out=inv3)
@@ -201,10 +224,7 @@ def b_field(coil: CoilModel, points, current_a: float | None = None) -> np.ndarr
         out[lo:lo + block, 0] = z * sy
         out[lo:lo + block, 1] = -z * sx
         out[lo:lo + block, 2] = y * sx - x * sy + sc
-    current = coil.peak_current_a if current_a is None else current_a
-    # r and dl in mm: the sum carries a factor 1e3 against SI units
-    out = (MU0 * current * coil.loop_turns / (4.0 * np.pi) * 1e3) * (out @ rot.T)
-    return out[0] if single else out
+    return out
 
 
 def _check_clearance(q, mids, dls) -> None:
@@ -216,34 +236,42 @@ def _check_clearance(q, mids, dls) -> None:
         raise SingularEvaluation("evaluation point within 0.1 mm of a wire segment")
 
 
-def _disc_nodes(sensor: SensorModel, axes, n_radial: int, n_angular: int):
-    """Equal-area polar quadrature nodes of each listed winding disc.
+def _disc_nodes(sensor: SensorModel, n_radial: int, n_angular: int):
+    """Equal-area polar quadrature nodes of each winding disc, sensor frame.
 
-    Returns the world-frame nodes stacked axis by axis, (len(axes) *
-    n_radial * n_angular, 3), and the common weight (mm^2).
+    Returns the nodes stacked axis by axis, (n_axes, n_radial * n_angular,
+    3), and the common weight (mm^2).
     """
     rj = sensor.loop_radius_mm * np.sqrt((np.arange(n_radial) + 0.5) / n_radial)
     tk = 2.0 * np.pi * (np.arange(n_angular) + 0.5) / n_angular
     rr, tt = np.meshgrid(rj, tk, indexing="ij")
     u = (rr * np.cos(tt)).ravel()
     v = (rr * np.sin(tt)).ravel()
-    local = np.zeros((len(axes), len(u), 3))
-    for i, axis in enumerate(axes):
+    local = np.zeros((sensor.n_axes, len(u), 3))
+    for axis in range(sensor.n_axes):
         # the other two sensor axes span the winding disc
         col = _AXIS_COLUMN[axis]
-        local[i, :, (col + 1) % 3] = u
-        local[i, :, (col + 2) % 3] = v
+        local[axis, :, (col + 1) % 3] = u
+        local[axis, :, (col + 2) % 3] = v
     weight = np.pi * sensor.loop_radius_mm**2 / (n_radial * n_angular)
-    return sensor.pose.apply(local.reshape(-1, 3)), weight
+    return local, weight
 
 
-def _flux_coefficients(coil: CoilModel, sensor: SensorModel, axes,
+def _flux_coefficients(coil: CoilModel, sensor: SensorModel, poses,
                        n_radial: int = 8, n_angular: int = 16) -> np.ndarray:
-    """Webers per ampere through each listed winding, from one b_field call."""
-    normals = [sensor.pose.rotation[:, _AXIS_COLUMN[axis]] for axis in axes]
-    nodes, weight_mm2 = _disc_nodes(sensor, axes, n_radial, n_angular)
-    b = b_field(coil, nodes, current_a=1.0).reshape(len(normals), -1, 3)
-    flux_wb = np.array([(b[i] @ n).sum() for i, n in enumerate(normals)])
+    """Webers per ampere through each winding of `sensor` placed at each pose.
+
+    Returns (len(poses), n_axes). The poses replace `sensor.pose`, in the
+    frame the coil's pose is given in; the quadrature nodes of every pose
+    and axis go through one b_field call.
+    """
+    rot = np.array([pose.rotation for pose in poses])
+    shift = np.array([pose.translation for pose in poses])
+    local, weight_mm2 = _disc_nodes(sensor, n_radial, n_angular)
+    nodes = local.reshape(-1, 3) @ rot.transpose(0, 2, 1) + shift[:, None, :]
+    b = b_field(coil, nodes.reshape(-1, 3), current_a=1.0).reshape(len(poses), *local.shape)
+    normals = rot[:, :, list(_AXIS_COLUMN[:sensor.n_axes])].transpose(0, 2, 1)
+    flux_wb = (b * normals[:, :, None, :]).sum(axis=3).sum(axis=2)
     return flux_wb * weight_mm2 * 1e-6 * sensor.turns_per_axis  # mm^2 -> m^2
 
 
@@ -260,6 +288,11 @@ class VoltageTrace:
         object.__setattr__(self, "emf_v", np.asarray(self.emf_v, dtype=float))
 
 
+def _peak_current_rate(coil: CoilModel, train: PulseTrain) -> float:
+    """Peak dI/dt of the biphasic pulse, A/s: intensity * peak * 2 pi f."""
+    return train.intensity_fraction * coil.peak_current_a * 2.0 * np.pi * train.pulse_frequency_hz
+
+
 def induced_voltage(coil: CoilModel, sensor: SensorModel, train: PulseTrain,
                     samples_per_cycle: int = 64) -> VoltageTrace:
     """Per-axis EMF for one biphasic pulse cycle.
@@ -269,13 +302,23 @@ def induced_voltage(coil: CoilModel, sensor: SensorModel, train: PulseTrain,
     2 * |k| * intensity * peak * 2 pi f.
     """
     omega = 2.0 * np.pi * train.pulse_frequency_hz
-    amp = train.intensity_fraction * coil.peak_current_a
-    ks = _flux_coefficients(coil, sensor, range(sensor.n_axes))
+    rate = _peak_current_rate(coil, train)
+    ks = _flux_coefficients(coil, sensor, [sensor.pose])[0]
     times = np.arange(samples_per_cycle + 1) / (
         samples_per_cycle * train.pulse_frequency_hz
     )
-    emf = -ks[:, None] * amp * omega * np.cos(omega * times)[None, :]
-    return VoltageTrace(2.0 * np.abs(ks) * amp * omega, times, emf)
+    emf = -ks[:, None] * rate * np.cos(omega * times)[None, :]
+    return VoltageTrace(2.0 * np.abs(ks) * rate, times, emf)
+
+
+def peak_to_peak_voltages(coil: CoilModel, sensor: SensorModel, poses,
+                          train: PulseTrain) -> np.ndarray:
+    """Per-axis peak-to-peak EMF of `sensor` placed at each pose, (len(poses), n_axes).
+
+    Row i is induced_voltage(coil, sensor at poses[i], train).peak_to_peak_v
+    up to rounding, but every pose's nodes go through one b_field call.
+    """
+    return 2.0 * np.abs(_flux_coefficients(coil, sensor, poses)) * _peak_current_rate(coil, train)
 
 
 def displacement_sweep(coil: CoilModel, sensor: SensorModel, direction,
@@ -283,7 +326,8 @@ def displacement_sweep(coil: CoilModel, sensor: SensorModel, direction,
     """Per-axis peak-to-peak voltage at each lateral sensor offset.
 
     Returns a CSV-ready table: one row per offset with primary and the
-    two secondary axes (zeros for axes a 2D sensor does not have).
+    two secondary axes (zeros for axes a 2D sensor does not have). Every
+    offset's nodes go through one field evaluation.
     """
     d = np.asarray(direction, dtype=float).reshape(3)
     norm = np.linalg.norm(d)
@@ -294,10 +338,10 @@ def displacement_sweep(coil: CoilModel, sensor: SensorModel, direction,
     if not offs or offs[0] != 0.0 or not all(b > a for a, b in zip(offs, offs[1:])):
         raise ValidationError("offsets must be sorted ascending starting at 0")
     train = train or PulseTrain()
+    poses = [sensor.displaced(off * d).pose for off in offs]
     rows = []
-    for off in offs:
-        trace = induced_voltage(coil, sensor.displaced(off * d), train)
-        vpp = list(trace.peak_to_peak_v) + [0.0, 0.0]
+    for off, row in zip(offs, peak_to_peak_voltages(coil, sensor, poses, train)):
+        vpp = list(row) + [0.0, 0.0]
         rows.append((off, float(vpp[0]), float(vpp[1]), float(vpp[2])))
     return {
         "header": ["offset_mm", *VOLTAGE_COLUMNS],

@@ -111,12 +111,16 @@ class TriangleMesh:
             a, b, c = self.corners()
             ids = np.argsort(_morton_codes((a + b + c) / 3.0), kind="stable")
             pad = _BOX_PAD * (1.0 + np.abs(self.vertices).max())
-            nodes = np.stack([np.minimum(np.minimum(a, b), c) - pad,
-                              np.maximum(np.maximum(a, b), c) + pad, a], axis=1)[ids]
+            boxes = np.stack([np.minimum(np.minimum(a, b), c) - pad,
+                              np.maximum(np.maximum(a, b), c) + pad, a], axis=1)
+            n = len(ids)
+            nodes = np.empty((n + -n % CHUNK_SIZE, 3, 3))  # the padded leaf level
+            np.take(boxes, ids, axis=0, out=nodes[:n], mode="clip")  # ids in range: unbuffered
+            nodes[n:] = _EMPTY_NODE
             levels = []
             while not levels or len(nodes) > 1:  # up to the root, which is not kept
                 empty = np.broadcast_to(_EMPTY_NODE, (-len(nodes) % CHUNK_SIZE, 3, 3))
-                levels.append(np.concatenate([nodes, empty]))
+                levels.append(np.concatenate([nodes, empty]) if len(empty) else nodes)
                 g = levels[-1].reshape(-1, CHUNK_SIZE, 3, 3)
                 nodes = np.stack([g[:, :, 0].min(axis=1), g[:, :, 1].max(axis=1), g[:, 0, 2]], 1)
             self._index = (ids, levels)
@@ -372,8 +376,11 @@ def load_stl(path, drop_degenerate: bool = False) -> TriangleMesh:
     order, so the result is an indexed mesh. Degenerate facets raise unless
     drop_degenerate is set.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as err:
+        raise MeshValidationError(f"cannot read STL file {path}: {err}") from err
     if not data.lstrip().startswith(b"solid"):
         raise MeshValidationError(f"{path}: not an ASCII STL file")
     # the solid and endsolid lines end in free-text names: scan between them

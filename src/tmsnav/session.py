@@ -14,11 +14,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ValidationError
-from .fieldsim import VOLTAGE_COLUMNS, CoilModel, PulseTrain, SensorModel, induced_voltage
+from .fieldsim import VOLTAGE_COLUMNS, CoilModel, PulseTrain, SensorModel, peak_to_peak_voltages
 from .fileio import dump
 from .kinematics import APPROACH_FLIP, PoseError, pose_error
 from .pose_plan import PlanPose
-from .transforms import RigidTransform, compose, rotation_about_axis
+from .transforms import RigidTransform, compose, invert, rotation_about_axis
 
 # Default noise models. Rotation sigmas are anchored to the reported
 # average rotation errors of the two actuation methods (2.5e-3 rad
@@ -156,18 +156,19 @@ def run_holding_session(plan: PlanPose, model: ActuationModel, coil: CoilModel,
     drift_step = model.drift_mm_per_min * np.sqrt(period_s / 60.0)
     drift_xy = np.zeros(2)
     samples = []
-    voltages = []
     target = compose(plan.pose, APPROACH_FLIP)
     for k in range(train.trains):
         if k > 0:
             drift_xy = drift_xy + rng.normal(0.0, drift_step, size=2)
         actuated_plan = _actuated_on_surface(rng, plan.pose, model, contact, drift_xy)
         measured = compose(actuated_plan, APPROACH_FLIP)
-        trace = induced_voltage(replace(coil, pose=measured), sensor, train)
-        voltages.append(trace.peak_to_peak_v)
         samples.append(SessionSample(k * period_s, measured,
                                      pose_error(target, measured)))
-    record = SessionRecord(plan, model, tuple(samples), np.array(voltages))
+    # the sensor as each train's coil sees it: one field evaluation for the session
+    in_coil = [compose(invert(s.measured), sensor.pose) for s in samples]
+    voltages = peak_to_peak_voltages(replace(coil, pose=RigidTransform.identity()),
+                                     sensor, in_coil, train)
+    record = SessionRecord(plan, model, tuple(samples), voltages)
     return replace(record, stats=summarize(record))
 
 

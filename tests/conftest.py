@@ -37,7 +37,7 @@ def on_axis_loop_field(radius_mm: float, z_mm: float, current_a: float,
 
 def flux_coefficient(coil, sensor, axis: int, **quadrature) -> float:
     """Webers per ampere through one sensor winding (turns included)."""
-    return float(_flux_coefficients(coil, sensor, (axis,), **quadrature)[0])
+    return float(_flux_coefficients(coil, sensor, [sensor.pose], **quadrature)[0, axis])
 
 
 def achieved_coil_pose(graph, commanded: RigidTransform) -> RigidTransform:

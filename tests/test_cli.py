@@ -146,6 +146,33 @@ def test_register_missing_mesh_is_usage_error(project, tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("key", ["skin_mesh", "cortex_mesh", "landmarks"])
+def test_config_path_naming_a_directory_is_usage_error(project, tmp_path, capsys, key):
+    config = read_json(project / "config.json")
+    config.update({k: str(project / config[k]) for k in ("skin_mesh", "cortex_mesh", "landmarks")})
+    (tmp_path / "folder").mkdir()
+    config[key] = "folder"
+    write_json(tmp_path / "config.json", config)
+    code = main([f"--config={tmp_path / 'config.json'}", f"--out={tmp_path / 'out'}",
+                 "plan", "--strategy=free-skin", f"--constraint={project / 'constraint.json'}"])
+    assert code == EXIT_USAGE
+    assert f"config {key} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["--out", "output_dir"])
+def test_output_dir_below_a_regular_file_is_usage_error(project, tmp_path, capsys, source):
+    (tmp_path / "o").write_text("a file, not a directory")
+    config = read_json(project / "config.json")
+    config.update({k: str(project / config[k]) for k in ("skin_mesh", "cortex_mesh", "landmarks")})
+    config["output_dir"] = str(tmp_path / "o" / "sub")
+    write_json(tmp_path / "config.json", config)
+    out = [f"--out={tmp_path / 'o' / 'sub'}"] if source == "--out" else []
+    code = main([f"--config={tmp_path / 'config.json'}", *out, "session", "--mode=holding"])
+    assert code == EXIT_USAGE
+    assert source in capsys.readouterr().err
+    assert (tmp_path / "o").read_text() == "a file, not a directory"
+
+
 def _register_with_skin(project, tmp_path, skin: bytes) -> int:
     """Exit code of `register --cloud` on the project with its skin file replaced."""
     (tmp_path / "skin_bad.stl").write_bytes(skin)

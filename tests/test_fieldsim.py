@@ -12,9 +12,11 @@ from tmsnav.fieldsim import (
     PulseTrain,
     SensorKind,
     SensorModel,
+    _flux_coefficients,
     b_field,
     displacement_sweep,
     induced_voltage,
+    peak_to_peak_voltages,
 )
 from tmsnav.transforms import RigidTransform, rotation_about_axis
 
@@ -128,6 +130,39 @@ def test_b_field_matches_world_frame_reference(name):
         assert np.abs(single - ref[-1]).max() <= 1e-12 * np.abs(ref[-1]).max()
 
 
+def near_wire_points(coil, rng, n):
+    """Coil-frame points 0.15-5 mm from a wing's circle, at least 0.15 mm from every wing.
+
+    Each sits beside a random wing at a random angle: in the winding plane
+    (outside or inside the circle), straight above or below it, or at a
+    random tilt between; points that come nearer the other wing are dropped.
+    """
+    offsets = np.array(coil.wing_offsets())
+    phi = rng.uniform(0.0, 2.0 * np.pi, n)
+    gap = np.exp(rng.uniform(np.log(0.15), np.log(5.0), n))
+    tilt = rng.choice([0.0, np.pi, 0.5 * np.pi, -0.5 * np.pi, np.nan], size=n)
+    tilt = np.where(np.isnan(tilt), rng.uniform(-np.pi, np.pi, n), tilt)
+    radial = coil.loop_radius_mm + gap * np.cos(tilt)
+    pts = np.stack([rng.choice(offsets, size=n) + radial * np.cos(phi),
+                    radial * np.sin(phi), gap * np.sin(tilt)], axis=1)
+    to_circle = [np.hypot(np.hypot(pts[:, 0] - o, pts[:, 1]) - coil.loop_radius_mm, pts[:, 2])
+                 for o in offsets]
+    return pts[np.min(to_circle, axis=0) >= 0.15]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_COILS))
+def test_b_field_near_the_wire_matches_world_frame_reference(name):
+    # the expanded r^2 loses digits as r shrinks; the exact recompute must keep them
+    rng = np.random.default_rng(78)
+    coil = replace(ORACLE_COILS[name], pose=random_transform(rng))
+    local = near_wire_points(coil, rng, 400)
+    assert len(local) > 300
+    pts = coil.pose.apply(local)
+    ref = reference_b_field(coil, pts)
+    b = b_field(coil, pts)
+    assert np.abs(b - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_COILS))
 def test_clearance_agrees_with_reference(name):
     rng = np.random.default_rng(76)
@@ -169,6 +204,38 @@ def test_induced_voltage_and_sweep_match_reference():
                 ref = reference_peak_to_peak(coil, sensor.displaced(off * direction), train)
                 ref = list(ref) + [0.0, 0.0]
                 assert np.abs(np.subtract(row, ref[:3])).max() <= 1e-12 * max(ref)
+
+
+def test_sweep_rows_match_per_offset_calls():
+    coil = replace(CoilModel(), pose=random_transform(np.random.default_rng(79)))
+    under_wing = coil.pose.apply([35.0, 0.0, -20.0])
+    sensor = SensorModel(pose=RigidTransform(coil.pose.rotation, under_wing))
+    direction = coil.pose.rotation @ np.array([0.6, 0.8, 0.0])
+    offsets = np.linspace(0.0, 10.0, 11)
+    rows = np.array(displacement_sweep(coil, sensor, direction, offsets)["rows"])
+    single = np.array([induced_voltage(coil, sensor.displaced(off * direction), PulseTrain())
+                       .peak_to_peak_v for off in offsets])
+    np.testing.assert_array_equal(rows[:, 0], offsets)
+    assert np.abs(rows[:, 1:] - single).max() <= 1e-13 * np.abs(single).max()
+
+
+@pytest.mark.parametrize("segments, quadrature", [(64, (8, 16)), (256, (5, 7))])
+def test_batch_blocks_across_poses_match_per_pose_calls(segments, quadrature):
+    # 64 segments per wing give 256-row blocks, 5 x 7 nodes give 105-node discs:
+    # either way block boundaries fall inside a pose's nodes
+    rng = np.random.default_rng(80)
+    coil = CoilModel(segments_per_loop=segments)
+    sensor = SensorModel()
+    poses = [RigidTransform(rotation_about_axis(rng.normal(size=3), 0.3),
+                            [rng.uniform(-40.0, 40.0), rng.uniform(-40.0, 40.0), -20.0])
+             for _ in range(7)]
+    batch = _flux_coefficients(coil, sensor, poses, *quadrature)
+    single = np.concatenate([_flux_coefficients(coil, sensor, [p], *quadrature) for p in poses])
+    assert np.abs(batch - single).max() <= 1e-13 * np.abs(single).max()
+    vpp = peak_to_peak_voltages(coil, sensor, poses, PulseTrain())
+    ref = np.array([induced_voltage(coil, replace(sensor, pose=p), PulseTrain()).peak_to_peak_v
+                    for p in poses])
+    assert np.abs(vpp - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 # --- b_field -------------------------------------------------------------------
@@ -339,7 +406,7 @@ def test_flux_vs_vector_potential_rim_oracle():
     sensor = sensor_at(-20.0)
     k = flux_coefficient(coil, sensor, 0, n_radial=16, n_angular=32)
 
-    mids, dls = coil.wire()  # identity pose: coil frame = world frame
+    [(_, mids, dls)] = coil.wings()  # one centred wing, identity pose: world frame
     n_rim = 512
     theta = np.linspace(0.0, 2.0 * np.pi, n_rim + 1)
     rim = sensor.pose.translation + sensor.loop_radius_mm * np.stack(

@@ -421,6 +421,15 @@ def test_stl_facet_without_three_vertices_rejected(tmp_path, bad_corners):
         load_stl(path)
 
 
+@pytest.mark.parametrize("what", ["directory", "missing"])
+def test_stl_unreadable_path_rejected_naming_it(tmp_path, what):
+    path = tmp_path / "skin.stl"
+    if what == "directory":
+        path.mkdir()
+    with pytest.raises(MeshValidationError, match=re.escape(str(path))):
+        load_stl(path)
+
+
 def test_stl_unterminated_last_facet_rejected(tmp_path):
     good = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
     path = tmp_path / "cut.stl"

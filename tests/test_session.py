@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tmsnav.fieldsim import CoilModel, PulseTrain, SensorModel
+from tmsnav.fieldsim import CoilModel, PulseTrain, SensorModel, induced_voltage
 from tmsnav.pose_plan import PlanPose, PoseConstraintInput, Strategy, pose_from_constraint
 from tmsnav.session import (
     ActuationModel,
@@ -104,6 +104,22 @@ def test_holding_zero_noise_identical_voltages():
     assert record.voltages_vpp.shape == (20, 3)
     assert np.ptp(record.voltages_vpp[:, 0]) == 0.0
     assert record.stats["primary_vpp"]["std"] == 0.0
+
+
+@pytest.mark.parametrize("actuation", ["robotic", "manual"])
+def test_holding_voltages_match_per_train_induced_voltage(actuation):
+    # a figure-8 over a 3-axis sensor 20 mm below the plan, off its centre: the one
+    # batched field call of the session gives each train's per-call voltages
+    plan = flat_plan()
+    coil = CoilModel()
+    sensor = SensorModel(pose=RigidTransform(np.eye(3), [0.0, 35.0, -20.0]))
+    train = PulseTrain()
+    model = getattr(ActuationModel, actuation)(17)
+    record = run_holding_session(plan, model, coil, sensor, train)
+    single = np.array([induced_voltage(replace(coil, pose=s.measured), sensor, train)
+                       .peak_to_peak_v for s in record.samples])
+    assert record.voltages_vpp.shape == single.shape == (20, 3)
+    assert np.abs(record.voltages_vpp - single).max() <= 1e-13 * np.abs(single).max()
 
 
 def test_holding_timeline():
