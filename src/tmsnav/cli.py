@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Annotated
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import session as session_mod
 from .config import ProjectConfig, load_config
-from .errors import ToolkitError, ValidationError
+from .errors import SingularEvaluation, ToolkitError, ValidationError
 from .fieldsim import VOLTAGE_COLUMNS, displacement_sweep
 from .fileio import Points, dump, parse, polyline_svg, read_json, write_csv, write_json
 from .kinematics import FrameGraph, GraphDocument, GraphEdge, solve_commanded_end_effector
@@ -77,6 +78,17 @@ def _out_dir(args, config: ProjectConfig | None) -> Path:
     return out
 
 
+@contextmanager
+def _sensor_placement_named(where: str):
+    """Name the inputs that place the sensor when it lands on the coil's wire (the
+    default sensor pose, the identity, sits on a figure-8's crossing at the origin)."""
+    try:
+        yield
+    except SingularEvaluation as err:
+        raise SingularEvaluation(f"{err}: place the sensor off the coil's wire "
+                                 f"with {where}") from None
+
+
 def _require_config(args) -> ProjectConfig:
     if args.config is None:
         raise ValidationError("this command requires --config")
@@ -87,6 +99,7 @@ def _require_config(args) -> ProjectConfig:
 
 def cmd_register(args) -> int:
     config = _require_config(args)
+    out = _out_dir(args, config)
     if config.landmarks_path is None:
         raise ValidationError("config has no landmarks entry")
     landmarks = parse(LandmarkSet, read_json(config.landmarks_path), "landmarks")
@@ -104,7 +117,6 @@ def cmd_register(args) -> int:
             pairpoint_threshold_mm=settings.pairpoint_threshold_mm,
             icp_threshold_mm=settings.icp_threshold_mm,
         )
-    out = _out_dir(args, config)
     write_json(out / "registration.json", dump(result))
     state = "accepted" if result.accepted else "rejected"
     print(f"registration {state}: pair-point {result.pairpoint_residual_mean:.4f} mm"
@@ -119,6 +131,7 @@ def _normalize_strategy(name: str) -> Strategy:
 
 def cmd_plan(args) -> int:
     config = _require_config(args)
+    out = _out_dir(args, config)
     constraint = parse(PoseConstraintInput, read_json(args.constraint), "constraint")
     strategy = _normalize_strategy(args.strategy)
     if strategy is Strategy.FREE_SKIN:
@@ -127,7 +140,6 @@ def cmd_plan(args) -> int:
         plan = restricted_cortex_pose(config.cortex_mesh(), config.skin_mesh(), constraint)
     else:
         plan = closest_skin_pose(config.cortex_mesh(), config.skin_mesh(), constraint)
-    out = _out_dir(args, config)
     write_json(out / "plan.json", dump(plan))
     t = plan.pose.translation
     flag = " [skin-collision warning]" if plan.skin_collision_warning else ""
@@ -137,6 +149,7 @@ def cmd_plan(args) -> int:
 
 def cmd_chain(args) -> int:
     config = load_config(args.config) if args.config else None
+    out = _out_dir(args, config)
     file_graph = parse(GraphDocument, read_json(args.graph), "graph").graph()
     edges = {}
     if config is not None:
@@ -151,7 +164,6 @@ def cmd_chain(args) -> int:
     graph = FrameGraph(edges)
     plan = parse(PlanPose, read_json(args.plan), "plan")
     commanded = solve_commanded_end_effector(graph, plan)
-    out = _out_dir(args, config)
     write_json(out / "commanded.json", {"matrix": dump(commanded)})
     t = commanded.translation
     print(f"commanded end-effector at ({t[0]:.2f}, {t[1]:.2f}, {t[2]:.2f}) mm")
@@ -160,6 +172,7 @@ def cmd_chain(args) -> int:
 
 def cmd_hotspot(args) -> int:
     config = _require_config(args)
+    out = _out_dir(args, config)
     seed_plan = parse(PlanPose, read_json(args.plan), "plan")
     grid = hotspot_grid(config.skin_mesh(), seed_plan, args.rows, args.cols, args.spacing)
     doc = dump(grid)
@@ -168,7 +181,6 @@ def cmd_hotspot(args) -> int:
         idx, best = select_hotspot(grid, responses)
         doc["selected_index"] = idx
         doc["selected_pose"] = dump(best)
-    out = _out_dir(args, config)
     write_json(out / "hotspot.json", doc)
     note = f", selected {doc['selected_index']}" if "selected_index" in doc else ""
     print(f"hotspot grid {args.rows}x{args.cols} at {args.spacing} mm pitch{note}")
@@ -204,6 +216,7 @@ def _parse_direction(text: str) -> np.ndarray:
 
 def cmd_fieldsim(args) -> int:
     config = _require_config(args)
+    out = _out_dir(args, config)
     coil = config.coil
     if args.single_loop:
         coil = replace(coil, wing_senses=(1.0,))  # wing_offsets() centers a single wing
@@ -213,11 +226,9 @@ def cmd_fieldsim(args) -> int:
             raise ValidationError(f"--standoff must be finite, got {args.standoff}")
         below = coil.pose.apply(np.array([0.0, 0.0, -float(args.standoff)]))
         sensor = replace(sensor, pose=RigidTransform(coil.pose.rotation, below))
-    table = displacement_sweep(
-        coil, sensor, _parse_direction(args.direction),
-        _parse_offsets(args.offsets), config.train,
-    )
-    out = _out_dir(args, config)
+    direction, offsets = _parse_direction(args.direction), _parse_offsets(args.offsets)
+    with _sensor_placement_named("the config's sensor.matrix or --standoff"):
+        table = displacement_sweep(coil, sensor, direction, offsets, config.train)
     write_csv(out / "sweep.csv", table["header"], table["rows"])
     print(f"sweep over {len(table['rows'])} offsets written")
     return EXIT_OK
@@ -232,6 +243,7 @@ def _default_plan() -> PlanPose:
 
 def cmd_session(args) -> int:
     config = _require_config(args)
+    out = _out_dir(args, config)
     if args.seed < 0:
         raise ValidationError(f"--seed must be >= 0, got {args.seed}")
     if args.plan is not None:
@@ -247,10 +259,10 @@ def cmd_session(args) -> int:
     if args.mode == "alignment":
         record = session_mod.run_alignment_trials(plan, model, args.repetitions)
     else:
-        record = session_mod.run_holding_session(
-            plan, model, config.coil, config.sensor, config.train
-        )
-    out = _out_dir(args, config)
+        with _sensor_placement_named("the config's sensor.matrix"):
+            record = session_mod.run_holding_session(
+                plan, model, config.coil, config.sensor, config.train
+            )
     write_json(out / "session.json", session_mod.session_to_dict(record))
     header, rows = session_mod.session_csv_rows(record)
     write_csv(out / "session.csv", header, rows)
@@ -269,13 +281,13 @@ def cmd_session(args) -> int:
 
 
 def cmd_report(args) -> int:
+    out = _out_dir(args, None)
     doc = read_json(args.input)
     stats = doc.get("stats") if isinstance(doc, dict) else None
     if not stats:
         raise ValidationError("session record has no stats block")
     stats = parse(dict[str, _Stat], stats, "session record.stats")
     rows = [(name, s.mean, s.std, s.min, s.max) for name, s in sorted(stats.items())]
-    out = _out_dir(args, None)
     write_csv(out / "report.csv", ["metric", "mean", "std", "min", "max"], rows)
     print(f"report with {len(rows)} metrics written")
     return EXIT_OK

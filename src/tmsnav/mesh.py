@@ -5,8 +5,10 @@ normal = normalize((v1 - v0) x (v2 - v0)) points away from the enclosed
 volume. Closest-point and ray queries are exact and deterministic, ties
 going to the lowest triangle id, and are served by one index, built on its
 first query: a 32-ary tree over the triangles in the Morton order of their
-centroids, from each triangle's box up. Containment sums the generalized
-winding number over every triangle, so open surfaces need no cap.
+centroids, from each triangle's box up. A batch of closest-point queries
+may start from earlier triangle ids, with the same results. Containment
+sums the generalized winding number over every triangle, so open surfaces
+need no cap.
 """
 
 from __future__ import annotations
@@ -233,12 +235,15 @@ def _closest_on_triangles(a, b, c, q):
     return result, (diff * diff).sum(-1)
 
 
-def _nearest(mesh: TriangleMesh, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(mesh: TriangleMesh, q: np.ndarray,
+             start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Nearest surface point (Q, 3) and triangle id (Q,) for each query row.
 
     The index walk keeps a node whose box's lower bound is at or below the row's
     upper bound, which each visited anchor and exact distance tightens; the exact
-    routine runs on kept leaf triangles only. Ties go to the lowest id.
+    routine runs on kept leaf triangles only. Ties go to the lowest id. start, one
+    triangle id per row, seeds the upper bound with that triangle's exact squared
+    distance: never below the minimum, so every tied winner is still kept.
     """
     if len(mesh) == 0:
         raise EmptyMeshError("closest_point on empty mesh")
@@ -246,7 +251,14 @@ def _nearest(mesh: TriangleMesh, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     if bad.size:  # a nan row would have no candidate triangle
         raise ValidationError(f"non-finite query point at row {bad[0]}: {q[bad[0]].tolist()}")
     a, b, c = mesh.corners()
-    upper = np.full(len(q), np.inf)
+    if start is None:
+        upper = np.full(len(q), np.inf)
+    else:
+        start = np.asarray(start)
+        if start.shape != (len(q),) or start.dtype.kind not in "iu" or (
+                len(q) and not 0 <= start.min() <= start.max() < len(mesh)):
+            raise ValidationError(f"start ids must be {len(q)} triangle ids in [0, {len(mesh)})")
+        upper = _closest_on_triangles(a[start, None], b[start, None], c[start, None], q)[1][:, 0]
     best_d2 = np.full(len(q), np.inf)
     tri_ids = np.zeros(len(q), dtype=np.int64)
     points = np.empty_like(q)
@@ -276,9 +288,14 @@ def closest_point(mesh: TriangleMesh, query) -> SurfaceHit:
     return SurfaceHit(points[0], tri_ids[0])
 
 
-def closest_point_batch(mesh: TriangleMesh, queries) -> np.ndarray:
-    """Nearest surface point for each query row; returns (Q, 3)."""
-    return _nearest(mesh, np.asarray(queries, dtype=float).reshape(-1, 3))[0]
+def closest_point_batch(mesh: TriangleMesh, queries,
+                        start_ids=None) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest surface point (Q, 3) and triangle id (Q,) for each query row.
+
+    start_ids, one triangle id per row (say, each row's answer before a small move),
+    warm-starts the search; the results are identical with or without it.
+    """
+    return _nearest(mesh, np.asarray(queries, dtype=float).reshape(-1, 3), start_ids)
 
 
 def _ray_hits_triangles(a, b, c, origin, direction):

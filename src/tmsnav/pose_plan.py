@@ -29,8 +29,8 @@ from .errors import (
 from .fileio import Vec3
 from .mesh import (
     TriangleMesh,
-    _nearest,
     closest_point,
+    closest_point_batch,
     contains_point,
     ray_intersect,
     triangle_normal,
@@ -269,7 +269,7 @@ def hotspot_grid(
         for c in range(cols):
             du = (c - (cols - 1) / 2.0) * spacing
             lattice.append(((r, c), origin + du * x_axis + dv * y_axis))
-    points, tri_ids = _nearest(skin, np.array([q for _, q in lattice]))
+    points, tri_ids = closest_point_batch(skin, [q for _, q in lattice])
     poses = []
     for ((r, c), q), point, tri in zip(lattice, points, tri_ids):
         gap = np.linalg.norm(point - q)

@@ -5,6 +5,17 @@ cross-covariance, reflection-corrected), point-to-surface ICP refinement
 against the skin mesh, and a residual-based acceptance gate: results are
 rejected when the mean pair-point residual exceeds 6 mm or the mean ICP
 residual exceeds 2 mm.
+
+Each ICP iteration takes a linearised point-to-plane step (Chen & Medioni
+1992; Low 2004): it minimises the squared distances of the cloud points to
+the planes of their nearest triangles. The step is guarded three ways. A
+direction the surface does not constrain (a singular value below 1e-3 of
+the largest, such as rotation about a sphere's centre) is not moved. No
+point moves farther than twice the mean plane residual. And an iteration
+whose step would raise the mean point-to-surface residual takes the
+point-to-point rigid fit instead, so the residual history never rises.
+Each iteration's closest-point query is warm-started from the previous
+iteration's triangles (Simon 1996), which changes no result.
 """
 
 from __future__ import annotations
@@ -16,13 +27,19 @@ import numpy as np
 from .errors import DegenerateCorrespondences, DegenerateLandmarks, MismatchedLandmarks
 from .fileio import Points
 from .mesh import TriangleMesh, closest_point_batch
-from .transforms import RigidTransform, compose
+from .transforms import RigidTransform, compose, rotation_about_axis
 
 PAIRPOINT_ACCEPT_MM = 6.0
 ICP_ACCEPT_MM = 2.0
 
 # collinearity guard: second singular value of the centered point matrix
 _COLLINEAR_SV_MIN = 1e-6
+# the point-to-plane step moves no direction whose singular value is below this
+# fraction of the largest: on a sphere rotation about the centre slides freely
+_PLANE_SV_RATIO = 1e-3
+# trust region of the point-to-plane step: no cloud point moves farther than this
+# many times the mean |plane residual|
+_PLANE_TRUST_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -126,6 +143,34 @@ def pairpoint_register(
     )
 
 
+def _plane_step(moved: np.ndarray, surface: np.ndarray, normals: np.ndarray) -> RigidTransform:
+    """One linearised point-to-plane step for the rows given (Low 2004).
+
+    Solves min over a small rotation w about the rows' centroid and a translation
+    t of sum(((w x (p - c) + t + p - s) . n)^2) by SVD, with the rotation columns
+    divided by the rows' RMS radius so they compare with the translation columns;
+    directions below _PLANE_SV_RATIO of the largest singular value are not moved.
+    The step is then shrunk so no row moves farther than _PLANE_TRUST_FACTOR times
+    the mean |plane residual|.
+    """
+    centroid = moved.mean(axis=0)
+    arm = moved - centroid
+    radius = np.sqrt((arm * arm).sum(axis=1).mean())
+    jac = np.hstack([np.cross(arm, normals) / radius, normals])
+    residual = np.einsum("ij,ij->i", surface - moved, normals)
+    u, sv, vt = np.linalg.svd(jac, full_matrices=False)
+    live = sv > _PLANE_SV_RATIO * sv[0]
+    x = vt[live].T @ ((u[:, live].T @ residual) / sv[live])
+    w, t = x[:3] / radius, x[3:]
+    reach = np.linalg.norm(np.cross(w, arm) + t, axis=1).max()
+    limit = _PLANE_TRUST_FACTOR * np.abs(residual).mean()
+    if reach > limit:
+        w, t = w * (limit / reach), t * (limit / reach)
+    angle = np.linalg.norm(w)
+    r = rotation_about_axis(w, angle) if angle > 0.0 else np.eye(3)
+    return RigidTransform(r, centroid + t - r @ centroid)
+
+
 def icp_refine(
     skin: TriangleMesh,
     cloud: np.ndarray,
@@ -135,29 +180,32 @@ def icp_refine(
     pairpoint_threshold_mm: float = PAIRPOINT_ACCEPT_MM,
     icp_threshold_mm: float = ICP_ACCEPT_MM,
 ) -> RegistrationResult:
-    """Point-to-surface ICP against the skin mesh.
+    """Point-to-plane ICP against the skin mesh.
 
-    Alternates closest-point correspondence with the rigid solve until the
-    mean point-to-surface residual improves by less than
-    convergence_delta_mm, or max_iterations is reached (returned with
-    converged=False, not an error). trim_fraction drops that fraction of
-    the worst correspondences from each solve.
+    Alternates closest-point correspondence with a point-to-plane step
+    (_plane_step) until the mean point-to-surface residual improves by less
+    than convergence_delta_mm, or max_iterations is reached (returned with
+    converged=False, not an error). An iteration whose plane step would raise
+    the mean residual takes the point-to-point rigid fit instead. Each query is
+    warm-started from the previous iteration's triangles. trim_fraction drops
+    that fraction of the worst correspondences from each step.
     """
     pts = np.asarray(cloud, dtype=float).reshape(-1, 3)
     if len(pts) < 10:
         raise DegenerateCorrespondences("ICP needs a cloud of at least 10 points")
+    a, b, c = skin.corners()
 
-    def correspond(moved):
-        surface = closest_point_batch(skin, moved)
-        return surface, np.linalg.norm(surface - moved, axis=1)
+    def correspond(transform, start):
+        moved = transform.apply(pts)
+        surface, tri_ids = closest_point_batch(skin, moved, start)
+        return moved, surface, tri_ids, np.linalg.norm(surface - moved, axis=1)
 
     current = init
     history: list[float] = []
     converged = False
     iterations = 0
     n_keep = max(3, int(round(len(pts) * (1.0 - config.trim_fraction))))
-    moved = current.apply(pts)
-    surface, dists = correspond(moved)
+    moved, surface, tri_ids, dists = correspond(current, None)
     previous = float(dists.mean())
     for iterations in range(1, config.max_iterations + 1):
         if config.trim_fraction > 0.0:
@@ -168,9 +216,15 @@ def icp_refine(
         sv = np.linalg.svd(kept - kept.mean(axis=0), compute_uv=False)
         if sv[1] <= _COLLINEAR_SV_MIN:
             raise DegenerateCorrespondences("correspondences collapsed to a line")
-        current = compose(solve_rigid(moved[keep], kept), current)
-        moved = current.apply(pts)
-        surface, dists = correspond(moved)
+        ids = tri_ids[keep]
+        normals = np.cross(b[ids] - a[ids], c[ids] - a[ids])
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        trial = compose(_plane_step(moved[keep], kept, normals), current)
+        found = correspond(trial, tri_ids)
+        if found[3].mean() > previous:  # the plane step overshot: fit point to point
+            trial = compose(solve_rigid(moved[keep], kept), current)
+            found = correspond(trial, tri_ids)
+        current, (moved, surface, tri_ids, dists) = trial, found
         mean = float(dists.mean())
         history.append(mean)
         if previous - mean < config.convergence_delta_mm:

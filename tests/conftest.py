@@ -3,8 +3,16 @@ import pytest
 
 from tmsnav.errors import EmptyMeshError
 from tmsnav.fieldsim import MU0, _flux_coefficients
-from tmsnav.mesh import SurfaceHit, TriangleMesh, _closest_on_triangles, _first_hit, _ray_args
+from tmsnav.mesh import (
+    SurfaceHit,
+    TriangleMesh,
+    _closest_on_triangles,
+    _first_hit,
+    _ray_args,
+    closest_point_batch,
+)
 from tmsnav.meshgen import icosphere
+from tmsnav.registration import IcpConfig, solve_rigid
 from tmsnav.transforms import RigidTransform, compose, invert
 
 
@@ -25,6 +33,35 @@ def ray_intersect_brute(mesh: TriangleMesh, origin, direction) -> SurfaceHit | N
     """Exhaustive nearest ray hit; the reference query path."""
     o, d = _ray_args(origin, direction)
     return _first_hit(mesh, np.arange(len(mesh)), o, d)
+
+
+def icp_point_to_point(skin: TriangleMesh, cloud, init: RigidTransform,
+                       config: IcpConfig = IcpConfig()) -> tuple[RigidTransform, list, bool]:
+    """Point-to-point ICP (closest points, then a rigid fit); the reference the
+    point-to-plane loop of icp_refine is checked against.
+
+    Returns the transform, the mean residual after each iteration and whether the
+    improvement fell below convergence_delta_mm before max_iterations.
+    """
+    pts = np.asarray(cloud, dtype=float).reshape(-1, 3)
+    n_keep = max(3, int(round(len(pts) * (1.0 - config.trim_fraction))))
+    current = init
+    moved = current.apply(pts)
+    surface = closest_point_batch(skin, moved)[0]
+    dists = np.linalg.norm(surface - moved, axis=1)
+    previous = float(dists.mean())
+    history = []
+    for _ in range(config.max_iterations):
+        keep = np.argsort(dists, kind="stable")[:n_keep] if config.trim_fraction else slice(None)
+        current = compose(solve_rigid(moved[keep], surface[keep]), current)
+        moved = current.apply(pts)
+        surface = closest_point_batch(skin, moved)[0]
+        dists = np.linalg.norm(surface - moved, axis=1)
+        history.append(float(dists.mean()))
+        if previous - history[-1] < config.convergence_delta_mm:
+            return current, history, True
+        previous = history[-1]
+    return current, history, False
 
 
 def on_axis_loop_field(radius_mm: float, z_mm: float, current_a: float,

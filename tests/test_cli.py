@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tmsnav import cli
+from tmsnav import session as session_mod
 from tmsnav.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
 from tmsnav.fileio import dump, parse, read_json, write_json
 from tmsnav.kinematics import CANONICAL_EDGES
@@ -171,6 +173,39 @@ def test_output_dir_below_a_regular_file_is_usage_error(project, tmp_path, capsy
     assert code == EXIT_USAGE
     assert source in capsys.readouterr().err
     assert (tmp_path / "o").read_text() == "a file, not a directory"
+
+
+@pytest.mark.parametrize("argv", [
+    ["register", "--cloud=cloud.json"], ["plan", "--strategy=free-skin", "--constraint=c.json"],
+    ["chain", "--graph=graph.json", "--plan=plan.json"], ["hotspot", "--plan=plan.json"],
+    ["fieldsim"], ["session", "--mode=holding"], ["report", "--input=session.json"],
+], ids=lambda argv: argv[0])
+def test_unusable_out_is_reported_before_any_work(project, tmp_path, capsys, monkeypatch, argv):
+    def work(*args, **kwargs):
+        raise AssertionError("the command started its work")
+
+    # every input document, and the work of the two commands that read none
+    monkeypatch.setattr(cli, "read_json", work)
+    monkeypatch.setattr(cli, "displacement_sweep", work)
+    monkeypatch.setattr(session_mod, "run_holding_session", work)
+    (tmp_path / "o").write_text("a file, not a directory")
+    code = main([f"--config={project / 'config.json'}", f"--out={tmp_path / 'o' / 'sub'}",
+                 *argv])
+    assert code == EXIT_USAGE
+    assert "--out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["session", "--mode=holding"], ["sensor.matrix"]),
+    (["fieldsim"], ["sensor.matrix", "--standoff"]),
+])
+def test_default_sensor_on_the_coil_wire_names_its_placement(tmp_path, capsys, argv, named):
+    # the default sensor pose (the identity) is the default coil's wire crossing
+    write_json(tmp_path / "config.json", {})
+    code = main([f"--config={tmp_path / 'config.json'}", f"--out={tmp_path / 'out'}", *argv])
+    assert code == EXIT_REJECTED
+    err = capsys.readouterr().err
+    assert "SingularEvaluation" in err and all(name in err for name in named)
 
 
 def _register_with_skin(project, tmp_path, skin: bytes) -> int:

@@ -8,7 +8,6 @@ from tmsnav.errors import EmptyMeshError, MeshValidationError, ValidationError
 from tmsnav.mesh import (
     DEGENERATE_AREA_MM2,
     TriangleMesh,
-    _nearest,
     closest_point,
     closest_point_batch,
     contains_point,
@@ -148,7 +147,9 @@ def test_closest_point_tie_breaks_to_lowest_id(n_triangles):
         assert hit.triangle_id == 0
         assert hit.point[2] == first_z
         np.testing.assert_array_equal(hit.point, closest_point_brute(m, q).point)
-        np.testing.assert_array_equal(closest_point_batch(m, [q, q]), [hit.point, hit.point])
+        points, tri_ids = closest_point_batch(m, [q, q])
+        np.testing.assert_array_equal(points, [hit.point, hit.point])
+        assert tri_ids.tolist() == [0, 0]
 
 
 def test_non_finite_query_rejected():
@@ -172,22 +173,51 @@ def test_closest_point_matches_scalar_oracle():
         np.testing.assert_allclose(hit.point, pt, atol=1e-7)
 
 
+def index_queries(shape, mesh, rng, n):
+    if shape == "sphere_centre":  # every chunk's box can win: all are candidates
+        return np.concatenate([np.zeros((1, 3)), rng.normal(scale=1e-3, size=(40, 3))])
+    # random points, plus the vertices, where adjacent triangles tie
+    return np.concatenate([around(mesh, rng, n), mesh.vertices[:300]])
+
+
 @pytest.mark.parametrize("shape", INDEX_SHAPES + ["sphere_centre"])
 def test_index_closest_point_identical_to_brute_force(shape):
     rng = np.random.default_rng(13)
     mesh = index_shape(shape, rng)
-    if shape == "sphere_centre":  # every chunk's box can win: all are candidates
-        queries = np.concatenate([np.zeros((1, 3)), rng.normal(scale=1e-3, size=(40, 3))])
-    else:  # random points, plus the vertices, where adjacent triangles tie
-        n = 10_000 if shape == "soup" else 1000
-        queries = np.concatenate([around(mesh, rng, n), mesh.vertices[:300]])
-    batch = closest_point_batch(mesh, queries)
-    for q, row in zip(queries, batch):
+    queries = index_queries(shape, mesh, rng, 10_000 if shape == "soup" else 1000)
+    batch, batch_ids = closest_point_batch(mesh, queries)
+    for q, row, row_id in zip(queries, batch, batch_ids):
         accel = closest_point(mesh, q)
         brute = closest_point_brute(mesh, q)
-        assert accel.triangle_id == brute.triangle_id
+        assert accel.triangle_id == brute.triangle_id == row_id
         np.testing.assert_array_equal(accel.point, brute.point)
         np.testing.assert_array_equal(row, brute.point)
+
+
+@pytest.mark.parametrize("start", ["random", "answers", "answers_moved"])
+@pytest.mark.parametrize("shape", INDEX_SHAPES)
+def test_warm_started_closest_point_identical_to_cold(shape, start):
+    rng = np.random.default_rng(15)
+    mesh = index_shape(shape, rng)
+    queries = index_queries(shape, mesh, rng, 2000)
+    cold, cold_ids = closest_point_batch(mesh, queries)
+    if start == "random":
+        start_ids = rng.integers(0, len(mesh), size=len(queries))
+    else:  # the true answers, as given, or for rows moved by up to 1 mm (an ICP step)
+        start_ids = cold_ids
+        if start == "answers_moved":
+            queries = queries + rng.uniform(-1.0, 1.0, size=queries.shape)
+            cold, cold_ids = closest_point_batch(mesh, queries)
+    warm, warm_ids = closest_point_batch(mesh, queries, start_ids)
+    np.testing.assert_array_equal(warm, cold)
+    np.testing.assert_array_equal(warm_ids, cold_ids)
+
+
+@pytest.mark.parametrize("start_ids", [[0], [0, 1, 2], [0.0, 1.0], [0, 33]])
+def test_warm_start_ids_must_be_one_triangle_id_per_row(start_ids):
+    with pytest.raises(ValidationError, match="start ids"):
+        closest_point_batch(index_shape("padded_chunk", np.random.default_rng(0)),
+                            np.zeros((2, 3)), start_ids)
 
 
 TIE_QUERY = np.array([-1.0, -1.0, 11.0])
@@ -229,11 +259,18 @@ def test_tie_across_two_top_nodes_goes_to_lowest_id(upper_first):
     hit = closest_point(mesh, TIE_QUERY)
     assert hit.triangle_id == closest_point_brute(mesh, TIE_QUERY).triangle_id == 0
     # enough rows that some rows' kept nodes straddle two steps of the walk
-    points, tri_ids = _nearest(mesh, np.tile(TIE_QUERY, (700, 1)))
+    points, tri_ids = closest_point_batch(mesh, np.tile(TIE_QUERY, (700, 1)))
     assert not points.any() and not tri_ids.any()
     ray = ray_intersect(mesh, TIE_QUERY, -TIE_QUERY)
     assert ray.triangle_id == ray_intersect_brute(mesh, TIE_QUERY, -TIE_QUERY).triangle_id == 0
     assert ray.ray_parameter == 1.0
+
+
+def test_warm_start_on_a_tied_higher_id_still_goes_to_lowest_id():
+    mesh = two_top_node_tie(upper_first=True)
+    for start in (1, 0):  # ids 0 and 1 tie for TIE_QUERY
+        points, tri_ids = closest_point_batch(mesh, [TIE_QUERY] * 3, [start] * 3)
+        assert not points.any() and not tri_ids.any()
 
 
 def test_every_leaf_a_candidate_keeps_memory_bounded():
@@ -244,7 +281,7 @@ def test_every_leaf_a_candidate_keeps_memory_bounded():
     queries = rng.uniform(-0.01, 0.01, size=(100, 3))
     tracemalloc.start()
     try:
-        batch = closest_point_batch(mesh, queries)
+        batch = closest_point_batch(mesh, queries)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
