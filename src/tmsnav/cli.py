@@ -26,6 +26,7 @@ from .fieldsim import VOLTAGE_COLUMNS, displacement_sweep
 from .fileio import Points, dump, parse, polyline_svg, read_json, write_csv, write_json
 from .kinematics import FrameGraph, GraphDocument, GraphEdge, solve_commanded_end_effector
 from .pose_plan import (
+    ConstraintKind,
     PlanPose,
     PoseConstraintInput,
     Strategy,
@@ -134,12 +135,15 @@ def cmd_plan(args) -> int:
     out = _out_dir(args, config)
     constraint = parse(PoseConstraintInput, read_json(args.constraint), "constraint")
     strategy = _normalize_strategy(args.strategy)
+    # only a two-point constraint reads the mesh it is placed on: the others carry a plane
+    placed_on = config.skin_mesh if strategy is Strategy.FREE_SKIN else config.cortex_mesh
+    mesh = placed_on() if constraint.kind is ConstraintKind.TWO_POINT else None
     if strategy is Strategy.FREE_SKIN:
-        plan = free_skin_pose(config.skin_mesh(), constraint)
+        plan = free_skin_pose(mesh, constraint)
     elif strategy is Strategy.RESTRICTED_CORTEX:
-        plan = restricted_cortex_pose(config.cortex_mesh(), config.skin_mesh(), constraint)
+        plan = restricted_cortex_pose(mesh, config.skin_mesh(), constraint)
     else:
-        plan = closest_skin_pose(config.cortex_mesh(), config.skin_mesh(), constraint)
+        plan = closest_skin_pose(mesh, config.skin_mesh(), constraint)
     write_json(out / "plan.json", dump(plan))
     t = plan.pose.translation
     flag = " [skin-collision warning]" if plan.skin_collision_warning else ""

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain, count
 
 import numpy as np
 
@@ -408,9 +409,9 @@ def load_stl(path, drop_degenerate: bool = False) -> TriangleMesh:
     if not re.fullmatch(rb"\s*endsolid[^\n]*\s*", data[end:]):
         end = len(data)
     # each vertex is spelled once per facet that uses it: parse each spelling once
-    spellings: dict[bytes, int] = {}
-    corners = [spellings.setdefault(s, len(spellings))
-               for m in _STL_FACET_RE.finditer(data, start, end) for s in m.groups()]
+    spelled = list(chain.from_iterable(_STL_FACET_RE.findall(data, start, end)))
+    spellings = dict(zip(dict.fromkeys(spelled), count()))  # spelling -> id, in first use
+    corners = np.fromiter(map(spellings.__getitem__, spelled), np.int64, len(spelled))
     n = len(corners) // 3
     # a well-formed body holds "outer loop" once per record and "end" only in its endloop and
     # endfacet; else count those apart, then again without inner solid lines (free-text names)
@@ -427,19 +428,22 @@ def load_stl(path, drop_degenerate: bool = False) -> TriangleMesh:
                        len(pieces) - 1)
             raise MeshValidationError(
                 f"{path}: facet {bad} is not one loop of exactly three vertices")
-    if not corners:
+    if not n:
         raise MeshValidationError(f"{path}: no facets found")
-    vertex_index: dict[tuple, int] = {}  # insertion-ordered: the keys are the vertices
-    merged = []  # vertex id of each spelling
-    for s in spellings:
-        try:
-            xyz = tuple(map(float, s.split()))
-        except ValueError as exc:  # the message names the token
-            raise MeshValidationError(
-                f"{path}: facet {corners.index(len(merged)) // 3}: {exc}") from None
-        merged.append(vertex_index.setdefault(xyz, len(vertex_index)))
+    try:
+        values = list(map(float, b" ".join(spellings).split()))
+    except ValueError as exc:  # the message names the token; name the first facet spelling it
+        for s in spellings:  # in first use, so the first that fails holds that token
+            try:
+                list(map(float, s.split()))
+            except ValueError:
+                raise MeshValidationError(
+                    f"{path}: facet {spelled.index(s) // 3}: {exc}") from None
+    xyz = list(zip(*[iter(values)] * 3))
+    vertex_index = dict(zip(dict.fromkeys(xyz), count()))  # merged by value, in first use
     v = np.asarray(list(vertex_index), dtype=float)
-    t = np.asarray(merged, dtype=np.int64)[np.asarray(corners)].reshape(-1, 3)
+    merged = np.fromiter(map(vertex_index.__getitem__, xyz), np.int64, len(xyz))  # per spelling
+    t = merged[corners].reshape(-1, 3)
     if drop_degenerate:
         t = t[_areas(v, t) > DEGENERATE_AREA_MM2]
     return TriangleMesh(v, t)

@@ -5,7 +5,8 @@ plane whose unit normal becomes the z-axis, a tail point fixes the
 heading, and the frame is completed right-handed. The two/three/four
 point constraint variants differ only in which points the caller
 supplies. On top of that sit the three planning strategies (skin-only,
-cortex-oriented, skin-projected) and hotspot-grid generation.
+cortex-oriented, skin-projected) and hotspot-grid generation. Only a
+two-point constraint reads the mesh it is placed on; others may pass None.
 
 The derivation is fully deterministic: identical inputs give bitwise
 identical poses.
@@ -163,7 +164,8 @@ def pose_from_constraint(
     """
     if constraint.kind is ConstraintKind.TWO_POINT:
         if mesh is None:
-            raise ValueError("two-point constraint requires a mesh")
+            raise ValidationError("a two-point constraint needs the mesh it is placed on: "
+                                  "the skin for free-skin, the cortex for the cortex strategies")
         hit = closest_point(mesh, constraint.center)
         if np.linalg.norm(constraint.center - hit.point) > surface_bound_mm:
             raise TargetOffSurface(
@@ -185,7 +187,7 @@ def pose_from_constraint(
 
 
 def free_skin_pose(
-    skin: TriangleMesh,
+    skin: TriangleMesh | None,
     constraint: PoseConstraintInput,
     surface_bound_mm: float = DEFAULT_SURFACE_BOUND_MM,
 ) -> PlanPose:
@@ -194,7 +196,7 @@ def free_skin_pose(
 
 
 def restricted_cortex_pose(
-    cortex: TriangleMesh,
+    cortex: TriangleMesh | None,
     skin: TriangleMesh,
     cortex_constraint: PoseConstraintInput,
     surface_bound_mm: float = DEFAULT_SURFACE_BOUND_MM,
@@ -226,7 +228,7 @@ def restricted_cortex_pose(
 
 
 def closest_skin_pose(
-    cortex: TriangleMesh,
+    cortex: TriangleMesh | None,
     skin: TriangleMesh,
     cortex_constraint: PoseConstraintInput,
     surface_bound_mm: float = DEFAULT_SURFACE_BOUND_MM,

@@ -14,6 +14,10 @@ the largest, such as rotation about a sphere's centre) is not moved. No
 point moves farther than twice the mean plane residual. And an iteration
 whose step would raise the mean point-to-surface residual takes the
 point-to-point rigid fit instead, so the residual history never rises.
+The result reports the last plane step's conditioning, its smallest
+singular value over the largest (``icp_plane_sv_ratio``): a small ratio
+means the cloud barely constrains some direction, along which ICP can
+settle far from the truth at a low residual.
 Each iteration's closest-point query is warm-started from the previous
 iteration's triangles (Simon 1996), which changes no result.
 """
@@ -97,6 +101,8 @@ class RegistrationResult:
     iterations: int = 0
     converged: bool = True
     residual_history: tuple[float, ...] = field(default=(), repr=False)
+    # smallest singular value over the largest, at the last plane step (ICP only)
+    icp_plane_sv_ratio: float | None = None
 
 
 def _gate(pairpoint: float | None, icp: float | None,
@@ -143,8 +149,10 @@ def pairpoint_register(
     )
 
 
-def _plane_step(moved: np.ndarray, surface: np.ndarray, normals: np.ndarray) -> RigidTransform:
-    """One linearised point-to-plane step for the rows given (Low 2004).
+def _plane_step(moved: np.ndarray, surface: np.ndarray,
+                normals: np.ndarray) -> tuple[RigidTransform, float]:
+    """One linearised point-to-plane step for the rows given (Low 2004), and the
+    smallest singular value over the largest.
 
     Solves min over a small rotation w about the rows' centroid and a translation
     t of sum(((w x (p - c) + t + p - s) . n)^2) by SVD, with the rotation columns
@@ -168,7 +176,7 @@ def _plane_step(moved: np.ndarray, surface: np.ndarray, normals: np.ndarray) -> 
         w, t = w * (limit / reach), t * (limit / reach)
     angle = np.linalg.norm(w)
     r = rotation_about_axis(w, angle) if angle > 0.0 else np.eye(3)
-    return RigidTransform(r, centroid + t - r @ centroid)
+    return RigidTransform(r, centroid + t - r @ centroid), float(sv[-1] / sv[0])
 
 
 def icp_refine(
@@ -219,7 +227,8 @@ def icp_refine(
         ids = tri_ids[keep]
         normals = np.cross(b[ids] - a[ids], c[ids] - a[ids])
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        trial = compose(_plane_step(moved[keep], kept, normals), current)
+        step, sv_ratio = _plane_step(moved[keep], kept, normals)
+        trial = compose(step, current)
         found = correspond(trial, tri_ids)
         if found[3].mean() > previous:  # the plane step overshot: fit point to point
             trial = compose(solve_rigid(moved[keep], kept), current)
@@ -241,6 +250,7 @@ def icp_refine(
         iterations=iterations,
         converged=converged,
         residual_history=tuple(history),
+        icp_plane_sv_ratio=sv_ratio,
     )
 
 

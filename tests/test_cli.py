@@ -133,6 +133,17 @@ def test_registration_json_carries_the_icp_residual_history(project, tmp_path):
     assert tree_bytes(outs[0]) == tree_bytes(outs[2])
 
 
+def test_registration_json_reports_the_plane_sv_ratio(project, tmp_path):
+    outs = [tmp_path / name for name in ("icp", "again", "plain")]
+    for out in outs[:2]:
+        assert run(project, f"--out={out}", "register",
+                   f"--cloud={project / 'cloud.json'}") == EXIT_OK
+    assert run(project, f"--out={outs[2]}", "register") == EXIT_OK
+    assert tree_bytes(outs[0]) == tree_bytes(outs[1])
+    assert 0.0 < read_json(outs[0] / "registration.json")["icp_plane_sv_ratio"] <= 1.0
+    assert read_json(outs[2] / "registration.json")["icp_plane_sv_ratio"] is None
+
+
 def test_register_bad_landmarks_rejected(project, tmp_path):
     code = main([f"--config={project / 'config_bad.json'}",
                  f"--out={tmp_path}", "register"])
@@ -274,6 +285,71 @@ def test_plan_off_surface_is_domain_error(project, tmp_path):
     code = run(project, f"--out={tmp_path}", "plan", "--strategy=free-skin",
                f"--constraint={tmp_path / 'far.json'}")
     assert code == EXIT_REJECTED
+
+
+@pytest.fixture(scope="module")
+def constraints(project):
+    """The two-point constraint and cortex-crown three- and four-point ones, which carry
+    their own plane."""
+    paths = {"two": project / "constraint.json"}
+    for kind, constraint in (
+        ("three", PoseConstraintInput.three_point([0, 0, 70], [10, 0, 70], [0, 10, 70])),
+        ("four", PoseConstraintInput.four_point([0, 0, 70], [-4, -4, 70], [6, -4, 70],
+                                                [-4, 6, 70], tail="p2")),
+    ):
+        paths[kind] = project / f"constraint_{kind}.json"
+        write_json(paths[kind], dump(constraint))
+    return paths
+
+
+def _plan(project, out: Path, strategy: str, constraint: Path, **meshes):
+    """(exit code, plan.json bytes or None) of a plan on the project config with the given
+    mesh entries replaced by a path, or dropped for None."""
+    config = read_json(project / "config.json")
+    config.update({k: str(project / config[k]) for k in ("skin_mesh", "cortex_mesh", "landmarks")})
+    config.update({k: str(v) for k, v in meshes.items() if v is not None})
+    for key in (k for k, v in meshes.items() if v is None):
+        del config[key]
+    out.mkdir()
+    write_json(out / "config.json", config)
+    code = main([f"--config={out / 'config.json'}", f"--out={out}", "plan",
+                 f"--strategy={strategy}", f"--constraint={constraint}"])
+    return code, (out / "plan.json").read_bytes() if code == EXIT_OK else None
+
+
+@pytest.mark.parametrize("kind", ["three", "four"])
+@pytest.mark.parametrize("strategy", ["restricted-cortex", "closest-skin"])
+def test_plane_carrying_cortex_plan_reads_no_cortex(project, constraints, tmp_path, strategy,
+                                                    kind):
+    (tmp_path / "cortex.txt").write_text("not an STL file\n")
+    code, plan = _plan(project, tmp_path / "real", strategy, constraints[kind])
+    assert code == EXIT_OK
+    for cortex, name in ((tmp_path / "cortex.txt", "not_stl"), (None, "absent")):
+        assert _plan(project, tmp_path / name, strategy, constraints[kind],
+                     cortex_mesh=cortex) == (EXIT_OK, plan)
+
+
+@pytest.mark.parametrize("strategy", ["restricted-cortex", "closest-skin"])
+def test_two_point_cortex_plan_still_reads_the_cortex(project, constraints, tmp_path, capsys,
+                                                      strategy):
+    (tmp_path / "cortex.txt").write_text("not an STL file\n")
+    assert _plan(project, tmp_path / "not_stl", strategy, constraints["two"],
+                 cortex_mesh=tmp_path / "cortex.txt") == (EXIT_USAGE, None)
+    assert str(tmp_path / "cortex.txt") in capsys.readouterr().err
+    assert _plan(project, tmp_path / "absent", strategy, constraints["two"],
+                 cortex_mesh=None) == (EXIT_USAGE, None)
+    assert "no cortex_mesh entry" in capsys.readouterr().err
+
+
+def test_four_point_free_skin_plan_reads_no_skin(project, constraints, tmp_path):
+    corrupt = tmp_path / "skin.stl"
+    corrupt.write_bytes((project / "skin.stl").read_bytes()[:5000])  # cut inside a facet
+    code, plan = _plan(project, tmp_path / "real", "free-skin", constraints["four"])
+    assert code == EXIT_OK
+    assert _plan(project, tmp_path / "corrupt", "free-skin", constraints["four"],
+                 skin_mesh=corrupt) == (EXIT_OK, plan)
+    assert _plan(project, tmp_path / "two", "free-skin", constraints["two"],
+                 skin_mesh=corrupt)[0] == EXIT_USAGE
 
 
 # --- chain ------------------------------------------------------------------------------

@@ -658,6 +658,42 @@ def test_stl_loader_matches_reference(tmp_path, case):
     np.testing.assert_array_equal(mesh.triangles, ref.triangles)
 
 
+@pytest.mark.parametrize("layout", ["lines", "one_line"])
+def test_stl_inner_solid_named_outer_matches_reference(tmp_path, layout):
+    # "outer" in an inner solid's name: the bare count misses, the "outer loop" count holds
+    text = stl_text([(0, 0, 0), (1, 0, 0), (0, 1, 0)]) + stl_text(
+        [(1, 0, 0), (1, 1, 0), (0, 1, 0)], [(0, 0, 1), (1, 0, 1), (0, 1, 1)]
+    ).replace("solid test", "solid outer_x")
+    if layout == "one_line":
+        text = " ".join(text.split())
+    path = tmp_path / "outer_x.stl"
+    path.write_text(text)
+    mesh, ref = load_stl(path), reference_load_stl(path)
+    assert len(mesh) == 3
+    assert mesh.vertices.tobytes() == ref.vertices.tobytes()
+    assert mesh.triangles.tobytes() == ref.triangles.tobytes()
+
+
+def test_stl_one_value_spelled_three_ways_matches_reference(tmp_path):
+    path = tmp_path / "spelled.stl"
+    path.write_text(stl_text([(0, 0, 0), (1, 0, 0), (0, 1, 0)],
+                             [("1.0", 0, 0), (1, 1, 0), (0, "1e0", 0)],
+                             [(0, 0, 0), ("1e0", 0, 0), (0, 0, "1.0")]))
+    mesh, ref = load_stl(path), reference_load_stl(path)
+    assert len(mesh.vertices) == 5
+    assert mesh.vertices.tobytes() == ref.vertices.tobytes()
+    assert mesh.triangles.tobytes() == ref.triangles.tobytes()
+
+
+def test_stl_non_numeric_token_names_the_first_facet_using_it(tmp_path):
+    facets = [[(k, 0, 0), (k + 1, 0, 0), (k, 1, 0)] for k in range(7)]
+    facets[3][1] = facets[5][2] = ("bad", 0, 0)
+    path = tmp_path / "token.stl"
+    path.write_text(stl_text(*facets))
+    with pytest.raises(MeshValidationError, match="facet 3: .*b'bad'"):
+        load_stl(path)
+
+
 def test_outward_winding_of_generated_sphere(sphere85):
     normals = triangle_normals(sphere85)
     a, b, c = sphere85.corners()

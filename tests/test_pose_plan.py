@@ -9,6 +9,7 @@ from tmsnav.errors import (
     GridEscapedSurface,
     NoSkinIntersection,
     TargetOffSurface,
+    ValidationError,
 )
 from tmsnav.fileio import dump, parse
 from tmsnav.mesh import closest_point, sample_surface, triangle_normal
@@ -99,6 +100,19 @@ def test_two_point_requires_mesh():
     c = PoseConstraintInput.two_point([0, 0, 0], [1, 0, 0])
     with pytest.raises(ValueError):
         pose_from_constraint(c, None)
+
+
+@pytest.mark.parametrize("strategy", [free_skin_pose, restricted_cortex_pose, closest_skin_pose])
+def test_strategies_read_the_placing_mesh_only_for_two_points(sphere85, cortex70, strategy):
+    # the mesh a constraint is placed on may be None unless the constraint is two-point
+    args = (sphere85,) if strategy is free_skin_pose else (cortex70, sphere85)
+    planes = [PoseConstraintInput.three_point([0, 0, 70], [10, 0, 70], [0, 10, 70]),
+              PoseConstraintInput.four_point([0, 0, 70], [-4, -4, 70], [6, -4, 70],
+                                             [-4, 6, 70], tail="p2")]
+    for c in planes:
+        assert dump(strategy(None, *args[1:], c)) == dump(strategy(*args, c))
+    with pytest.raises(ValidationError, match="two-point constraint needs the mesh"):
+        strategy(None, *args[1:], PoseConstraintInput.two_point([0, 0, 70], [8, 0, 70]))
 
 
 def test_collinear_plane_points_raise():

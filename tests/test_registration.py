@@ -12,6 +12,7 @@ from tmsnav.meshgen import ellipsoid, icosphere
 from tmsnav.registration import (
     IcpConfig,
     LandmarkSet,
+    _plane_step,
     RegistrationResult,
     fiducial_residual_report,
     icp_refine,
@@ -305,6 +306,28 @@ def test_point_to_plane_does_not_spin_a_sphere(inflation):
     assert rotation_angle(res.transform.rotation) <= np.deg2rad(2.0)
 
 
+def test_plane_sv_ratio_is_smaller_on_a_cap_than_on_the_whole_head():
+    # a cloud on a 30 mm cap of the crown barely constrains sliding along it: measured
+    # 0.0115 there against 0.100 for 100 points spread over the whole head
+    head = ellipsoid((80.0, 95.0, 70.0), subdivisions=4)
+    pts = sample_surface(head, 20000, np.random.default_rng(44))
+    cap = pts[np.linalg.norm(pts - [0.0, 0.0, 70.0], axis=1) <= 30.0][:100]
+    truth = RigidTransform(rotation_about_axis([0.2, 1.0, 0.3], 0.02), [1.0, -1.0, 0.5])
+    ratios = [icp_refine(head, invert(truth).apply(cloud), RigidTransform.identity(),
+                         IcpConfig(max_iterations=20)).icp_plane_sv_ratio
+              for cloud in (cap, pts[:100])]
+    assert len(cap) == 100
+    assert ratios[0] < 0.25 * ratios[1]
+
+
+def test_plane_sv_ratio_counts_a_direction_the_cloud_leaves_free():
+    # a cloud on an exact sphere leaves rotation about the centre free: its singular
+    # value is zero, below the cut the step makes, and the ratio shows it (measured 4e-17)
+    d = np.random.default_rng(5).normal(size=(60, 3))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    assert _plane_step(85.0 * d, 87.0 * d, d)[1] < 1e-3
+
+
 # --- fiducial report ------------------------------------------------------------
 
 def test_report_identity_all_zero():
@@ -361,6 +384,7 @@ def test_registration_result_round_trip(head):
     refined = icp_refine(head, sample_surface(head, 50, rng), RigidTransform(
         rotation_about_axis([0, 0, 1], 0.02), [1.0, 0.0, 0.0]))
     assert refined.residual_history
+    assert res.icp_plane_sv_ratio is None and 0.0 < refined.icp_plane_sv_ratio <= 1.0
     for r in (res, refined):
         back = parse(RegistrationResult, dump(r), "registration")
         assert dump(back) == dump(r)
