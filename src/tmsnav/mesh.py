@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import count
 
 import numpy as np
 
@@ -59,9 +59,8 @@ def _morton_codes(points: np.ndarray) -> np.ndarray:
     return (cells[:, 0] << 2) | (cells[:, 1] << 1) | cells[:, 2]
 
 
-def _areas(v: np.ndarray, t: np.ndarray) -> np.ndarray:
-    e1, e2 = v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]
-    return 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
+def _areas(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
 
 
 class TriangleMesh:
@@ -79,9 +78,10 @@ class TriangleMesh:
         t.setflags(write=False)
         self.vertices = v
         self.triangles = t
-        self._corners = None
+        # gathered once, for the degeneracy check here and for every query
+        self._corners = (v[t[:, 0]], v[t[:, 1]], v[t[:, 2]])
         self._index = None
-        bad = np.flatnonzero(_areas(v, t) <= DEGENERATE_AREA_MM2)
+        bad = np.flatnonzero(_areas(*self._corners) <= DEGENERATE_AREA_MM2)
         if bad.size:
             raise MeshValidationError(
                 f"{bad.size} degenerate triangle(s), first at id {int(bad[0])}"
@@ -92,13 +92,6 @@ class TriangleMesh:
 
     def corners(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-triangle vertex arrays (a, b, c), each (M, 3)."""
-        if self._corners is None:
-            t = self.triangles
-            self._corners = (
-                self.vertices[t[:, 0]],
-                self.vertices[t[:, 1]],
-                self.vertices[t[:, 2]],
-            )
         return self._corners
 
     def index(self) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -380,8 +373,18 @@ def contains_point(mesh: TriangleMesh, point) -> bool:
 _STL_FACET_RE = re.compile(
     rb"outer\s+loop\s+" + 3 * rb"vertex\s+(\S+\s+\S+\s+\S+)\s+" + rb"endloop\s+endfacet\b"
 )
-# a bare "outer" may appear in the name of a solid other than the first
 _STL_OUTER_LOOP_RE = re.compile(rb"outer\s+loop")
+# the keywords that a well-formed body holds only in its records
+_STL_KEYWORD_RE = re.compile(rb"outer\s+loop|endloop|endfacet")
+# a solid or endsolid line: at a line start, or on the line of the endfacet before it; its
+# free-text name runs to the line end or up to the next facet keyword
+_STL_SOLID_LINE_RE = re.compile(
+    rb"(?m)(?:^[ \t]*|(?<=endfacet)[^\S\n]+)(?:end)?solid\b(?:(?!\bfacet\b)[^\n])*")
+
+
+def _holds_keyword(text: bytes) -> bool:
+    # every keyword holds "loop" or "endfacet", which a plain byte search finds fast
+    return (b"loop" in text or b"endfacet" in text) and bool(_STL_KEYWORD_RE.search(text))
 
 
 def load_stl(path, drop_degenerate: bool = False) -> TriangleMesh:
@@ -390,16 +393,18 @@ def load_stl(path, drop_degenerate: bool = False) -> TriangleMesh:
     Every facet must be one ``outer loop`` of exactly three ``vertex x y z``
     lines, then ``endloop``, then its ``endfacet``; other text between the
     facets and the names on the ``solid``/``endsolid`` lines are ignored.
-    Vertices are deduplicated by exact coordinate value, in first-occurrence
-    order, so the result is an indexed mesh. Degenerate facets raise unless
-    drop_degenerate is set.
+    One regex pass splits the file into facet records and the text between them;
+    only if that text or a vertex holds a keyword is each facet checked apart, to
+    name the first bad one. Vertices are merged by exact coordinate value, in
+    first-occurrence order, so the result is an indexed mesh. Degenerate facets
+    raise unless drop_degenerate is set.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as err:
         raise MeshValidationError(f"cannot read STL file {path}: {err}") from err
-    if not data.lstrip().startswith(b"solid"):
+    if not re.match(rb"\s*solid", data):
         raise MeshValidationError(f"{path}: not an ASCII STL file")
     # the solid and endsolid lines end in free-text names: scan between them
     start = data.find(b"\n", data.find(b"solid")) + 1
@@ -408,17 +413,24 @@ def load_stl(path, drop_degenerate: bool = False) -> TriangleMesh:
     end = data.rfind(b"\n", 0, data.rfind(b"endsolid")) + 1  # the endsolid line, if last
     if not re.fullmatch(rb"\s*endsolid[^\n]*\s*", data[end:]):
         end = len(data)
+    parts = _STL_FACET_RE.split(data)  # the text between records at 0, 4, 8, ...
+    if len(parts[0]) < start or len(parts[-1]) < len(data) - end:  # a record on those lines
+        parts = _STL_FACET_RE.split(data[start:end])
+    else:  # the records of data[start:end], without copying it: trim the gaps to it
+        parts[-1] = parts[-1][:len(parts[-1]) - len(data) + end]
+        parts[0] = parts[0][start:]
+    # a keyword there is stray; \0 is no whitespace, so none forms across a join
+    stray = _holds_keyword(b"\0".join(parts[::4]))
+    del parts[::4]  # leaves each record's three vertex spellings, in order
     # each vertex is spelled once per facet that uses it: parse each spelling once
-    spelled = list(chain.from_iterable(_STL_FACET_RE.findall(data, start, end)))
-    spellings = dict(zip(dict.fromkeys(spelled), count()))  # spelling -> id, in first use
-    corners = np.fromiter(map(spellings.__getitem__, spelled), np.int64, len(spelled))
+    spellings = dict.fromkeys(parts)
+    spellings.update(zip(spellings, count()))  # spelling -> id, in first use
+    corners = np.fromiter(map(spellings.__getitem__, parts), np.int64, len(parts))
     n = len(corners) // 3
-    # a well-formed body holds "outer loop" once per record and "end" only in its endloop and
-    # endfacet; else count those apart, then again without inner solid lines (free-text names)
-    ends_ok = 2 * n == data.count(b"end", start, end) or (
-        n == data.count(b"endfacet", start, end) == data.count(b"endloop", start, end))
-    if n != len(_STL_OUTER_LOOP_RE.findall(data, start, end)) or not ends_ok:
-        body = re.sub(rb"(?m)^[ \t]*(?:end)?solid\b[^\n]*", b"", data[start:end])
+    joined = b" ".join(spellings)
+    # a keyword outside a record's own: check each facet apart, without inner solid lines
+    if stray or _holds_keyword(joined) and any(map(_holds_keyword, spellings)):
+        body = _STL_SOLID_LINE_RE.sub(b"", data[start:end])
         pieces = body.split(b"endfacet")  # the one after the last holds no loop
         if not n == len(pieces) - 1 == body.count(b"endloop") \
                 == len(_STL_OUTER_LOOP_RE.findall(body)):
@@ -430,22 +442,20 @@ def load_stl(path, drop_degenerate: bool = False) -> TriangleMesh:
                 f"{path}: facet {bad} is not one loop of exactly three vertices")
     if not n:
         raise MeshValidationError(f"{path}: no facets found")
+    words = iter(joined.split())  # three per spelling, in first use
     try:
-        values = list(map(float, b" ".join(spellings).split()))
-    except ValueError as exc:  # the message names the token; name the first facet spelling it
-        for s in spellings:  # in first use, so the first that fails holds that token
-            try:
-                list(map(float, s.split()))
-            except ValueError:
-                raise MeshValidationError(
-                    f"{path}: facet {spelled.index(s) // 3}: {exc}") from None
-    xyz = list(zip(*[iter(values)] * 3))
-    vertex_index = dict(zip(dict.fromkeys(xyz), count()))  # merged by value, in first use
-    v = np.asarray(list(vertex_index), dtype=float)
-    merged = np.fromiter(map(vertex_index.__getitem__, xyz), np.int64, len(xyz))  # per spelling
-    t = merged[corners].reshape(-1, 3)
+        xyz = np.fromiter(map(float, words), float).reshape(-1, 3)
+    except ValueError as exc:  # the message names the word; name the first facet spelling it
+        spelling = list(spellings)[(3 * len(spellings) - len(list(words)) - 1) // 3]
+        raise MeshValidationError(f"{path}: facet {parts.index(spelling) // 3}: {exc}") from None
+    # merged by value in first use (+ 0.0: -0.0 is 0.0); each keeps its first spelling's value
+    keys = (xyz + 0.0).view(np.dtype((np.void, 24))).ravel()
+    _, first, merged = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    v = xyz[first[order]]
+    t = np.argsort(order)[merged][corners].reshape(-1, 3)  # argsort inverts the permutation
     if drop_degenerate:
-        t = t[_areas(v, t) > DEGENERATE_AREA_MM2]
+        t = t[_areas(v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]) > DEGENERATE_AREA_MM2]
     return TriangleMesh(v, t)
 
 
@@ -471,7 +481,7 @@ def save_stl(mesh: TriangleMesh, path, name: str = "surface") -> None:
 def sample_surface(mesh: TriangleMesh, n: int, rng: np.random.Generator) -> np.ndarray:
     """Area-weighted random points on the surface, shape (n, 3)."""
     a, b, c = mesh.corners()
-    areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+    areas = _areas(a, b, c)
     ids = rng.choice(len(mesh), size=n, p=areas / areas.sum())
     r1 = np.sqrt(rng.uniform(size=n))[:, None]
     r2 = rng.uniform(size=n)[:, None]

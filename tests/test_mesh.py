@@ -546,13 +546,37 @@ def test_stl_later_solid_named_outer_loads(tmp_path):
     assert len(load_stl(path)) == 2
 
 
-@pytest.mark.parametrize("name", ["endfacet_x", "endloop_x", "outer loop"])
-def test_stl_later_solid_named_like_a_keyword_loads(tmp_path, name):
-    # the name on an inner solid/endsolid line is free text, like the first one's
+@pytest.mark.parametrize("name, layout", [
+    pytest.param(name, layout, id=name if layout == "lines" else f"{name}-{layout}")
+    for layout in ("lines", "one_line") for name in ("endfacet_x", "endloop_x", "outer loop")
+])
+def test_stl_later_solid_named_like_a_keyword_loads(tmp_path, name, layout):
+    # the name on an inner solid/endsolid line is free text, like the first one's; on a
+    # line that goes on with facets it ends before the next facet keyword
     good = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
+    text = stl_text(good) + stl_text(good).replace("solid test", f"solid {name}")
+    if layout == "one_line":
+        text = " ".join(text.split())
     path = tmp_path / "two_solids.stl"
-    path.write_text(stl_text(good) + stl_text(good).replace("solid test", f"solid {name}"))
-    assert len(load_stl(path)) == 2
+    path.write_text(text)
+    mesh, ref = load_stl(path), reference_load_stl(path)
+    assert len(mesh) == 2
+    assert mesh.vertices.tobytes() == ref.vertices.tobytes()
+    assert mesh.triangles.tobytes() == ref.triangles.tobytes()
+
+
+@pytest.mark.parametrize("line", ["solid", "endsolid"])
+def test_stl_facet_spelled_in_the_first_or_last_name_is_no_facet(tmp_path, line):
+    # the names on the first and the last line are free text, even one that spells a facet
+    good = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
+    facet = "outer loop vertex 5 5 5 vertex 6 5 5 vertex 5 6 5 endloop endfacet"
+    plain, named = tmp_path / "plain.stl", tmp_path / "named.stl"
+    plain.write_text(stl_text(good))
+    named.write_text(stl_text(good).replace(f"{line} test\n", f"{line} test {facet}\n", 1))
+    a, b = load_stl(plain), load_stl(named)
+    assert len(b) == 1
+    assert a.vertices.tobytes() == b.vertices.tobytes()
+    assert a.triangles.tobytes() == b.triangles.tobytes()
 
 
 def test_stl_rejects_binary_like_input(tmp_path):
@@ -692,6 +716,91 @@ def test_stl_non_numeric_token_names_the_first_facet_using_it(tmp_path):
     path.write_text(stl_text(*facets))
     with pytest.raises(MeshValidationError, match="facet 3: .*b'bad'"):
         load_stl(path)
+
+
+# spellings of one value each, and solid names, some spelled like facet keywords
+CORPUS_SPELLINGS = [["0", "0.0", "-0", "-0.0", "0e0", "+0"], ["1", "1.0", "1e0", "10e-1", "+1"],
+                    ["2.5", "25e-1", "2.50"]]
+CORPUS_SOLID_NAMES = ["x", "facet_x", "endfacet_x", "endloop_x", "outer loop"]
+CORPUS_CORRUPTIONS = ["drop", "fourth", "stray", "coordinate"]
+
+
+def corpus_stl(seed, layout, corruption=None):
+    """Seeded ASCII STL text and the facet that the corruption breaks (None without one).
+
+    The file holds 2 to 6 facets in 1 to 3 solids, separated by random runs of space,
+    tab, CR and LF (no LF in the one_line layout), and spells each coordinate in one of
+    several ways. A solid line's name follows its keyword on the same line; in the lines
+    layout each solid line is a line of its own. A corruption drops a vertex line of a
+    facet, adds a fourth vertex to it, spells one of its coordinates "endloop", or
+    ("stray") puts a stray keyword between it and the facet before it.
+    """
+    rng = np.random.default_rng(seed)
+    lattice = np.array([0.0, 1.0, 2.5])  # the value that each row of spellings spells
+
+    def spell(values):
+        return [str(rng.choice(CORPUS_SPELLINGS[i])) for i in values]
+
+    n_facets = int(rng.integers(2, 7))
+    facets = []
+    while len(facets) < n_facets:
+        corners = rng.integers(0, 3, size=(3, 3))
+        a, b, c = lattice[corners]
+        if not np.cross(b - a, c - a).any():
+            continue  # a degenerate facet
+        tokens = ["facet", "normal", *spell(rng.integers(0, 3, size=3)), "outer", "loop"]
+        for corner in corners:
+            tokens += ["vertex", *spell(corner)]
+        facets.append(tokens + ["endloop", "endfacet"])
+    # drawn with or without a corruption, so that a corrupted file keeps the facets,
+    # solids and names of its sound twin; a stray keyword needs a facet before the bad one
+    bad = max(int(rng.integers(0, n_facets)), int(corruption == "stray"))
+    j = 7 + 4 * int(rng.integers(0, 3))  # where one vertex line of the bad facet starts
+    coordinate = int(rng.integers(1, 4))
+    stray = str(rng.choice(["endloop", "endfacet", "outer loop"]))
+    if corruption == "drop":
+        del facets[bad][j:j + 4]
+    elif corruption == "fourth":
+        facets[bad][19:19] = ["vertex", *spell([1, 0, 2])]
+    elif corruption == "coordinate":
+        facets[bad][j + coordinate] = "endloop"
+    elif corruption == "stray":
+        facets[bad - 1] += stray.split()
+    cuts = sorted(rng.choice(np.arange(1, n_facets), size=int(rng.integers(0, min(3, n_facets))),
+                             replace=False).tolist())
+    items = []
+    for lo, hi in zip([0] + cuts, cuts + [n_facets]):
+        name = str(rng.choice(CORPUS_SOLID_NAMES))
+        sep = str(rng.choice([" ", "\t", " \t "]))  # the name follows on the keyword's line
+        items.append(("solid", f"solid{sep}{name}"))
+        items += [(None, token) for facet in facets[lo:hi] for token in facet]
+        items.append(("solid", f"endsolid{sep}{name}"))
+    runs = list(" \t\r\n" if layout == "lines" else " \t\r")
+    text = items[0][1]
+    for (kind_a, _), (kind_b, token) in zip(items, items[1:]):
+        ws = "".join(rng.choice(runs, size=int(rng.integers(1, 4))))
+        if layout == "lines" and (kind_a or kind_b):  # a solid line is a line of its own
+            ws += "\n" + "".join(rng.choice([" ", "\t"], size=int(rng.integers(0, 3))))
+        text += ws + token
+    tail = str(rng.choice(["", runs[-1], "\r\n"] if layout == "lines" else ["", " "]))
+    return text + tail, bad if corruption else None
+
+
+@pytest.mark.parametrize("layout", ["lines", "one_line"])
+def test_stl_seeded_corpus_matches_reference_and_corruptions_name_the_facet(tmp_path, layout):
+    path = tmp_path / "corpus.stl"
+    for seed in range(25):
+        text, _ = corpus_stl(seed, layout)
+        path.write_bytes(text.encode())
+        mesh, ref = load_stl(path), reference_load_stl(path)
+        assert mesh.vertices.tobytes() == ref.vertices.tobytes(), seed
+        assert mesh.triangles.tobytes() == ref.triangles.tobytes(), seed
+        corruption = CORPUS_CORRUPTIONS[seed % len(CORPUS_CORRUPTIONS)]
+        text, bad = corpus_stl(seed, layout, corruption)
+        path.write_bytes(text.encode())
+        with pytest.raises(MeshValidationError,
+                           match=f"facet {bad} is not one loop of exactly three vertices"):
+            load_stl(path)
 
 
 def test_outward_winding_of_generated_sphere(sphere85):
