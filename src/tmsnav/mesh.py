@@ -376,10 +376,13 @@ _STL_FACET_RE = re.compile(
 _STL_OUTER_LOOP_RE = re.compile(rb"outer\s+loop")
 # the keywords that a well-formed body holds only in its records
 _STL_KEYWORD_RE = re.compile(rb"outer\s+loop|endloop|endfacet")
-# a solid or endsolid line: at a line start, or on the line of the endfacet before it; its
-# free-text name runs to the line end or up to the next facet keyword
+# a solid or endsolid line at a line start, whose free-text name runs to the line end; or one
+# on the line of the endfacet before it, or the first of a one-line file with facets, whose
+# name ends before the next facet keyword
+_STL_NAME_TO_FACET = rb"solid\b(?:(?!\bfacet\b)[^\n])*"
 _STL_SOLID_LINE_RE = re.compile(
-    rb"(?m)(?:^[ \t]*|(?<=endfacet)[^\S\n]+)(?:end)?solid\b(?:(?!\bfacet\b)[^\n])*")
+    rb"(?m)^[ \t]*(?:end)?solid\b[^\n]*|(?<=endfacet)[^\S\n]+(?:end)?" + _STL_NAME_TO_FACET)
+_STL_FIRST_SOLID_RE = re.compile(rb"\A\s*" + _STL_NAME_TO_FACET)
 
 
 def _holds_keyword(text: bytes) -> bool:
@@ -413,12 +416,7 @@ def load_stl(path, drop_degenerate: bool = False) -> TriangleMesh:
     end = data.rfind(b"\n", 0, data.rfind(b"endsolid")) + 1  # the endsolid line, if last
     if not re.fullmatch(rb"\s*endsolid[^\n]*\s*", data[end:]):
         end = len(data)
-    parts = _STL_FACET_RE.split(data)  # the text between records at 0, 4, 8, ...
-    if len(parts[0]) < start or len(parts[-1]) < len(data) - end:  # a record on those lines
-        parts = _STL_FACET_RE.split(data[start:end])
-    else:  # the records of data[start:end], without copying it: trim the gaps to it
-        parts[-1] = parts[-1][:len(parts[-1]) - len(data) + end]
-        parts[0] = parts[0][start:]
+    parts = _STL_FACET_RE.split(data[start:end])  # the text between records at 0, 4, 8, ...
     # a keyword there is stray; \0 is no whitespace, so none forms across a join
     stray = _holds_keyword(b"\0".join(parts[::4]))
     del parts[::4]  # leaves each record's three vertex spellings, in order
@@ -427,10 +425,10 @@ def load_stl(path, drop_degenerate: bool = False) -> TriangleMesh:
     spellings.update(zip(spellings, count()))  # spelling -> id, in first use
     corners = np.fromiter(map(spellings.__getitem__, parts), np.int64, len(parts))
     n = len(corners) // 3
-    joined = b" ".join(spellings)
     # a keyword outside a record's own: check each facet apart, without inner solid lines
-    if stray or _holds_keyword(joined) and any(map(_holds_keyword, spellings)):
-        body = _STL_SOLID_LINE_RE.sub(b"", data[start:end])
+    if stray or _holds_keyword(b"\0".join(spellings)):
+        body = data[start:end] if start or not n else _STL_FIRST_SOLID_RE.sub(b"", data[:end])
+        body = _STL_SOLID_LINE_RE.sub(b"", body)
         pieces = body.split(b"endfacet")  # the one after the last holds no loop
         if not n == len(pieces) - 1 == body.count(b"endloop") \
                 == len(_STL_OUTER_LOOP_RE.findall(body)):
@@ -442,12 +440,14 @@ def load_stl(path, drop_degenerate: bool = False) -> TriangleMesh:
                 f"{path}: facet {bad} is not one loop of exactly three vertices")
     if not n:
         raise MeshValidationError(f"{path}: no facets found")
-    words = iter(joined.split())  # three per spelling, in first use
     try:
-        xyz = np.fromiter(map(float, words), float).reshape(-1, 3)
+        xyz = np.fromiter(map(float, b" ".join(spellings).split()), float).reshape(-1, 3)
     except ValueError as exc:  # the message names the word; name the first facet spelling it
-        spelling = list(spellings)[(3 * len(spellings) - len(list(words)) - 1) // 3]
-        raise MeshValidationError(f"{path}: facet {parts.index(spelling) // 3}: {exc}") from None
+        for s in spellings:  # in first use, so the first that fails holds that word
+            try:
+                list(map(float, s.split()))
+            except ValueError:
+                raise MeshValidationError(f"{path}: facet {parts.index(s) // 3}: {exc}") from None
     # merged by value in first use (+ 0.0: -0.0 is 0.0); each keeps its first spelling's value
     keys = (xyz + 0.0).view(np.dtype((np.void, 24))).ravel()
     _, first, merged = np.unique(keys, return_index=True, return_inverse=True)

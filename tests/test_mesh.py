@@ -549,10 +549,11 @@ def test_stl_later_solid_named_outer_loads(tmp_path):
 @pytest.mark.parametrize("name, layout", [
     pytest.param(name, layout, id=name if layout == "lines" else f"{name}-{layout}")
     for layout in ("lines", "one_line") for name in ("endfacet_x", "endloop_x", "outer loop")
-])
+] + [pytest.param("facet endloop", "lines", id="facet endloop")])
 def test_stl_later_solid_named_like_a_keyword_loads(tmp_path, name, layout):
     # the name on an inner solid/endsolid line is free text, like the first one's; on a
-    # line that goes on with facets it ends before the next facet keyword
+    # line that goes on with facets it ends before the next facet keyword, while on a
+    # line of its own it may hold that word
     good = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
     text = stl_text(good) + stl_text(good).replace("solid test", f"solid {name}")
     if layout == "one_line":
@@ -577,6 +578,14 @@ def test_stl_facet_spelled_in_the_first_or_last_name_is_no_facet(tmp_path, line)
     assert len(b) == 1
     assert a.vertices.tobytes() == b.vertices.tobytes()
     assert a.triangles.tobytes() == b.triangles.tobytes()
+
+
+def test_stl_without_a_facet_record_keeps_its_first_name_free_text(tmp_path):
+    # a file with no endfacet is scanned from its first line, whose name is still free text
+    path = tmp_path / "no_facets.stl"
+    path.write_text("solid a facet endloop\nendsolid a\n")
+    with pytest.raises(MeshValidationError, match="no facets found"):
+        load_stl(path)
 
 
 def test_stl_rejects_binary_like_input(tmp_path):
