@@ -373,16 +373,14 @@ def contains_point(mesh: TriangleMesh, point) -> bool:
 _STL_FACET_RE = re.compile(
     rb"outer\s+loop\s+" + 3 * rb"vertex\s+(\S+\s+\S+\s+\S+)\s+" + rb"endloop\s+endfacet\b"
 )
-_STL_OUTER_LOOP_RE = re.compile(rb"outer\s+loop")
-# the keywords that a well-formed body holds only in its records
+# the keywords that a well-formed file holds only in its records
 _STL_KEYWORD_RE = re.compile(rb"outer\s+loop|endloop|endfacet")
-# a solid or endsolid line at a line start, whose free-text name runs to the line end; or one
-# on the line of the endfacet before it, or the first of a one-line file with facets, whose
-# name ends before the next facet keyword
-_STL_NAME_TO_FACET = rb"solid\b(?:(?!\bfacet\b)[^\n])*"
-_STL_SOLID_LINE_RE = re.compile(
-    rb"(?m)^[ \t]*(?:end)?solid\b[^\n]*|(?<=endfacet)[^\S\n]+(?:end)?" + _STL_NAME_TO_FACET)
-_STL_FIRST_SOLID_RE = re.compile(rb"\A\s*" + _STL_NAME_TO_FACET)
+# a solid or endsolid name in the text between records (\0 where a record was): it runs to
+# the line end, across any record there, but ends before a word facet that is followed on
+# its line by outer loop or a record, so a one-line file keeps its facets; only the first
+# facet word after solid is tried (linear time): a later one could end the name only if it could
+_STL_NAME_RE = re.compile(
+    rb"solid\b(?:(?:(?!\bfacet\b)[^\n])*(?=\bfacet\b[^\n]*?(?:\0|outer\s+loop))|[^\n]*)")
 
 
 def _holds_keyword(text: bytes) -> bool:
@@ -390,54 +388,56 @@ def _holds_keyword(text: bytes) -> bool:
     return (b"loop" in text or b"endfacet" in text) and bool(_STL_KEYWORD_RE.search(text))
 
 
-def load_stl(path, drop_degenerate: bool = False) -> TriangleMesh:
+def load_stl(path) -> TriangleMesh:
     """Read an ASCII STL file (facet normals are ignored and recomputed).
 
     Every facet must be one ``outer loop`` of exactly three ``vertex x y z``
     lines, then ``endloop``, then its ``endfacet``; other text between the
-    facets and the names on the ``solid``/``endsolid`` lines are ignored.
-    One regex pass splits the file into facet records and the text between them;
-    only if that text or a vertex holds a keyword is each facet checked apart, to
-    name the first bad one. Vertices are merged by exact coordinate value, in
-    first-occurrence order, so the result is an indexed mesh. Degenerate facets
-    raise unless drop_degenerate is set.
+    facets and the ``solid``/``endsolid`` names are ignored. One regex pass splits
+    the file into facet records and the text between them, where one rule reads
+    every name: it runs to its line end, across any record on that line, unless
+    it ends before a word ``facet`` followed on the line by ``outer loop`` or a
+    record. A record inside a name is name text. A keyword left in that text or in
+    a vertex spelling names the facet after the last whole record before it.
+    Vertices are merged by exact coordinate value, in first-occurrence order, so
+    the result is an indexed mesh. Degenerate facets raise.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as err:
         raise MeshValidationError(f"cannot read STL file {path}: {err}") from err
-    if not re.match(rb"\s*solid", data):
+    # \0 marks a record below; a NUL byte of the file's own (a binary STL whose header
+    # starts with "solid") would read as one
+    if not re.match(rb"\s*solid", data) or b"\0" in data:
         raise MeshValidationError(f"{path}: not an ASCII STL file")
-    # the solid and endsolid lines end in free-text names: scan between them
-    start = data.find(b"\n", data.find(b"solid")) + 1
-    if start > data.rfind(b"endfacet"):  # one line: the facets follow the name on it
-        start = 0
-    end = data.rfind(b"\n", 0, data.rfind(b"endsolid")) + 1  # the endsolid line, if last
-    if not re.fullmatch(rb"\s*endsolid[^\n]*\s*", data[end:]):
-        end = len(data)
-    parts = _STL_FACET_RE.split(data[start:end])  # the text between records at 0, 4, 8, ...
-    # a keyword there is stray; \0 is no whitespace, so none forms across a join
-    stray = _holds_keyword(b"\0".join(parts[::4]))
+    parts = _STL_FACET_RE.split(data)  # the text between records at 0, 4, 8, ...
+    text = b"\0".join(parts[::4])  # \0 is no whitespace: no keyword forms across a join
     del parts[::4]  # leaves each record's three vertex spellings, in order
+    in_names = []  # (first, count) of the records that names hold, in file order
+
+    def blank(name):
+        if b"\0" in name[0]:  # count the records before a name only where it holds one
+            in_names.append((text.count(b"\0", 0, name.start()), name[0].count(b"\0")))
+        return b"#"  # no whitespace: no keyword forms across a blanked name
+
+    gaps = _STL_NAME_RE.sub(blank, text)
+    for first, k in reversed(in_names):
+        del parts[3 * first:3 * (first + k)]
     # each vertex is spelled once per facet that uses it: parse each spelling once
     spellings = dict.fromkeys(parts)
     spellings.update(zip(spellings, count()))  # spelling -> id, in first use
     corners = np.fromiter(map(spellings.__getitem__, parts), np.int64, len(parts))
     n = len(corners) // 3
-    # a keyword outside a record's own: check each facet apart, without inner solid lines
-    if stray or _holds_keyword(b"\0".join(spellings)):
-        body = data[start:end] if start or not n else _STL_FIRST_SOLID_RE.sub(b"", data[:end])
-        body = _STL_SOLID_LINE_RE.sub(b"", body)
-        pieces = body.split(b"endfacet")  # the one after the last holds no loop
-        if not n == len(pieces) - 1 == body.count(b"endloop") \
-                == len(_STL_OUTER_LOOP_RE.findall(body)):
-            bad = next((i for i, f in enumerate(pieces[:-1])  # one loop, right before endfacet
-                        if len(_STL_OUTER_LOOP_RE.findall(f)) != 1 or f.count(b"endloop") != 1
-                        or not _STL_FACET_RE.search(f + b"endfacet")),
-                       len(pieces) - 1)
-            raise MeshValidationError(
-                f"{path}: facet {bad} is not one loop of exactly three vertices")
+    bad = []  # a keyword outside a record's own: the facet after the whole records before it
+    if _holds_keyword(gaps):
+        bad.append(gaps.count(b"\0", 0, _STL_KEYWORD_RE.search(gaps).start()))
+    if _holds_keyword(b"\0".join(spellings)):
+        joined = b"\0".join(parts)
+        bad.append(joined.count(b"\0", 0, _STL_KEYWORD_RE.search(joined).start()) // 3)
+    if bad:
+        raise MeshValidationError(
+            f"{path}: facet {min(bad)} is not one loop of exactly three vertices")
     if not n:
         raise MeshValidationError(f"{path}: no facets found")
     try:
@@ -454,8 +454,6 @@ def load_stl(path, drop_degenerate: bool = False) -> TriangleMesh:
     order = np.argsort(first)
     v = xyz[first[order]]
     t = np.argsort(order)[merged][corners].reshape(-1, 3)  # argsort inverts the permutation
-    if drop_degenerate:
-        t = t[_areas(v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]) > DEGENERATE_AREA_MM2]
     return TriangleMesh(v, t)
 
 

@@ -1,4 +1,5 @@
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 
 from tmsnav.errors import EmptyMeshError, MeshValidationError, ValidationError
 from tmsnav.mesh import (
-    DEGENERATE_AREA_MM2,
     TriangleMesh,
     closest_point,
     closest_point_batch,
@@ -514,6 +514,19 @@ def test_stl_unterminated_loop_before_a_complete_loop_rejected(tmp_path, between
         load_stl(path)
 
 
+@pytest.mark.parametrize("first", ["spelling", "stray"])
+def test_stl_stray_keyword_and_keyword_spelling_name_the_earlier_facet(tmp_path, first):
+    facets = [[(k, 0, 0), (k + 1, 0, 0), (k, 1, 0)] for k in range(5)]
+    spelled, stray = (1, 3) if first == "spelling" else (3, 1)
+    facets[spelled][1] = ("endloop", 0, 0)
+    text = stl_text(*facets).split("  facet normal")
+    text[stray] += "  endfacet\n"  # text[k] ends with facet k - 1: a stray before facet k
+    path = tmp_path / "two_faults.stl"
+    path.write_text("  facet normal".join(text))
+    with pytest.raises(MeshValidationError, match="facet 1 is not one loop"):
+        load_stl(path)
+
+
 def test_stl_solid_name_containing_endfacet_loads(tmp_path):
     good = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
     plain = tmp_path / "plain.stl"
@@ -566,16 +579,20 @@ def test_stl_later_solid_named_like_a_keyword_loads(tmp_path, name, layout):
     assert mesh.triangles.tobytes() == ref.triangles.tobytes()
 
 
-@pytest.mark.parametrize("line", ["solid", "endsolid"])
+@pytest.mark.parametrize("line", ["solid", "endsolid", "inner"])
 def test_stl_facet_spelled_in_the_first_or_last_name_is_no_facet(tmp_path, line):
-    # the names on the first and the last line are free text, even one that spells a facet
+    # the names on the first, the last and an inner solid line are free text, even one
+    # that spells a facet
     good = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
     facet = "outer loop vertex 5 5 5 vertex 6 5 5 vertex 5 6 5 endloop endfacet"
+    text, old = stl_text(good), f"{line} test\n"
+    if line == "inner":
+        text, old = text + stl_text(good).replace("solid test", "solid b"), "\nsolid b\n"
     plain, named = tmp_path / "plain.stl", tmp_path / "named.stl"
-    plain.write_text(stl_text(good))
-    named.write_text(stl_text(good).replace(f"{line} test\n", f"{line} test {facet}\n", 1))
+    plain.write_text(text)
+    named.write_text(text.replace(old, f"{old[:-1]} {facet}\n", 1))
     a, b = load_stl(plain), load_stl(named)
-    assert len(b) == 1
+    assert len(b) == (2 if line == "inner" else 1)
     assert a.vertices.tobytes() == b.vertices.tobytes()
     assert a.triangles.tobytes() == b.triangles.tobytes()
 
@@ -588,14 +605,47 @@ def test_stl_without_a_facet_record_keeps_its_first_name_free_text(tmp_path):
         load_stl(path)
 
 
+def test_stl_facets_on_the_first_line_of_a_multi_line_file_load(tmp_path):
+    # the first name ends before the word facet, so the facet on its line is a facet
+    facet = "facet normal 0 0 1 outer loop vertex {} 0 0 vertex 1 0 0 vertex 0 1 0 endloop endfacet"
+    path = tmp_path / "first_line.stl"
+    path.write_text(f"solid x {facet.format(0)}\n{facet.format(2)}\nendsolid x\n")
+    mesh, ref = load_stl(path), reference_load_stl(path)
+    assert len(mesh) == 2
+    assert mesh.vertices.tobytes() == ref.vertices.tobytes()
+    assert mesh.triangles.tobytes() == ref.triangles.tobytes()
+
+
+def test_stl_one_line_file_without_the_word_facet_is_all_name(tmp_path):
+    # with no word facet to end it, the first name runs to the end of the only line
+    path = tmp_path / "no_facet_word.stl"
+    path.write_text("solid x outer loop vertex 0 0 0 vertex 1 0 0 vertex 0 1 0 endloop endfacet"
+                    " endsolid x\n")
+    with pytest.raises(MeshValidationError, match="no facets found"):
+        load_stl(path)
+
+
 def test_stl_rejects_binary_like_input(tmp_path):
     path = tmp_path / "bad.stl"
     good = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
-    for content in (b"\x00\x01\x02binarysoup", b"\xff\xfe\x00solid",
+    # a binary STL may start with "solid"; a NUL byte is no ASCII STL, in a name too
+    binary = b"solid exported".ljust(80) + (1).to_bytes(4, "little") + bytes(50)
+    for content in (b"\x00\x01\x02binarysoup", b"\xff\xfe\x00solid", binary,
+                    stl_text(good, good).encode().replace(b"solid test", b"solid te\x00st", 1),
                     stl_text(good, good).encode().replace(b"vertex 1 0 0", b"vertex 1 \xff 0")):
         path.write_bytes(content)
         with pytest.raises(MeshValidationError):
             load_stl(path)
+
+
+def test_stl_name_with_many_facet_words_reads_in_linear_time(tmp_path):
+    # each facet word of a name looks ahead to the line end: trying every one is quadratic
+    path = tmp_path / "facet_words.stl"
+    path.write_text("solid x " + "facet " * 20000 + "\nendsolid x\n")
+    start = time.perf_counter()
+    with pytest.raises(MeshValidationError, match="no facets found"):
+        load_stl(path)
+    assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize("token", [b"abc", b"1.0\xff"])
@@ -636,7 +686,7 @@ _REFERENCE_LOOP_RE = re.compile(
 )
 
 
-def reference_load_stl(path, drop_degenerate=False):
+def reference_load_stl(path):
     """Dict loader kept as the oracle: every vertex occurrence parsed to a
     float tuple, deduplicated by an insertion-ordered dict (no file checks)."""
     with open(path, "r") as fh:
@@ -649,9 +699,6 @@ def reference_load_stl(path, drop_degenerate=False):
                           for corner in (g[0:3], g[3:6], g[6:9])])
     v = np.asarray(list(vertex_index), dtype=float)
     t = np.asarray(triangles, dtype=np.int64)
-    if drop_degenerate:
-        e1, e2 = v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]
-        t = t[0.5 * np.linalg.norm(np.cross(e1, e2), axis=1) > DEGENERATE_AREA_MM2]
     return TriangleMesh(v, t)
 
 
@@ -672,23 +719,26 @@ MIXED_SPELLING_STL = (
 )
 
 
-@pytest.mark.parametrize("case", ["icosphere_20480", "mixed_spelling", "degenerate_dropped",
-                                  "icosphere_5120"])
+@pytest.mark.parametrize("case", ["icosphere_20480", "mixed_spelling", "icosphere_5120"])
 def test_stl_loader_matches_reference(tmp_path, case):
     path = tmp_path / f"{case}.stl"
-    drop = case == "degenerate_dropped"
     if case.startswith("icosphere"):
         save_stl(icosphere(85.0, subdivisions=5 if case.endswith("20480") else 4), path)
-    elif case == "mixed_spelling":
-        path.write_text(MIXED_SPELLING_STL, newline="")
     else:
-        good = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
-        collinear = [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
-        path.write_text(stl_text(good, collinear, [(1, 0, 0), (1, 1, 0), (0, 1, 0)]))
-    mesh, ref = load_stl(path, drop_degenerate=drop), reference_load_stl(path, drop_degenerate=drop)
+        path.write_text(MIXED_SPELLING_STL, newline="")
+    mesh, ref = load_stl(path), reference_load_stl(path)
     assert mesh.vertices.tobytes() == ref.vertices.tobytes()
     assert mesh.triangles.dtype == ref.triangles.dtype
     np.testing.assert_array_equal(mesh.triangles, ref.triangles)
+
+
+def test_stl_degenerate_facet_rejected_naming_it(tmp_path):
+    good = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
+    collinear = [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
+    path = tmp_path / "degenerate.stl"
+    path.write_text(stl_text(good, collinear, [(1, 0, 0), (1, 1, 0), (0, 1, 0)]))
+    with pytest.raises(MeshValidationError, match="first at id 1"):
+        load_stl(path)
 
 
 @pytest.mark.parametrize("layout", ["lines", "one_line"])
@@ -798,7 +848,7 @@ def corpus_stl(seed, layout, corruption=None):
 @pytest.mark.parametrize("layout", ["lines", "one_line"])
 def test_stl_seeded_corpus_matches_reference_and_corruptions_name_the_facet(tmp_path, layout):
     path = tmp_path / "corpus.stl"
-    for seed in range(25):
+    for seed in range(100):
         text, _ = corpus_stl(seed, layout)
         path.write_bytes(text.encode())
         mesh, ref = load_stl(path), reference_load_stl(path)
