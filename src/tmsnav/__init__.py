@@ -47,7 +47,7 @@ from .fieldsim import (
     SensorModel,
     b_field,
     displacement_sweep,
-    induced_voltage,
+    peak_to_peak_voltages,
 )
 from .session import (
     ActuationModel,
@@ -71,7 +71,7 @@ __all__ = [
     "FrameGraph", "GraphEdge", "PoseError", "chain",
     "solve_commanded_end_effector", "pose_error",
     "CoilModel", "SensorModel", "SensorKind", "PulseTrain",
-    "b_field", "induced_voltage", "displacement_sweep",
+    "b_field", "peak_to_peak_voltages", "displacement_sweep",
     "ActuationModel", "SessionRecord", "run_alignment_trials",
     "run_holding_session", "summarize",
     "__version__",

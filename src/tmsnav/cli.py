@@ -105,11 +105,7 @@ def cmd_register(args) -> int:
         raise ValidationError("config has no landmarks entry")
     landmarks = parse(LandmarkSet, read_json(config.landmarks_path), "landmarks")
     settings = config.registration
-    result = pairpoint_register(
-        landmarks,
-        pairpoint_threshold_mm=settings.pairpoint_threshold_mm,
-        icp_threshold_mm=settings.icp_threshold_mm,
-    )
+    result = pairpoint_register(landmarks, settings.pairpoint_threshold_mm)
     if args.cloud is not None:
         cloud = parse(_Cloud, read_json(args.cloud), "cloud").points
         result = icp_refine(

@@ -14,8 +14,9 @@ that clearance. Coil and sensor poses must be rigid.
 Sensor flux is a polar quadrature of B over each winding disc. The nodes
 of every axis and every sensor pose go through one `b_field` call, so a
 holding session or a displacement sweep evaluates the field once.
-Induced EMF follows from the flux coefficient times dI/dt of a one-cycle
-biphasic pulse. Everything is linear in current and turns by
+`peak_to_peak_voltages` gives each axis's peak-to-peak EMF, the flux
+coefficient times the peak dI/dt of a one-cycle biphasic pulse, for
+one sensor pose or many. Everything is linear in current and turns by
 construction; geometry is in millimeters, fields in tesla.
 """
 
@@ -275,50 +276,16 @@ def _flux_coefficients(coil: CoilModel, sensor: SensorModel, poses,
     return flux_wb * weight_mm2 * 1e-6 * sensor.turns_per_axis  # mm^2 -> m^2
 
 
-@dataclass(frozen=True)
-class VoltageTrace:
-    peak_to_peak_v: np.ndarray  # per axis
-    times_s: np.ndarray
-    emf_v: np.ndarray  # (axes, samples)
-
-    def __post_init__(self):
-        object.__setattr__(self, "peak_to_peak_v",
-                           np.asarray(self.peak_to_peak_v, dtype=float))
-        object.__setattr__(self, "times_s", np.asarray(self.times_s, dtype=float))
-        object.__setattr__(self, "emf_v", np.asarray(self.emf_v, dtype=float))
-
-
-def _peak_current_rate(coil: CoilModel, train: PulseTrain) -> float:
-    """Peak dI/dt of the biphasic pulse, A/s: intensity * peak * 2 pi f."""
-    return train.intensity_fraction * coil.peak_current_a * 2.0 * np.pi * train.pulse_frequency_hz
-
-
-def induced_voltage(coil: CoilModel, sensor: SensorModel, train: PulseTrain,
-                    samples_per_cycle: int = 64) -> VoltageTrace:
-    """Per-axis EMF for one biphasic pulse cycle.
-
-    I(t) = intensity * peak * sin(2 pi f t) over one cycle; EMF is
-    -k dI/dt per axis, so the analytic peak-to-peak is
-    2 * |k| * intensity * peak * 2 pi f.
-    """
-    omega = 2.0 * np.pi * train.pulse_frequency_hz
-    rate = _peak_current_rate(coil, train)
-    ks = _flux_coefficients(coil, sensor, [sensor.pose])[0]
-    times = np.arange(samples_per_cycle + 1) / (
-        samples_per_cycle * train.pulse_frequency_hz
-    )
-    emf = -ks[:, None] * rate * np.cos(omega * times)[None, :]
-    return VoltageTrace(2.0 * np.abs(ks) * rate, times, emf)
-
-
 def peak_to_peak_voltages(coil: CoilModel, sensor: SensorModel, poses,
                           train: PulseTrain) -> np.ndarray:
     """Per-axis peak-to-peak EMF of `sensor` placed at each pose, (len(poses), n_axes).
 
-    Row i is induced_voltage(coil, sensor at poses[i], train).peak_to_peak_v
-    up to rounding, but every pose's nodes go through one b_field call.
+    I(t) = intensity * peak * sin(2 pi f t) over one biphasic cycle; EMF is
+    -k dI/dt per axis, so the peak-to-peak is 2 * |k| * intensity * peak * 2 pi f.
+    Every pose's nodes go through one b_field call.
     """
-    return 2.0 * np.abs(_flux_coefficients(coil, sensor, poses)) * _peak_current_rate(coil, train)
+    rate = train.intensity_fraction * coil.peak_current_a * 2.0 * np.pi * train.pulse_frequency_hz
+    return 2.0 * np.abs(_flux_coefficients(coil, sensor, poses)) * rate
 
 
 def displacement_sweep(coil: CoilModel, sensor: SensorModel, direction,

@@ -31,7 +31,7 @@ CANONICAL_EDGES = {
     ("H", "b"): "plan",
 }
 
-DEFAULT_SNAPSHOT_SKEW_MS = 50.0
+SNAPSHOT_SKEW_MS = 50.0  # tracked-edge timestamps spread wider than this raise
 
 # flips the planned outward z into the coil's into-the-head z
 # (180 degrees about the pose x-axis)
@@ -132,24 +132,23 @@ def chain(graph: FrameGraph, from_frame: str, to_frame: str) -> RigidTransform:
 def solve_commanded_end_effector(
     graph: FrameGraph,
     plan: PlanPose,
-    snapshot_skew_ms: float = DEFAULT_SNAPSHOT_SKEW_MS,
 ) -> RigidTransform:
     """Desired {R->E*} that lands the coil on the planned pose.
 
     Uses the current snapshot to recover the robot-base-to-tracker
     transform, then chains the head-side edges and the plan, flipping the
     planned outward z into the coil's approach direction. Tracked edges
-    whose timestamps spread beyond snapshot_skew_ms raise StaleSnapshot.
+    whose timestamps spread beyond SNAPSHOT_SKEW_MS raise StaleSnapshot.
     """
     stamps = [
         e.timestamp_ms
         for (pair, e) in graph.edges.items()
         if e.timestamp_ms is not None and CANONICAL_EDGES[pair] in ("sensor", "tracker")
     ]
-    if stamps and (max(stamps) - min(stamps)) > snapshot_skew_ms:
+    if stamps and (max(stamps) - min(stamps)) > SNAPSHOT_SKEW_MS:
         raise StaleSnapshot(
             f"tracked-edge timestamps spread {max(stamps) - min(stamps):.1f} ms "
-            f"(bound {snapshot_skew_ms} ms)"
+            f"(bound {SNAPSHOT_SKEW_MS} ms)"
         )
     r_e = graph.edge("R", "E")
     e_cr = graph.edge("E", "Cr")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, islice
 
 import numpy as np
 
@@ -397,8 +397,9 @@ def load_stl(path) -> TriangleMesh:
     the file into facet records and the text between them, where one rule reads
     every name: it runs to its line end, across any record on that line, unless
     it ends before a word ``facet`` followed on the line by ``outer loop`` or a
-    record. A record inside a name is name text. A keyword left in that text or in
-    a vertex spelling names the facet after the last whole record before it.
+    record. A record inside a name is name text, but one that goes on past the
+    name's line end is a broken facet. A keyword left in that text or in a vertex
+    spelling names the facet after the last whole record before it.
     Vertices are merged by exact coordinate value, in first-occurrence order, so
     the result is an indexed mesh. Degenerate facets raise.
     """
@@ -429,8 +430,12 @@ def load_stl(path) -> TriangleMesh:
     spellings.update(zip(spellings, count()))  # spelling -> id, in first use
     corners = np.fromiter(map(spellings.__getitem__, parts), np.int64, len(parts))
     n = len(corners) // 3
-    bad = []  # a keyword outside a record's own: the facet after the whole records before it
-    if _holds_keyword(gaps):
+    bad = []  # each fault as the facet after the whole records before it
+    if in_names:  # a name ends at its line end, so a record it holds that spans one is broken
+        held = [i for first, k in in_names for i in range(first, first + k)]
+        spans = [b"\n" in r[0] for r in islice(_STL_FACET_RE.finditer(data), held[-1] + 1)]
+        bad += [i - before for before, i in enumerate(held) if spans[i]]
+    if _holds_keyword(gaps):  # a keyword outside a record's own
         bad.append(gaps.count(b"\0", 0, _STL_KEYWORD_RE.search(gaps).start()))
     if _holds_keyword(b"\0".join(spellings)):
         joined = b"\0".join(parts)

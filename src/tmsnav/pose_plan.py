@@ -40,7 +40,7 @@ from .transforms import RigidTransform, as_vec3
 
 DEGENERATE_CROSS_MM2 = 2e-9  # matches the mesh degenerate-area bound
 TAIL_PROJECTION_MIN_MM = 1e-9
-DEFAULT_SURFACE_BOUND_MM = 50.0
+SURFACE_BOUND_MM = 50.0  # a two-point center farther than this from its mesh raises
 
 # Footprint half-extents (x, y) of a flat figure-8 coil, used only for
 # the secant-plane collision warning of the cortex-oriented strategy.
@@ -82,6 +82,8 @@ class PoseConstraintInput:
             object.__setattr__(self, "plane_points", tuple(map(as_vec3, self.plane_points)))
         if self.tail_point is not None:
             object.__setattr__(self, "tail_point", as_vec3(self.tail_point))
+        if two and np.array_equal(self.center, self.tail_point):
+            raise DegenerateTail("tail point coincides with the center point")
 
     @classmethod
     def four_point(cls, center, p, p1, p2, tail: str = "p1") -> "PoseConstraintInput":
@@ -99,11 +101,7 @@ class PoseConstraintInput:
     @classmethod
     def two_point(cls, center, tail_point) -> "PoseConstraintInput":
         """Center and tail only; the containing mesh triangle fixes the plane."""
-        c = as_vec3(center)
-        t = as_vec3(tail_point)
-        if np.array_equal(c, t):
-            raise DegenerateTail("tail point coincides with the center point")
-        return cls(ConstraintKind.TWO_POINT, c, None, t, None)
+        return cls(ConstraintKind.TWO_POINT, center, None, tail_point, None)
 
 
 @dataclass(frozen=True)
@@ -153,7 +151,6 @@ def _plane_normal(p: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
 def pose_from_constraint(
     constraint: PoseConstraintInput,
     mesh: TriangleMesh | None = None,
-    surface_bound_mm: float = DEFAULT_SURFACE_BOUND_MM,
 ) -> PlanPose:
     """Extract a full pose from a point constraint.
 
@@ -167,10 +164,10 @@ def pose_from_constraint(
             raise ValidationError("a two-point constraint needs the mesh it is placed on: "
                                   "the skin for free-skin, the cortex for the cortex strategies")
         hit = closest_point(mesh, constraint.center)
-        if np.linalg.norm(constraint.center - hit.point) > surface_bound_mm:
+        if np.linalg.norm(constraint.center - hit.point) > SURFACE_BOUND_MM:
             raise TargetOffSurface(
                 f"center is {np.linalg.norm(constraint.center - hit.point):.1f} mm "
-                f"from the mesh (bound {surface_bound_mm} mm)"
+                f"from the mesh (bound {SURFACE_BOUND_MM} mm)"
             )
         n = triangle_normal(mesh, hit.triangle_id)
         y_raw = constraint.tail_point - constraint.center
@@ -189,17 +186,15 @@ def pose_from_constraint(
 def free_skin_pose(
     skin: TriangleMesh | None,
     constraint: PoseConstraintInput,
-    surface_bound_mm: float = DEFAULT_SURFACE_BOUND_MM,
 ) -> PlanPose:
     """Skin-only plan: perpendicular to the scalp, no cortex geometry."""
-    return pose_from_constraint(constraint, skin, surface_bound_mm)
+    return pose_from_constraint(constraint, skin)
 
 
 def restricted_cortex_pose(
     cortex: TriangleMesh | None,
     skin: TriangleMesh,
     cortex_constraint: PoseConstraintInput,
-    surface_bound_mm: float = DEFAULT_SURFACE_BOUND_MM,
 ) -> PlanPose:
     """Cortex-tangential plan projected outward onto the skin.
 
@@ -207,7 +202,7 @@ def restricted_cortex_pose(
     cuts the skin; a collision warning is set when any footprint corner
     ends up inside the skin surface (`mesh.contains_point`).
     """
-    cortex_pose = pose_from_constraint(cortex_constraint, cortex, surface_bound_mm)
+    cortex_pose = pose_from_constraint(cortex_constraint, cortex)
     n = cortex_pose.pose.rotation[:, 2]
     hit = ray_intersect(skin, cortex_pose.pose.translation, n)
     if hit is None:
@@ -231,10 +226,9 @@ def closest_skin_pose(
     cortex: TriangleMesh | None,
     skin: TriangleMesh,
     cortex_constraint: PoseConstraintInput,
-    surface_bound_mm: float = DEFAULT_SURFACE_BOUND_MM,
 ) -> PlanPose:
     """Skin-tangential plan at the skin point nearest the cortex target."""
-    cortex_pose = pose_from_constraint(cortex_constraint, cortex, surface_bound_mm)
+    cortex_pose = pose_from_constraint(cortex_constraint, cortex)
     hit = closest_point(skin, cortex_pose.pose.translation)
     n = triangle_normal(skin, hit.triangle_id)
     rotation = _frame_from_normal_and_tail(n, cortex_pose.pose.rotation[:, 1])

@@ -105,16 +105,6 @@ class RegistrationResult:
     icp_plane_sv_ratio: float | None = None
 
 
-def _gate(pairpoint: float | None, icp: float | None,
-          pairpoint_threshold: float, icp_threshold: float) -> bool:
-    ok = True
-    if pairpoint is not None:
-        ok &= pairpoint <= pairpoint_threshold
-    if icp is not None:
-        ok &= icp <= icp_threshold
-    return bool(ok)
-
-
 def solve_rigid(source: np.ndarray, target: np.ndarray) -> RigidTransform:
     """Least-squares rigid fit mapping source points onto target points.
 
@@ -135,7 +125,6 @@ def solve_rigid(source: np.ndarray, target: np.ndarray) -> RigidTransform:
 def pairpoint_register(
     landmarks: LandmarkSet,
     pairpoint_threshold_mm: float = PAIRPOINT_ACCEPT_MM,
-    icp_threshold_mm: float = ICP_ACCEPT_MM,
 ) -> RegistrationResult:
     """Closed-form landmark registration with the residual acceptance gate."""
     t = solve_rigid(landmarks.probe_points, landmarks.image_points)
@@ -145,7 +134,7 @@ def pairpoint_register(
         transform=t,
         pairpoint_residual_mean=mean,
         icp_residual_mean=None,
-        accepted=_gate(mean, None, pairpoint_threshold_mm, icp_threshold_mm),
+        accepted=bool(mean <= pairpoint_threshold_mm),
     )
 
 
@@ -245,8 +234,8 @@ def icp_refine(
         transform=current,
         pairpoint_residual_mean=pairpoint_residual_mean,
         icp_residual_mean=icp_mean,
-        accepted=_gate(pairpoint_residual_mean, icp_mean,
-                       pairpoint_threshold_mm, icp_threshold_mm),
+        accepted=bool(icp_mean <= icp_threshold_mm and (
+            pairpoint_residual_mean is None or pairpoint_residual_mean <= pairpoint_threshold_mm)),
         iterations=iterations,
         converged=converged,
         residual_history=tuple(history),

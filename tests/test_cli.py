@@ -287,6 +287,16 @@ def test_plan_off_surface_is_domain_error(project, tmp_path):
     assert code == EXIT_REJECTED
 
 
+def test_plan_two_point_tail_at_the_center_is_domain_error(project, tmp_path, capsys):
+    # a constraint read from JSON gets the same check as PoseConstraintInput.two_point
+    write_json(tmp_path / "same.json", {"constraint_kind": "two_point", "center": [0, 0, 70],
+                                        "tail_point": [0, 0, 70]})
+    code = run(project, f"--out={tmp_path}", "plan", "--strategy=free-skin",
+               f"--constraint={tmp_path / 'same.json'}")
+    assert code == EXIT_REJECTED
+    assert "tail point coincides with the center point" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def constraints(project):
     """The two-point constraint and cortex-crown three- and four-point ones, which carry

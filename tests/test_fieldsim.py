@@ -15,7 +15,6 @@ from tmsnav.fieldsim import (
     _flux_coefficients,
     b_field,
     displacement_sweep,
-    induced_voltage,
     peak_to_peak_voltages,
 )
 from tmsnav.transforms import RigidTransform, rotation_about_axis
@@ -196,7 +195,7 @@ def test_induced_voltage_and_sweep_match_reference():
                 coil.pose.apply([20.0, 3.0, -20.0]),
             ))
             ref = reference_peak_to_peak(coil, sensor, train)
-            vpp = induced_voltage(coil, sensor, train).peak_to_peak_v
+            vpp = peak_to_peak_voltages(coil, sensor, [sensor.pose], train)[0]
             assert np.abs(vpp - ref).max() <= 1e-12 * np.abs(ref).max()
             direction = coil.pose.rotation[:, 0]
             table = displacement_sweep(coil, sensor, direction, [0.0, 4.0, 8.0], train)
@@ -213,8 +212,8 @@ def test_sweep_rows_match_per_offset_calls():
     direction = coil.pose.rotation @ np.array([0.6, 0.8, 0.0])
     offsets = np.linspace(0.0, 10.0, 11)
     rows = np.array(displacement_sweep(coil, sensor, direction, offsets)["rows"])
-    single = np.array([induced_voltage(coil, sensor.displaced(off * direction), PulseTrain())
-                       .peak_to_peak_v for off in offsets])
+    moved = [sensor.displaced(off * direction).pose for off in offsets]
+    single = np.array([peak_to_peak_voltages(coil, sensor, [p], PulseTrain())[0] for p in moved])
     np.testing.assert_array_equal(rows[:, 0], offsets)
     assert np.abs(rows[:, 1:] - single).max() <= 1e-13 * np.abs(single).max()
 
@@ -233,8 +232,7 @@ def test_batch_blocks_across_poses_match_per_pose_calls(segments, quadrature):
     single = np.concatenate([_flux_coefficients(coil, sensor, [p], *quadrature) for p in poses])
     assert np.abs(batch - single).max() <= 1e-13 * np.abs(single).max()
     vpp = peak_to_peak_voltages(coil, sensor, poses, PulseTrain())
-    ref = np.array([induced_voltage(coil, replace(sensor, pose=p), PulseTrain()).peak_to_peak_v
-                    for p in poses])
+    ref = np.array([peak_to_peak_voltages(coil, sensor, [p], PulseTrain())[0] for p in poses])
     assert np.abs(vpp - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -427,17 +425,17 @@ def test_flux_vs_vector_potential_rim_oracle():
 
 def test_zero_intensity_zero_output():
     coil = CoilModel(segments_per_loop=128)
-    trace = induced_voltage(coil, sensor_at(-20.0), PulseTrain(intensity_fraction=0.0))
-    assert np.all(trace.peak_to_peak_v == 0.0)
-    assert np.all(trace.emf_v == 0.0)
+    sensor = sensor_at(-20.0)
+    vpp = peak_to_peak_voltages(coil, sensor, [sensor.pose], PulseTrain(intensity_fraction=0.0))[0]
+    assert np.all(vpp == 0.0)
 
 
 def test_peak_to_peak_linear_in_intensity():
     coil = CoilModel(segments_per_loop=128)
     sensor = sensor_at(-20.0)
-    lo = induced_voltage(coil, sensor, PulseTrain(intensity_fraction=0.15))
-    hi = induced_voltage(coil, sensor, PulseTrain(intensity_fraction=0.30))
-    np.testing.assert_allclose(hi.peak_to_peak_v, 2.0 * lo.peak_to_peak_v, rtol=1e-12)
+    lo = peak_to_peak_voltages(coil, sensor, [sensor.pose], PulseTrain(intensity_fraction=0.15))[0]
+    hi = peak_to_peak_voltages(coil, sensor, [sensor.pose], PulseTrain(intensity_fraction=0.30))[0]
+    np.testing.assert_allclose(hi, 2.0 * lo, rtol=1e-12)
 
 
 def test_primary_peak_to_peak_closed_form():
@@ -445,21 +443,10 @@ def test_primary_peak_to_peak_closed_form():
                                  peak_current_a=3000.0)
     sensor = sensor_at(-20.0)
     train = PulseTrain(intensity_fraction=0.3, pulse_frequency_hz=4000.0)
-    trace = induced_voltage(coil, sensor, train)
+    vpp = peak_to_peak_voltages(coil, sensor, [sensor.pose], train)[0]
     k = flux_coefficient(coil, sensor, 0)
     expected = 2.0 * abs(k) * 0.3 * 3000.0 * 2.0 * np.pi * 4000.0
-    assert trace.peak_to_peak_v[0] == pytest.approx(expected, rel=1e-12)
-    # sampled waveform: cosine envelope, amplitude = half the peak-to-peak
-    assert trace.emf_v.shape[1] == 65
-    assert np.abs(trace.emf_v[0]).max() == pytest.approx(expected / 2.0, rel=1e-12)
-
-
-def test_time_series_sampling_rate():
-    coil = CoilModel(segments_per_loop=128)
-    trace = induced_voltage(coil, sensor_at(-20.0), PulseTrain(), samples_per_cycle=32)
-    dt = np.diff(trace.times_s)
-    assert np.allclose(dt, dt[0])
-    assert 1.0 / dt[0] >= 20.0 * 4000.0  # at least 20 samples per carrier cycle
+    assert vpp[0] == pytest.approx(expected, rel=1e-12)
 
 
 # --- displacement sweep --------------------------------------------------------------
@@ -529,6 +516,6 @@ def test_select_hotspot_finds_pose_nearest_sensor():
             plan.pose.rotation @ np.diag([1.0, -1.0, -1.0]), plan.pose.translation
         )
         coil = CoilModel.single_loop(35.0, segments_per_loop=128, pose=coil_pose)
-        responses.append(induced_voltage(coil, sensor, PulseTrain()).peak_to_peak_v[0])
+        responses.append(peak_to_peak_voltages(coil, sensor, [sensor.pose], PulseTrain())[0, 0])
     idx, best = select_hotspot(grid, responses)
     np.testing.assert_allclose(best.pose.translation[:2], sensor_xy, atol=1e-9)

@@ -171,18 +171,21 @@ def test_solve_missing_edge():
 
 
 def test_solve_stale_snapshot():
+    # the bound is SNAPSHOT_SKEW_MS = 50 ms, and a spread equal to it passes
     rng = np.random.default_rng(60)
-    edges = {}
-    for pair, prov in CANONICAL_EDGES.items():
-        stamp = None
-        if prov in ("sensor", "tracker"):
-            stamp = 0.0 if pair != ("O", "Hr") else 80.0
-        edges[pair] = GraphEdge(random_transform(rng), prov, stamp)
-    graph = FrameGraph(edges)
-    with pytest.raises(StaleSnapshot):
-        solve_commanded_end_effector(graph, random_plan(rng))
-    # a looser bound admits the same snapshot
-    solve_commanded_end_effector(graph, random_plan(rng), snapshot_skew_ms=100.0)
+
+    def snapshot(spread_ms):
+        edges = {}
+        for pair, prov in CANONICAL_EDGES.items():
+            stamp = None
+            if prov in ("sensor", "tracker"):
+                stamp = 0.0 if pair != ("O", "Hr") else spread_ms
+            edges[pair] = GraphEdge(random_transform(rng), prov, stamp)
+        return FrameGraph(edges)
+
+    with pytest.raises(StaleSnapshot, match=r"spread 80\.0 ms \(bound 50\.0 ms\)"):
+        solve_commanded_end_effector(snapshot(80.0), random_plan(rng))
+    solve_commanded_end_effector(snapshot(50.0), random_plan(rng))
 
 
 def test_solve_regression_fixture_is_byte_stable():

@@ -625,6 +625,23 @@ def test_stl_one_line_file_without_the_word_facet_is_all_name(tmp_path):
         load_stl(path)
 
 
+@pytest.mark.parametrize("before", ["", "solid b outer loop vertex 5 5 5 vertex 6 5 5 vertex 5 6 5"
+                                    " endloop endfacet\n"], ids=["alone", "after_a_held_record"])
+def test_stl_record_held_by_a_name_past_its_line_end_names_the_facet(tmp_path, before):
+    # the endsolid name ends at its line end, inside the record that starts on its line,
+    # so that record is a broken facet as if its outer loop were gone; a one-line record
+    # that an earlier name holds is name text and is not counted
+    facet = ("facet normal 0 0 1\nouter loop\nvertex 0 0 0\nvertex 1 0 0\nvertex 0 1 0\n"
+             "endloop\nendfacet\n")
+    head = f"solid x\n{facet}{before}{facet}facet normal 0 0 1\n"
+    rest = "vertex 2 0 0\nvertex 3 0 0\nvertex 2 1 0\nendloop\nendfacet\n"
+    path = tmp_path / "held.stl"
+    for last in ("endsolid x outer loop\n", "endsolid x\n"):  # the record, or no record
+        path.write_text(head + last + rest)
+        with pytest.raises(MeshValidationError, match="facet 2 is not one loop"):
+            load_stl(path)
+
+
 def test_stl_rejects_binary_like_input(tmp_path):
     path = tmp_path / "bad.stl"
     good = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]

@@ -132,12 +132,14 @@ def test_tail_parallel_to_normal_raises():
 
 
 def test_center_beyond_sanity_bound_raises():
+    # the bound is SURFACE_BOUND_MM = 50 mm from the mesh, whose nearest point is the origin
     mesh = grid_patch(4, 4, spacing=10.0)
-    c = PoseConstraintInput.two_point([0.0, 0.0, 80.0], [5.0, 0.0, 80.0])
-    with pytest.raises(TargetOffSurface):
-        pose_from_constraint(c, mesh)
-    # configurable bound
-    plan = pose_from_constraint(c, mesh, surface_bound_mm=100.0)
+    for height in (51.0, 80.0):
+        c = PoseConstraintInput.two_point([0.0, 0.0, height], [5.0, 0.0, height])
+        with pytest.raises(TargetOffSurface, match=r"\(bound 50\.0 mm\)"):
+            pose_from_constraint(c, mesh)
+    plan = pose_from_constraint(PoseConstraintInput.two_point([0.0, 0.0, 49.0], [5.0, 0.0, 49.0]),
+                                mesh)
     np.testing.assert_allclose(plan.pose.translation, [0, 0, 0], atol=1e-12)
 
 

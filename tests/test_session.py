@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tmsnav.fieldsim import CoilModel, PulseTrain, SensorModel, induced_voltage
+from tmsnav.fieldsim import CoilModel, PulseTrain, SensorModel, peak_to_peak_voltages
 from tmsnav.pose_plan import PlanPose, PoseConstraintInput, Strategy, pose_from_constraint
 from tmsnav.session import (
     ActuationModel,
@@ -116,8 +116,8 @@ def test_holding_voltages_match_per_train_induced_voltage(actuation):
     train = PulseTrain()
     model = getattr(ActuationModel, actuation)(17)
     record = run_holding_session(plan, model, coil, sensor, train)
-    single = np.array([induced_voltage(replace(coil, pose=s.measured), sensor, train)
-                       .peak_to_peak_v for s in record.samples])
+    single = np.array([peak_to_peak_voltages(replace(coil, pose=s.measured), sensor,
+                                             [sensor.pose], train)[0] for s in record.samples])
     assert record.voltages_vpp.shape == single.shape == (20, 3)
     assert np.abs(record.voltages_vpp - single).max() <= 1e-13 * np.abs(single).max()
 
