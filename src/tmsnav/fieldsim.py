@@ -1,15 +1,18 @@
 """Quasi-static magnetic model of a figure-8 coil and inductive sensors.
 
-The coil is discretized into straight wire segments per wing, lying in
-the z = 0 plane of the coil frame. `b_field` moves the evaluation points
-into that frame with one rigid transform and sums each wing's
-Biot-Savart midpoint sum in that wing's centred frame, in blocks of
-points: a block's squared pair distances come from one matrix product,
-|q|^2 + |m|^2 - 2 q.m, and pairs nearer than 5 mm are taken again from
-exact differences. A point within 0.1 mm of any segment raises
-SingularEvaluation; the exact point-to-segment distance is computed only
-for pairs whose midpoint distance is below half the segment length plus
-that clearance. Coil and sensor poses must be rigid.
+The coil is discretized into straight wire segments per wing, a regular
+N-gon in the z = 0 plane of the coil frame. `b_field` moves the
+evaluation points into that frame with one rigid transform and takes
+each wing's Biot-Savart midpoint sum in that wing's centred frame. Away
+from the wire that sum is a periodic trapezoid rule and equals its
+closed-form limit to rounding: N tan(pi/N)/pi times the field of the
+circle through the segment midpoints, from the complete elliptic
+integrals by the arithmetic-geometric mean. Points near the wire are
+summed over the segments from exact differences, and one within 0.1 mm
+of any segment raises SingularEvaluation. Every step works point by
+point, so a point's field does not depend on the rest of its batch, and
+only the 3x3 pose products go through BLAS. Coil and sensor poses must
+be rigid.
 
 Sensor flux is a polar quadrature of B over each winding disc. The nodes
 of every axis and every sensor pose go through one `b_field` call, so a
@@ -33,12 +36,13 @@ from .transforms import RigidTransform, check_rigid
 MU0 = 4e-7 * np.pi  # T*m/A
 WIRE_CLEARANCE_MM = 0.1
 MIN_SEGMENTS_PER_LOOP = 64
-# cap on each point x segment temporary in b_field; cache-sized blocks
-# ran fastest
+# a point whose integrand around an N-gon wing is analytic in a strip of
+# half-width _FAR_STRIP / N (and that is clear of the wire) takes the wing's
+# closed-form limit: the midpoint sum then differs from it by about
+# exp(-_FAR_STRIP) relative, far below rounding (see _wing_sum)
+_FAR_STRIP = 40.0
+# cap on each point x segment temporary of the segment sum
 _BLOCK_ELEMENTS = 2**14
-# pairs nearer than this (mm^2) get r^2 again from exact differences: the
-# expanded form's rounding, relative to r^2, grows as (|q|^2 + |m|^2) / r^2
-_EXACT_R2_MM2 = 25.0
 # sensor-frame column of each winding normal: primary z, then x and y
 _AXIS_COLUMN = (2, 0, 1)
 VOLTAGE_COLUMNS = ("primary_vpp", "secondary1_vpp", "secondary2_vpp")  # one per axis, as above
@@ -162,69 +166,152 @@ class PulseTrain:
 def b_field(coil: CoilModel, points, current_a: float | None = None) -> np.ndarray:
     """Magnetic field at one point (3,) or a batch (N, 3), in tesla.
 
-    Discretized Biot-Savart line sum over both wings at the given current
-    (peak current by default), evaluated in the coil frame, each wing in
-    its centred frame. Points closer than 0.1 mm to any wire segment raise
-    SingularEvaluation.
+    Discretized Biot-Savart midpoint sum over both wings at the given
+    current (peak current by default), evaluated in the coil frame, each
+    wing in its centred frame. Away from a wing's wire the sum is taken
+    from its closed-form limit, which it equals to rounding; near the wire
+    it is summed segment by segment (see `_wing_sum`). Points closer than
+    0.1 mm to any wire segment raise SingularEvaluation.
     """
     p = np.asarray(points, dtype=float)
     single = p.ndim == 1
     rot = coil.pose.rotation
     q = (p.reshape(-1, 3) - coil.pose.translation) @ rot  # coil frame, mm
     out = np.zeros_like(q)
-    for offset, mids, dls in coil.wings():
-        out += _wing_sum(q - [offset, 0.0, 0.0], mids, dls)
+    for (offset, mids, dls), sense in zip(coil.wings(), coil.wing_senses):
+        out += _wing_sum(q - [offset, 0.0, 0.0], coil.loop_radius_mm, sense, mids, dls)
     current = coil.peak_current_a if current_a is None else current_a
     # r and dl in mm: the sum carries a factor 1e3 against SI units
     out = (MU0 * current * coil.loop_turns / (4.0 * np.pi) * 1e3) * (out @ rot.T)
     return out[0] if single else out
 
 
-def _wing_sum(q, mids, dls) -> np.ndarray:
-    """Sum of dl x r / |r|^3 over one wing's segments at each point, (N, 3).
+def _wing_sum(q, radius, sense, mids, dls) -> np.ndarray:
+    """Sum of dl x r / |r|^3 over one wing's N segments at each point, (len(q), 3).
 
-    q and mids are in the wing's centred frame, where |q| and |m| are
-    smallest, so the expansion r^2 = |q|^2 + |m|^2 - 2 q.m loses least.
+    q is in the wing's centred frame; mids and dls traverse the wing in its
+    sense. The midpoints lie at equal angles on the circle of radius
+    a = R cos(pi/N), so the sum is N tan(pi/N) / pi times the N-point
+    periodic trapezoid rule of that circle's line integral. At distance s
+    from the axis and height z the integrand is analytic in the strip
+    |Im angle| < acosh((s^2 + a^2 + z^2) / (2 s a)), and the rule's error
+    falls as exp(-N times that half-width) (Trefethen & Weideman, SIAM Rev.
+    56(3), 2014). Points whose half-width is at least _FAR_STRIP / N, and
+    that lie farther from the wire's circle than the clearance plus the
+    polygon's sagitta (so no segment is within the clearance), take the
+    closed form; the others take the segment sum and its clearance check.
+    """
+    n = len(mids)
+    x, y, z = q.T
+    s = np.sqrt(x * x + y * y)
+    a = radius * np.cos(np.pi / n)
+    alpha2 = (s - a) ** 2 + z * z
+    # s^2 + a^2 + z^2 >= 2 s a cosh(T / N), as alpha^2 >= 2 s a (cosh(T / N) - 1)
+    far = alpha2 >= (4.0 * a * np.sinh(0.5 * _FAR_STRIP / n) ** 2) * s
+    gap = WIRE_CLEARANCE_MM + 2.0 * radius * np.sin(0.5 * np.pi / n) ** 2  # plus the sagitta
+    far &= (s - radius) ** 2 + z * z > (gap * (1.0 + 1e-9)) ** 2
+    scale = sense * n * np.tan(np.pi / n) / np.pi
+    if far.all():
+        return _loop_sum(q, s, alpha2, a, n, scale)
+    out = np.empty_like(q)
+    out[far] = _loop_sum(q[far], s[far], alpha2[far], a, n, scale)
+    out[~far] = _segment_sum(q[~far], mids, dls)
+    return out
+
+
+def _loop_sum(q, s, alpha2, a, n, scale) -> np.ndarray:
+    """scale times the line integral of dl x r / |r|^3 around the circle of radius a in z = 0.
+
+    s is each point's distance from the axis, alpha2 = (s - a)^2 + z^2 its
+    squared distance from the circle's nearest point. With
+    beta2 = (s + a)^2 + z^2, m = 4 a s / beta2 = 1 - kc^2 and the complete
+    elliptic integrals K and E of parameter m, the integral is
+        16 a^2 z G / (alpha2 beta2^1.5) * (x, y) across the axis and
+        4 a / beta2^1.5 * (2 a D + 4 a s (a - s) G / alpha2) along it,
+    where D = (K - E) / m and G = (E - kc^2 K - m kc^2 D) / m^2 are the
+    integrals over a quarter period of sin^2 / Delta and kc^2 sin^4 / Delta^3,
+    Delta^2 = 1 - m sin^2. Both are positive, so no difference of K and E
+    cancels near the axis (the textbook form divides one by s). They come
+    without a subtraction from the arithmetic-geometric mean of 1 and kc,
+    the means A_k and B_k: with c_0^2 = m, c_k = (A_{k-1} - B_{k-1}) / 2 =
+    c_{k-1}^2 / (4 A_k) and t the sum over k >= 1 of 2^(k-1) (c_k / m)^2,
+    K = pi / (2 A_inf), D = K (1/2 + m t) and G = K (1/2 - (2 - m) t).
+    """
+    x, y, z = q.T
+    four_as = (4.0 * a) * s
+    beta2 = alpha2 + four_as
+    m = four_as / beta2
+    kc = np.sqrt(alpha2 / beta2)
+    arith = 0.5 * (1.0 + kc)
+    geom = np.sqrt(kc)
+    quarter_m = 0.25 * m
+    u = 0.25 / arith  # c_1 / m
+    t = u * u
+    for k in range(1, _agm_steps(n)):
+        arith, geom = 0.5 * (arith + geom), np.sqrt(arith * geom)
+        u = quarter_m * u * u / arith
+        t += 2.0**k * u * u
+    k_half = (0.25 * np.pi) / arith  # K / 2
+    d = k_half * (1.0 + 2.0 * m * t)
+    g = k_half * (1.0 - 2.0 * (2.0 - m) * t) / alpha2  # G / alpha2
+    along = (4.0 * a * scale) / (beta2 * np.sqrt(beta2))
+    across = (4.0 * a) * z * g * along
+    out = np.empty_like(q)
+    out[:, 0] = across * x
+    out[:, 1] = across * y
+    out[:, 2] = along * ((2.0 * a) * d + four_as * (a - s) * g)
+    return out
+
+
+def _agm_steps(n) -> int:
+    """AGM steps after which t and A_inf of every far point of an n-gon are exact to rounding.
+
+    c_k / m grows with m, and a far point has kc >= tanh(_FAR_STRIP / (2 n)),
+    so the steps that settle that kc settle all.
+    """
+    kc = np.tanh(0.5 * _FAR_STRIP / n)
+    m = 1.0 - kc * kc
+    arith, geom = 0.5 * (1.0 + kc), np.sqrt(kc)
+    u, steps = 0.25 / arith, 1
+    while u > 1e-9:
+        arith, geom = 0.5 * (arith + geom), np.sqrt(arith * geom)
+        u = m * u * u / (4.0 * arith)
+        steps += 1
+    return steps
+
+
+def _segment_sum(q, mids, dls) -> np.ndarray:
+    """Midpoint sum of dl x r / |r|^3 over the segments at each point, (len(q), 3).
+
+    r comes from exact differences and each row is reduced by itself, so a
+    point's sum does not depend on the other points of its batch. Raises
+    SingularEvaluation if a point lies within the clearance of a segment.
     """
     # contiguous rows: broadcasting against strided columns is much slower
     mx, my = np.ascontiguousarray(mids[:, :2].T)
     dlx, dly = np.ascontiguousarray(dls[:, :2].T)
-    # dl and the midpoints lie in z = 0, so with r = q - mid
-    # dl x r = (dly qz, -dlx qz, dlx qy - dly qx + dly mx - dlx my):
-    # three sums of the inverse cubes weighted by per-segment columns
-    weights = np.stack([dlx, dly, dly * mx - dlx * my], axis=1)
     # a pair can only be within the clearance if its midpoint distance is
     # below half the segment length plus the clearance (padded for rounding)
     reach = (0.5 * np.hypot(dlx, dly) + WIRE_CLEARANCE_MM) * (1.0 + 1e-9)
     reach2 = reach * reach
-    exact2 = max(_EXACT_R2_MM2, reach2.max())
-    # r^2 of a block is [|q|^2, 1, qx, qy] @ [1; |m|^2; -2 mx; -2 my] (mz = 0)
-    point_terms = np.column_stack([(q * q).sum(axis=1), np.ones(len(q)), q[:, :2]])
-    segment_terms = np.stack([np.ones_like(mx), mx * mx + my * my, -2.0 * mx, -2.0 * my])
     out = np.empty_like(q)
-    # a power of two: with 128 or more segments per wing a block has at most
-    # 128 rows, so each sensor pose's nodes (128 per winding with the default
-    # quadrature) fill whole blocks and equal poses give equal fields
-    block = 1 << max(0, (_BLOCK_ELEMENTS // len(mids)).bit_length() - 1)
+    block = max(1, _BLOCK_ELEMENTS // len(mids))
     for lo in range(0, len(q), block):
         qb = q[lo:lo + block]
-        r2 = point_terms[lo:lo + block] @ segment_terms
-        if r2.min() < exact2:
-            rows, segs = np.nonzero(r2 < exact2)
-            d = qb[rows] - mids[segs]
-            near2 = (d * d).sum(axis=1)
-            r2[rows, segs] = near2
-            close = near2 < reach2[segs]
-            if close.any():
-                _check_clearance(qb[rows[close]], mids[segs[close]], dls[segs[close]])
+        x, y, z = qb[:, :, None].transpose(1, 0, 2)
+        rx = x - mx
+        ry = y - my
+        r2 = rx * rx + ry * ry + z * z
+        rows, segs = np.nonzero(r2 < reach2)
+        if len(rows):
+            _check_clearance(qb[rows], mids[segs], dls[segs])
         inv3 = np.sqrt(r2)
         inv3 *= r2
         np.divide(1.0, inv3, out=inv3)
-        sx, sy, sc = (inv3 @ weights).T
-        x, y, z = qb.T
-        out[lo:lo + block, 0] = z * sy
-        out[lo:lo + block, 1] = -z * sx
-        out[lo:lo + block, 2] = y * sx - x * sy + sc
+        # dl and the midpoints lie in z = 0: dl x r = (dly z, -dlx z, dlx ry - dly rx)
+        out[lo:lo + block, 0] = z[:, 0] * (inv3 * dly).sum(axis=1)
+        out[lo:lo + block, 1] = -z[:, 0] * (inv3 * dlx).sum(axis=1)
+        out[lo:lo + block, 2] = ((dlx * ry - dly * rx) * inv3).sum(axis=1)
     return out
 
 

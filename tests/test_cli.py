@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -474,6 +477,38 @@ def test_fieldsim_single_loop_keeps_the_configured_turns(project, tmp_path):
         lines = (out / "sweep.csv").read_text().strip().splitlines()[1:]
         primary[turns] = np.array([float(line.split(",")[1]) for line in lines])
     np.testing.assert_allclose(primary[9], 9.0 * primary[1], rtol=1e-12, atol=0.0)
+
+
+# numpy's wheels ship an OpenBLAS built with DYNAMIC_ARCH, which reads the kernel
+# from this variable; an OpenBLAS without it ignores the variable
+BLAS_KERNELS = (None, "Haswell", "Prescott", "SandyBridge")
+RUN_SWEEPS = """
+import sys
+from tmsnav.cli import main
+config, out = sys.argv[1:]
+for name, args in (("sweep8", ["--direction=x"]), ("sweep1", ["--single-loop", "--direction=y"])):
+    assert main([f"--config={config}", f"--out={out}/{name}", "fieldsim", "--standoff=20",
+                 "--offsets=0:10:11", *args]) == 0
+"""
+
+
+def test_fieldsim_sweeps_do_not_depend_on_the_blas_kernel(tmp_path):
+    # the figure-8 and single-loop sweeps of a benchmark-sized coil, each in a
+    # fresh process per kernel; session outputs are left out, since their 3x3
+    # pose products still round differently under different kernels
+    write_json(tmp_path / "config.json", {"coil": {"segments_per_loop": 256}})
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+    sweeps = {}
+    for kernel in BLAS_KERNELS:
+        out = tmp_path / str(kernel)
+        subprocess.run([sys.executable, "-c", RUN_SWEEPS, str(tmp_path / "config.json"), str(out)],
+                       env=dict(env, **({"OPENBLAS_CORETYPE": kernel} if kernel else {})),
+                       check=True)
+        for name in ("sweep8", "sweep1"):
+            sweeps.setdefault(name, set()).add((out / name / "sweep.csv").read_bytes())
+    assert {name: len(files) for name, files in sweeps.items()} == {"sweep8": 1, "sweep1": 1}
 
 
 # --- session / report --------------------------------------------------------------------------

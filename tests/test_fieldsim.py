@@ -7,6 +7,7 @@ import pytest
 from tmsnav.fileio import parse
 from tmsnav.errors import SingularEvaluation
 from tmsnav.fieldsim import (
+    _FAR_STRIP,
     MU0,
     CoilModel,
     PulseTrain,
@@ -184,6 +185,77 @@ def test_clearance_agrees_with_reference(name):
                     b_field(coil, [[0.0, 0.0, 1e3], point])
 
 
+def strip_edge_points(coil, rng, n, gap):
+    """Coil-frame points on s^2 + a^2 + z^2 = 2 s a cosh(T (1 + gap) / N) around a random wing.
+
+    s is the distance from that wing's axis and a = R cos(pi / N) the radius of
+    its segment midpoints; gap = 0 is the edge of the strip beyond which the
+    closed form replaces the segment sum.
+    """
+    segments = coil.segments_per_loop
+    a = coil.loop_radius_mm * np.cos(np.pi / segments)
+    cosh = np.cosh(_FAR_STRIP * (1.0 + gap) / segments)
+    # the edge has a real z only where s^2 + a^2 <= 2 s a cosh
+    reach = cosh + np.sqrt(cosh * cosh - 1.0)
+    s = a * np.exp(rng.uniform(-0.99, 0.99, n) * np.log(reach))
+    z = np.sqrt(np.maximum(2.0 * s * a * cosh - s * s - a * a, 0.0)) * rng.choice([-1.0, 1.0], n)
+    phi = rng.uniform(0.0, 2.0 * np.pi, n)
+    center = rng.choice(np.array(coil.wing_offsets()), size=n)
+    return np.stack([center + s * np.cos(phi), s * np.sin(phi), z], axis=1)
+
+
+@pytest.mark.parametrize("segments", [64, 128, 256, 1024])
+@pytest.mark.parametrize("single", [True, False], ids=["loop", "figure8"])
+def test_b_field_at_the_strip_edge_matches_world_frame_reference(segments, single):
+    rng = np.random.default_rng(82)
+    coil = CoilModel(segments_per_loop=segments)
+    if single:
+        coil = CoilModel.single_loop(35.0, loop_turns=3, segments_per_loop=segments)
+    coil = replace(coil, pose=random_transform(rng))
+    for gap in (-1e-9, 1e-9, -1e-2, 1e-2):  # just inside, just outside
+        pts = coil.pose.apply(strip_edge_points(coil, rng, 100, gap))
+        ref = reference_b_field(coil, pts)
+        b = b_field(coil, pts)
+        assert np.abs(b - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("rho", [0.0, 1e-9, 1e-6, 1e-3])
+def test_b_field_beside_a_wing_axis_matches_reference_per_point(rho):
+    # the transverse field there is a difference of two nearly equal elliptic
+    # terms in the textbook closed form, divided by rho
+    for coil in (CoilModel.single_loop(35.0, loop_turns=3), CoilModel(segments_per_loop=128)):
+        for center in coil.wing_offsets():
+            for z in (-20.0, 5.0, 60.0):
+                point = [center + 0.6 * rho, -0.8 * rho, z]
+                ref = reference_b_field(coil, point)
+                b = b_field(coil, point)
+                assert np.abs(b - ref).max() <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_fine_polygon_point_near_the_wire_raises():
+    # with 2^17 segments the strip reaches within 0.011 mm of the wire: the
+    # clearance guard, not the strip, must send this point to the segment sum
+    coil = CoilModel.single_loop(35.0, segments_per_loop=2**17)
+    phi = 0.3
+    for radial, z in ((35.05, 0.0), (35.0, 0.05), (34.95, 0.0)):
+        point = [radial * np.cos(phi), radial * np.sin(phi), z]
+        with pytest.raises(SingularEvaluation):
+            b_field(coil, point)
+
+
+def test_b_field_row_does_not_depend_on_its_place_in_the_batch():
+    rng = np.random.default_rng(83)
+    coil = replace(CoilModel(), pose=random_transform(rng))
+    # every point far (10 mm or more below the winding plane), then every point near
+    far = rng.uniform([-90.0, -60.0, -40.0], [90.0, 60.0, -10.0], size=(5001, 3))
+    near = near_wire_points(coil, rng, 6000)[:5001]
+    for local in (far, near):
+        for point in local[1:11].copy():
+            local[[0, 5000]] = point
+            b = b_field(coil, coil.pose.apply(local))
+            np.testing.assert_array_equal(b[0], b[5000])
+
+
 def test_induced_voltage_and_sweep_match_reference():
     rng = np.random.default_rng(77)
     train = PulseTrain()
@@ -220,8 +292,8 @@ def test_sweep_rows_match_per_offset_calls():
 
 @pytest.mark.parametrize("segments, quadrature", [(64, (8, 16)), (256, (5, 7))])
 def test_batch_blocks_across_poses_match_per_pose_calls(segments, quadrature):
-    # 64 segments per wing give 256-row blocks, 5 x 7 nodes give 105-node discs:
-    # either way block boundaries fall inside a pose's nodes
+    # with 64 segments per wing about half the nodes take the segment sum, in
+    # 256-row blocks that end inside a pose's nodes; with 256 all take the closed form
     rng = np.random.default_rng(80)
     coil = CoilModel(segments_per_loop=segments)
     sensor = SensorModel()
