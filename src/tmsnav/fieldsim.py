@@ -11,27 +11,29 @@ integrals by the arithmetic-geometric mean. Points near the wire are
 summed over the segments from exact differences, and one within 0.1 mm
 of any segment raises SingularEvaluation. Every step works point by
 point, so a point's field does not depend on the rest of its batch, and
-only the 3x3 pose products go through BLAS. Coil and sensor poses must
-be rigid.
+the pose products are fixed-order sums (`matmul3`), so no value goes
+through BLAS or depends on its kernel. Coil and sensor poses must be
+rigid.
 
 Sensor flux is a polar quadrature of B over each winding disc. The nodes
 of every axis and every sensor pose go through one `b_field` call, so a
 holding session or a displacement sweep evaluates the field once.
 `peak_to_peak_voltages` gives each axis's peak-to-peak EMF, the flux
 coefficient times the peak dI/dt of a one-cycle biphasic pulse, for
-one sensor pose or many. Everything is linear in current and turns by
-construction; geometry is in millimeters, fields in tesla.
+one sensor pose or many, given as rotation and translation arrays.
+Everything is linear in current and turns by construction; geometry is
+in millimeters, fields in tesla.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .errors import SingularEvaluation, ValidationError
-from .transforms import RigidTransform, check_rigid
+from .transforms import RigidTransform, check_rigid, matmul3
 
 MU0 = 4e-7 * np.pi  # T*m/A
 WIRE_CLEARANCE_MM = 0.1
@@ -138,12 +140,6 @@ class SensorModel:
     def n_axes(self) -> int:
         return 1 if self.kind is SensorKind.SENSOR_2D else 3
 
-    def displaced(self, offset_vector) -> "SensorModel":
-        moved = RigidTransform(
-            self.pose.rotation, self.pose.translation + np.asarray(offset_vector, float)
-        )
-        return replace(self, pose=moved)
-
 
 @dataclass(frozen=True)
 class PulseTrain:
@@ -176,13 +172,13 @@ def b_field(coil: CoilModel, points, current_a: float | None = None) -> np.ndarr
     p = np.asarray(points, dtype=float)
     single = p.ndim == 1
     rot = coil.pose.rotation
-    q = (p.reshape(-1, 3) - coil.pose.translation) @ rot  # coil frame, mm
+    q = matmul3(p.reshape(-1, 3) - coil.pose.translation, rot)  # coil frame, mm
     out = np.zeros_like(q)
     for (offset, mids, dls), sense in zip(coil.wings(), coil.wing_senses):
         out += _wing_sum(q - [offset, 0.0, 0.0], coil.loop_radius_mm, sense, mids, dls)
     current = coil.peak_current_a if current_a is None else current_a
     # r and dl in mm: the sum carries a factor 1e3 against SI units
-    out = (MU0 * current * coil.loop_turns / (4.0 * np.pi) * 1e3) * (out @ rot.T)
+    out = (MU0 * current * coil.loop_turns / (4.0 * np.pi) * 1e3) * matmul3(out, rot.T)
     return out[0] if single else out
 
 
@@ -345,34 +341,35 @@ def _disc_nodes(sensor: SensorModel, n_radial: int, n_angular: int):
     return local, weight
 
 
-def _flux_coefficients(coil: CoilModel, sensor: SensorModel, poses,
+def _flux_coefficients(coil: CoilModel, sensor: SensorModel, rotations, translations,
                        n_radial: int = 8, n_angular: int = 16) -> np.ndarray:
     """Webers per ampere through each winding of `sensor` placed at each pose.
 
-    Returns (len(poses), n_axes). The poses replace `sensor.pose`, in the
-    frame the coil's pose is given in; the quadrature nodes of every pose
-    and axis go through one b_field call.
+    Returns (P, n_axes). The P poses, rotations and translations, replace
+    `sensor.pose`, in the frame the coil's pose is given in; the quadrature
+    nodes of every pose and axis go through one b_field call.
     """
-    rot = np.array([pose.rotation for pose in poses])
-    shift = np.array([pose.translation for pose in poses])
+    rot = np.asarray(rotations, dtype=float).reshape(-1, 3, 3)
+    shift = np.asarray(translations, dtype=float).reshape(-1, 3)
     local, weight_mm2 = _disc_nodes(sensor, n_radial, n_angular)
-    nodes = local.reshape(-1, 3) @ rot.transpose(0, 2, 1) + shift[:, None, :]
-    b = b_field(coil, nodes.reshape(-1, 3), current_a=1.0).reshape(len(poses), *local.shape)
+    nodes = matmul3(local.reshape(-1, 3), rot.transpose(0, 2, 1)) + shift[:, None, :]
+    b = b_field(coil, nodes.reshape(-1, 3), current_a=1.0).reshape(len(rot), *local.shape)
     normals = rot[:, :, list(_AXIS_COLUMN[:sensor.n_axes])].transpose(0, 2, 1)
     flux_wb = (b * normals[:, :, None, :]).sum(axis=3).sum(axis=2)
     return flux_wb * weight_mm2 * 1e-6 * sensor.turns_per_axis  # mm^2 -> m^2
 
 
-def peak_to_peak_voltages(coil: CoilModel, sensor: SensorModel, poses,
+def peak_to_peak_voltages(coil: CoilModel, sensor: SensorModel, rotations, translations,
                           train: PulseTrain) -> np.ndarray:
-    """Per-axis peak-to-peak EMF of `sensor` placed at each pose, (len(poses), n_axes).
+    """Per-axis peak-to-peak EMF of `sensor` placed at each pose, (P, n_axes).
 
+    The poses are (P, 3, 3) rotations and (P, 3) translations, or one pose.
     I(t) = intensity * peak * sin(2 pi f t) over one biphasic cycle; EMF is
     -k dI/dt per axis, so the peak-to-peak is 2 * |k| * intensity * peak * 2 pi f.
     Every pose's nodes go through one b_field call.
     """
     rate = train.intensity_fraction * coil.peak_current_a * 2.0 * np.pi * train.pulse_frequency_hz
-    return 2.0 * np.abs(_flux_coefficients(coil, sensor, poses)) * rate
+    return 2.0 * np.abs(_flux_coefficients(coil, sensor, rotations, translations)) * rate
 
 
 def displacement_sweep(coil: CoilModel, sensor: SensorModel, direction,
@@ -384,7 +381,7 @@ def displacement_sweep(coil: CoilModel, sensor: SensorModel, direction,
     offset's nodes go through one field evaluation.
     """
     d = np.asarray(direction, dtype=float).reshape(3)
-    norm = np.linalg.norm(d)
+    norm = np.linalg.norm(d, axis=-1)  # a reduction, where the 1-d norm is a BLAS dot
     if norm == 0.0:
         raise ValidationError("sweep direction must be nonzero")
     d = d / norm
@@ -392,9 +389,10 @@ def displacement_sweep(coil: CoilModel, sensor: SensorModel, direction,
     if not offs or offs[0] != 0.0 or not all(b > a for a, b in zip(offs, offs[1:])):
         raise ValidationError("offsets must be sorted ascending starting at 0")
     train = train or PulseTrain()
-    poses = [sensor.displaced(off * d).pose for off in offs]
+    shifts = sensor.pose.translation + np.array(offs)[:, None] * d
+    rotations = np.broadcast_to(sensor.pose.rotation, (len(offs), 3, 3))
     rows = []
-    for off, row in zip(offs, peak_to_peak_voltages(coil, sensor, poses, train)):
+    for off, row in zip(offs, peak_to_peak_voltages(coil, sensor, rotations, shifts, train)):
         vpp = list(row) + [0.0, 0.0]
         rows.append((off, float(vpp[0]), float(vpp[1]), float(vpp[2])))
     return {

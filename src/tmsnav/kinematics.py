@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import MissingEdge, StaleSnapshot
 from .pose_plan import PlanPose
-from .transforms import RigidTransform, compose, invert, rotation_angle
+from .transforms import RigidTransform, compose, invert, matmul3, rotation_angle
 
 FRAMES = ("R", "E", "C", "Cr", "O", "H", "Hr", "b")
 
@@ -178,9 +178,13 @@ class PoseError:
 
 def pose_error(planned: RigidTransform, measured: RigidTransform) -> PoseError:
     """Euclidean distance plus the angle-axis angle of the relative rotation."""
-    delta = measured.translation - planned.translation
-    return PoseError(
-        translation_error_mm=float(np.linalg.norm(delta)),
-        rotation_error_rad=rotation_angle(planned.rotation.T @ measured.rotation),
-        translation_components_mm=planned.rotation.T @ delta,
-    )
+    return pose_errors(planned, measured.rotation, measured.translation)[0]
+
+
+def pose_errors(planned: RigidTransform, rotations, translations) -> list[PoseError]:
+    """pose_error of each measured pose of a stack: (T, 3, 3) rotations, (T, 3) translations."""
+    delta = np.asarray(translations, dtype=float).reshape(-1, 3) - planned.translation
+    angles = rotation_angle(matmul3(planned.rotation.T, rotations)).reshape(-1)
+    components = matmul3(delta, planned.rotation)  # rows: R^T delta
+    return [PoseError(float(d), float(a), c)
+            for d, a, c in zip(np.linalg.norm(delta, axis=1), angles, components)]

@@ -80,6 +80,8 @@ class TriangleMesh:
         self.triangles = t
         # gathered once, for the degeneracy check here and for every query
         self._corners = (v[t[:, 0]], v[t[:, 1]], v[t[:, 2]])
+        for x in self._corners:
+            x.setflags(write=False)
         self._index = None
         bad = np.flatnonzero(_areas(*self._corners) <= DEGENERATE_AREA_MM2)
         if bad.size:
@@ -94,7 +96,7 @@ class TriangleMesh:
         """Per-triangle vertex arrays (a, b, c), each (M, 3)."""
         return self._corners
 
-    def index(self) -> tuple[np.ndarray, list[np.ndarray]]:
+    def index(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Spatial index (ids, levels), built on first use (non-empty meshes).
 
         ids holds the triangle ids in Morton order, ties in id order. Each level
@@ -119,7 +121,9 @@ class TriangleMesh:
                 levels.append(np.concatenate([nodes, empty]) if len(empty) else nodes)
                 g = levels[-1].reshape(-1, CHUNK_SIZE, 3, 3)
                 nodes = np.stack([g[:, :, 0].min(axis=1), g[:, :, 1].max(axis=1), g[:, 0, 2]], 1)
-            self._index = (ids, levels)
+            for x in (ids, *levels):
+                x.setflags(write=False)
+            self._index = (ids, tuple(levels))
         return self._index
 
 

@@ -4,7 +4,9 @@ Hardware actuation is replaced by seeded noise models: repeated
 alignments to a planned pose (error statistics per repetition) and the
 five-minute coil-holding test where every pulse train sees a freshly
 actuated coil pose and the sensor voltages are recorded per train.
-Identical seeds reproduce identical sessions bit for bit.
+Draws are taken train by train, then all poses at once with the fixed-order
+3x3 product (`matmul3`): a seed gives the same session bit for bit under any
+BLAS kernel, unless a drifted rotation takes the SVD fallback.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import numpy as np
 from .errors import ValidationError
 from .fieldsim import VOLTAGE_COLUMNS, CoilModel, PulseTrain, SensorModel, peak_to_peak_voltages
 from .fileio import dump
-from .kinematics import APPROACH_FLIP, PoseError, pose_error
+from .kinematics import APPROACH_FLIP, PoseError, pose_errors
 from .pose_plan import PlanPose
-from .transforms import RigidTransform, compose, invert, rotation_about_axis
+from .transforms import RigidTransform, matmul3, rotation_about_axis, settle_drift
 
 # Default noise models. Rotation sigmas are anchored to the reported
 # average rotation errors of the two actuation methods (2.5e-3 rad
@@ -83,16 +85,14 @@ class SessionRecord:
             object.__setattr__(self, "voltages_vpp", v)
 
 
-def _perturbed_pose(rng: np.random.Generator, target: RigidTransform,
-                    model: ActuationModel, extra_offset=None) -> RigidTransform:
-    delta_t = rng.normal(0.0, model.translation_sigma_mm, size=3)
-    axis = rng.normal(size=3)
-    angle = rng.normal(0.0, model.rotation_sigma_rad)
-    delta_r = rotation_about_axis(axis, angle)
-    t = target.translation + delta_t
-    if extra_offset is not None:
-        t = t + extra_offset
-    return RigidTransform(delta_r @ target.rotation, t)
+def _record(plan: PlanPose, model: ActuationModel, target: RigidTransform, rotations,
+            translations, period_s: float, voltages=None) -> SessionRecord:
+    """The session of one measured pose per stack row, sampled every period_s, with its stats."""
+    errors = pose_errors(target, rotations, translations)
+    samples = tuple(SessionSample(k * period_s, RigidTransform(r, t), e)
+                    for k, (r, t, e) in enumerate(zip(rotations, translations, errors)))
+    record = SessionRecord(plan, model, samples, voltages)
+    return replace(record, stats=summarize(record))
 
 
 def run_alignment_trials(plan: PlanPose, model: ActuationModel,
@@ -101,44 +101,14 @@ def run_alignment_trials(plan: PlanPose, model: ActuationModel,
     if repetitions < 1:
         raise ValidationError("repetitions must be >= 1")
     rng = np.random.default_rng(model.rng_seed)
-    samples = []
+    (shifts, axes), angles = np.empty((2, repetitions, 3)), np.empty(repetitions)
     for k in range(repetitions):
-        measured = _perturbed_pose(rng, plan.pose, model)
-        samples.append(SessionSample(k * ALIGNMENT_PERIOD_S, measured,
-                                     pose_error(plan.pose, measured)))
-    record = SessionRecord(plan, model, tuple(samples))
-    return replace(record, stats=summarize(record))
-
-
-def _contact_radius(coil: CoilModel) -> float:
-    return max(abs(o) for o in coil.wing_offsets()) + coil.loop_radius_mm
-
-
-def _actuated_on_surface(rng: np.random.Generator, plan_pose: RigidTransform,
-                         model: ActuationModel, contact_radius_mm: float,
-                         drift_xy: np.ndarray) -> RigidTransform:
-    """Draw a held-coil pose: in-plane slip plus a tilt pivoting on the rim.
-
-    A coil pressed against the scalp cannot rotate freely about its own
-    center: a tilt rests on the rim and lifts the center off the surface
-    by contact_radius * sin(tilt). The plan pose's z is the outward
-    surface normal, so slip and drift live in its x/y plane.
-    """
-    x_axis = plan_pose.rotation[:, 0]
-    y_axis = plan_pose.rotation[:, 1]
-    slip = rng.normal(0.0, model.translation_sigma_mm, size=2) + drift_xy
-    center = plan_pose.translation + slip[0] * x_axis + slip[1] * y_axis
-    azimuth = rng.uniform(0.0, 2.0 * np.pi)
-    tilt = abs(rng.normal(0.0, model.rotation_sigma_rad))
-    if tilt == 0.0:
-        return RigidTransform(plan_pose.rotation, center)
-    contact_dir = np.cos(azimuth) * x_axis + np.sin(azimuth) * y_axis
-    pivot = center + contact_radius_mm * contact_dir
-    # rim tangent; rotating the face up on the far side keeps the pivot down
-    axis = np.cross(plan_pose.rotation[:, 2], contact_dir)
-    delta = rotation_about_axis(axis, tilt)
-    return RigidTransform(delta @ plan_pose.rotation,
-                          pivot + delta @ (center - pivot))
+        shifts[k] = rng.normal(0.0, model.translation_sigma_mm, size=3)
+        axes[k] = rng.normal(size=3)
+        angles[k] = rng.normal(0.0, model.rotation_sigma_rad)
+    rotations = matmul3(rotation_about_axis(axes, angles), plan.pose.rotation)
+    return _record(plan, model, plan.pose, rotations, plan.pose.translation + shifts,
+                   ALIGNMENT_PERIOD_S)
 
 
 def run_holding_session(plan: PlanPose, model: ActuationModel, coil: CoilModel,
@@ -148,35 +118,53 @@ def run_holding_session(plan: PlanPose, model: ActuationModel, coil: CoilModel,
     One actuated pose is drawn per train (the published traces are
     per-train); manual drift accumulates as an in-plane random walk
     between trains. The coil's geometry comes from `coil`, its pose from
-    the actuated plan (outward plan z flipped into the head).
+    the actuated plan (outward plan z flipped into the head). Slip and
+    drift live in the plan's x/y plane (its z is the outward surface
+    normal), and a tilt pivots on the rim, lifting the center off the
+    surface by contact_radius * sin(tilt).
     """
     rng = np.random.default_rng(model.rng_seed)
-    contact = _contact_radius(coil)
     period_s = train.pulses_per_train / train.train_rate_hz + train.inter_train_wait_s
     drift_step = model.drift_mm_per_min * np.sqrt(period_s / 60.0)
     drift_xy = np.zeros(2)
-    samples = []
-    target = compose(plan.pose, APPROACH_FLIP)
-    for k in range(train.trains):
+    n = train.trains
+    slip, azimuth, tilt = np.empty((n, 2)), np.empty(n), np.empty(n)
+    for k in range(n):
         if k > 0:
             drift_xy = drift_xy + rng.normal(0.0, drift_step, size=2)
-        actuated_plan = _actuated_on_surface(rng, plan.pose, model, contact, drift_xy)
-        measured = compose(actuated_plan, APPROACH_FLIP)
-        samples.append(SessionSample(k * period_s, measured,
-                                     pose_error(target, measured)))
+        slip[k] = rng.normal(0.0, model.translation_sigma_mm, size=2) + drift_xy
+        azimuth[k] = rng.uniform(0.0, 2.0 * np.pi)
+        tilt[k] = abs(rng.normal(0.0, model.rotation_sigma_rad))
+    x_axis, y_axis, z_axis = plan.pose.rotation.T
+    center = plan.pose.translation + slip[:, :1] * x_axis + slip[:, 1:] * y_axis
+    contact_dir = np.cos(azimuth)[:, None] * x_axis + np.sin(azimuth)[:, None] * y_axis
+    contact_radius = max(abs(o) for o in coil.wing_offsets()) + coil.loop_radius_mm
+    pivot = center + contact_radius * contact_dir
+    # rim tangent; rotating the face up on the far side keeps the pivot down
+    delta = rotation_about_axis(np.cross(z_axis, contact_dir), tilt)
+    held = tilt == 0.0  # no tilt: the slipped plan pose as it is
+    actuated = np.where(held[:, None, None], plan.pose.rotation,
+                        matmul3(delta, plan.pose.rotation))
+    lifted = pivot + matmul3((center - pivot)[:, None], delta.transpose(0, 2, 1))[:, 0]
+    origins = np.where(held[:, None], center, lifted)
+    # the coil frame: the actuated plan with its outward z flipped into the head
+    rotations = settle_drift(matmul3(actuated, APPROACH_FLIP.rotation))
+    target = RigidTransform(settle_drift(matmul3(plan.pose.rotation, APPROACH_FLIP.rotation)),
+                            plan.pose.translation)
     # the sensor as each train's coil sees it: one field evaluation for the session
-    in_coil = [compose(invert(s.measured), sensor.pose) for s in samples]
+    in_coil = settle_drift(matmul3(rotations.transpose(0, 2, 1), sensor.pose.rotation))
+    offsets = matmul3((sensor.pose.translation - origins)[:, None], rotations)[:, 0]
     voltages = peak_to_peak_voltages(replace(coil, pose=RigidTransform.identity()),
-                                     sensor, in_coil, train)
-    record = SessionRecord(plan, model, tuple(samples), voltages)
-    return replace(record, stats=summarize(record))
+                                     sensor, in_coil, offsets, train)
+    return _record(plan, model, target, rotations, origins, period_s, voltages)
 
 
 def _stats(values: np.ndarray) -> dict:
     v = np.asarray(values, dtype=float)
     return {
         "mean": float(v.mean()),
-        "std": float(v.std()),  # population, so one sample reports 0
+        # population, about the first sample: equal values give exactly 0, not a rounded mean's
+        "std": float((v - v[0]).std()),
         "min": float(v.min()),
         "max": float(v.max()),
     }

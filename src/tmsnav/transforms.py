@@ -30,9 +30,27 @@ def _as_mat3(m) -> np.ndarray:
     return a
 
 
-def orthonormality_error(rotation: np.ndarray) -> float:
-    """Max-norm deviation of R^T R from the identity."""
-    return float(np.abs(rotation.T @ rotation - np.eye(3)).max())
+def matmul3(a, b) -> np.ndarray:
+    """a @ b over an inner axis of 3, for a (..., m, 3) and b (..., 3, n) with broadcast batch axes.
+
+    The three products are summed left to right, so no BLAS kernel picks the
+    rounding. A 3x3 times a 3x3, or rows of 3-vectors (m, 3) times a 3x3, with
+    one or the other a stack. The sums run along a's rows, so the result is
+    the transpose of a contiguous (..., n, m) array.
+    """
+    at = np.ascontiguousarray(np.swapaxes(np.asarray(a, dtype=float), -1, -2))[..., None, :, :]
+    bt = np.swapaxes(np.asarray(b, dtype=float), -1, -2)[..., None]
+    out = at[..., 0, :] * bt[..., 0, :]
+    term = at[..., 1, :] * bt[..., 1, :]
+    out += term
+    np.multiply(at[..., 2, :], bt[..., 2, :], out=term)
+    out += term
+    return np.swapaxes(out, -1, -2)
+
+
+def orthonormality_error(rotation: np.ndarray):
+    """Max-norm deviation of R^T R from the identity, per rotation of a (..., 3, 3) stack."""
+    return np.abs(matmul3(np.swapaxes(rotation, -1, -2), rotation) - np.eye(3)).max(axis=(-2, -1))
 
 
 def orthonormalize(rotation: np.ndarray) -> np.ndarray:
@@ -43,6 +61,15 @@ def orthonormalize(rotation: np.ndarray) -> np.ndarray:
         u = u.copy()
         u[:, -1] *= -1.0
         r = u @ vt
+    return r
+
+
+def settle_drift(rotation) -> np.ndarray:
+    """A (..., 3, 3) stack, each rotation that drifted past ORTHO_DRIFT_TOL orthonormalized."""
+    r = np.array(rotation, dtype=float)
+    stack = r.reshape(-1, 3, 3)  # a view: r is a fresh contiguous copy
+    for i in np.flatnonzero(orthonormality_error(stack) > ORTHO_DRIFT_TOL):
+        stack[i] = orthonormalize(stack[i])
     return r
 
 
@@ -92,9 +119,7 @@ class RigidTransform:
 
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     """Composition applying b first, then a."""
-    r = a.rotation @ b.rotation
-    if orthonormality_error(r) > ORTHO_DRIFT_TOL:
-        r = orthonormalize(r)
+    r = settle_drift(a.rotation @ b.rotation)
     t = a.rotation @ b.translation + a.translation
     return RigidTransform(r, t)
 
@@ -104,27 +129,28 @@ def invert(t: RigidTransform) -> RigidTransform:
     return RigidTransform(r, -(r @ t.translation))
 
 
-def rotation_about_axis(axis, angle_rad: float) -> np.ndarray:
-    """Rodrigues rotation matrix about a (not necessarily unit) axis."""
-    a = np.asarray(axis, dtype=float).reshape(3)
-    n = np.linalg.norm(a)
-    if n == 0.0:
+def rotation_about_axis(axis, angle_rad) -> np.ndarray:
+    """Rodrigues rotation about a (not necessarily unit) axis; (..., 3) axes and (...) angles."""
+    a = np.asarray(axis, dtype=float)
+    n = np.linalg.norm(a, axis=-1, keepdims=True)
+    if (n == 0.0).any():
         raise ValueError("rotation axis must be nonzero")
-    x, y, z = a / n
-    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return np.eye(3) + np.sin(angle_rad) * k + (1.0 - np.cos(angle_rad)) * (k @ k)
+    x, y, z = np.moveaxis(a / n, -1, 0)
+    zero = np.zeros_like(x)
+    k = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(*x.shape, 3, 3)
+    angle = np.asarray(angle_rad, dtype=float)[..., None, None]
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * matmul3(k, k)
 
 
-def rotation_angle(rotation: np.ndarray) -> float:
-    """Angle-axis angle of a rotation matrix, in [0, pi].
+def rotation_angle(rotation: np.ndarray):
+    """Angle-axis angle of a rotation matrix, in [0, pi], per rotation of a (..., 3, 3) stack.
 
     Evaluates acos((trace - 1) / 2) in atan2 form using the skew part,
     which stays accurate where the bare arccos loses half the significant
     digits (angles near 0 and pi).
     """
-    r = rotation
-    s = 0.5 * np.sqrt(
-        (r[2, 1] - r[1, 2]) ** 2 + (r[0, 2] - r[2, 0]) ** 2 + (r[1, 0] - r[0, 1]) ** 2
-    )
-    c = 0.5 * (np.trace(r) - 1.0)
-    return float(np.arctan2(s, c))
+    r = np.asarray(rotation, dtype=float)
+    s = 0.5 * np.sqrt((r[..., 2, 1] - r[..., 1, 2]) ** 2 + (r[..., 0, 2] - r[..., 2, 0]) ** 2
+                      + (r[..., 1, 0] - r[..., 0, 1]) ** 2)
+    c = 0.5 * (np.trace(r, axis1=-2, axis2=-1) - 1.0)
+    return np.arctan2(s, c)

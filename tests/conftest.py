@@ -72,9 +72,14 @@ def on_axis_loop_field(radius_mm: float, z_mm: float, current_a: float,
     return MU0 * current_a * turns * r**2 / (2.0 * (r**2 + z**2) ** 1.5)
 
 
+def pose_arrays(pose: RigidTransform) -> tuple[np.ndarray, np.ndarray]:
+    """One pose as the (rotation, translation) arrays the field functions take."""
+    return pose.rotation, pose.translation
+
+
 def flux_coefficient(coil, sensor, axis: int, **quadrature) -> float:
     """Webers per ampere through one sensor winding (turns included)."""
-    return float(_flux_coefficients(coil, sensor, [sensor.pose], **quadrature)[0, axis])
+    return float(_flux_coefficients(coil, sensor, *pose_arrays(sensor.pose), **quadrature)[0, axis])
 
 
 def achieved_coil_pose(graph, commanded: RigidTransform) -> RigidTransform:

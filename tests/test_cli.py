@@ -482,33 +482,77 @@ def test_fieldsim_single_loop_keeps_the_configured_turns(project, tmp_path):
 # numpy's wheels ship an OpenBLAS built with DYNAMIC_ARCH, which reads the kernel
 # from this variable; an OpenBLAS without it ignores the variable
 BLAS_KERNELS = (None, "Haswell", "Prescott", "SandyBridge")
-RUN_SWEEPS = """
+FIXTURES = Path(__file__).parent / "fixtures"
+# the control: the chain fixture's commanded pose, whose 3x3 products still go
+# through BLAS, so its bytes differ between kernels wherever the variable takes effect
+RUN_CONTROL = """
 import sys
+from pathlib import Path
 from tmsnav.cli import main
-config, out = sys.argv[1:]
+from tmsnav.fileio import parse, read_json, write_json
+from tmsnav.kinematics import GraphDocument, solve_commanded_end_effector
+from tmsnav.pose_plan import PlanPose
+config, out, fixture = sys.argv[1:]
+record = read_json(fixture)
+commanded = solve_commanded_end_effector(parse(GraphDocument, record["graph"], "graph").graph(),
+                                         parse(PlanPose, record["plan"], "plan"))
+Path(out).mkdir(parents=True)
+write_json(Path(out) / "control.json", {"matrix": commanded.to_matrix().ravel().tolist()})
+"""
+RUN_SWEEPS = """
 for name, args in (("sweep8", ["--direction=x"]), ("sweep1", ["--single-loop", "--direction=y"])):
     assert main([f"--config={config}", f"--out={out}/{name}", "fieldsim", "--standoff=20",
                  "--offsets=0:10:11", *args]) == 0
 """
+RUN_SESSIONS = """
+for name, args in (("robotic", ["--mode=holding", "--actuation=robotic"]),
+                   ("manual", ["--mode=holding", "--actuation=manual"]),
+                   ("alignment", ["--mode=alignment", "--actuation=robotic"])):
+    assert main([f"--config={config}", "--seed=7", f"--out={out}/{name}", "session", *args]) == 0
+assert main([f"--out={out}/report", "report", f"--input={out}/manual/session.json"]) == 0
+"""
 
 
-def test_fieldsim_sweeps_do_not_depend_on_the_blas_kernel(tmp_path):
-    # the figure-8 and single-loop sweeps of a benchmark-sized coil, each in a
-    # fresh process per kernel; session outputs are left out, since their 3x3
-    # pose products still round differently under different kernels
-    write_json(tmp_path / "config.json", {"coil": {"segments_per_loop": 256}})
+def distinct_outputs_per_kernel(tmp_path, script: str, config: dict, outputs) -> dict:
+    """Run the control and `script` in a fresh process per kernel; count each output's
+    distinct files. Skips where every kernel gives the same control bytes, since the
+    variable then selects nothing and one file per output would prove nothing."""
+    write_json(tmp_path / "config.json", config)
     env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
-    sweeps = {}
+    files = {}
     for kernel in BLAS_KERNELS:
         out = tmp_path / str(kernel)
-        subprocess.run([sys.executable, "-c", RUN_SWEEPS, str(tmp_path / "config.json"), str(out)],
+        subprocess.run([sys.executable, "-c", RUN_CONTROL + script, str(tmp_path / "config.json"),
+                        str(out), str(FIXTURES / "chain_seed42.json")],
                        env=dict(env, **({"OPENBLAS_CORETYPE": kernel} if kernel else {})),
                        check=True)
-        for name in ("sweep8", "sweep1"):
-            sweeps.setdefault(name, set()).add((out / name / "sweep.csv").read_bytes())
-    assert {name: len(files) for name, files in sweeps.items()} == {"sweep8": 1, "sweep1": 1}
+        for name in ("control.json", *outputs):
+            files.setdefault(name, set()).add((out / name).read_bytes())
+    if len(files.pop("control.json")) == 1:
+        pytest.skip("OPENBLAS_CORETYPE selects no other BLAS kernel here (numpy without OpenBLAS, "
+                    "or an OpenBLAS without DYNAMIC_ARCH): the BLAS-bound control is the same "
+                    "under every kernel")
+    return {name: len(versions) for name, versions in files.items()}
+
+
+def test_fieldsim_sweeps_do_not_depend_on_the_blas_kernel(tmp_path):
+    # the figure-8 and single-loop sweeps of a benchmark-sized coil
+    outputs = ("sweep8/sweep.csv", "sweep1/sweep.csv")
+    counts = distinct_outputs_per_kernel(
+        tmp_path, RUN_SWEEPS, {"coil": {"segments_per_loop": 256}}, outputs)
+    assert counts == dict.fromkeys(outputs, 1)
+
+
+def test_sessions_do_not_depend_on_the_blas_kernel(tmp_path):
+    # the holding-session benchmark's config: the primary winding 20 mm under one wing
+    config = {"coil": {"segments_per_loop": 256},
+              "sensor": {"matrix": [1, 0, 0, 0, 0, 1, 0, 35.0, 0, 0, 1, -20.0, 0, 0, 0, 1]}}
+    outputs = [f"{name}/session.{ext}" for name in ("robotic", "manual", "alignment")
+               for ext in ("json", "csv")] + ["report/report.csv"]
+    counts = distinct_outputs_per_kernel(tmp_path, RUN_SESSIONS, config, outputs)
+    assert counts == dict.fromkeys(outputs, 1)
 
 
 # --- session / report --------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from tmsnav.fieldsim import (
 )
 from tmsnav.transforms import RigidTransform, rotation_about_axis
 
-from conftest import flux_coefficient, on_axis_loop_field, random_transform
+from conftest import flux_coefficient, on_axis_loop_field, pose_arrays, random_transform
 
 
 def sensor_at(z_mm, kind=SensorKind.SENSOR_3D):
@@ -256,6 +256,11 @@ def test_b_field_row_does_not_depend_on_its_place_in_the_batch():
             np.testing.assert_array_equal(b[0], b[5000])
 
 
+def displaced(sensor: SensorModel, offset) -> SensorModel:
+    pose = RigidTransform(sensor.pose.rotation, sensor.pose.translation + offset)
+    return replace(sensor, pose=pose)
+
+
 def test_induced_voltage_and_sweep_match_reference():
     rng = np.random.default_rng(77)
     train = PulseTrain()
@@ -267,12 +272,12 @@ def test_induced_voltage_and_sweep_match_reference():
                 coil.pose.apply([20.0, 3.0, -20.0]),
             ))
             ref = reference_peak_to_peak(coil, sensor, train)
-            vpp = peak_to_peak_voltages(coil, sensor, [sensor.pose], train)[0]
+            vpp = peak_to_peak_voltages(coil, sensor, *pose_arrays(sensor.pose), train)[0]
             assert np.abs(vpp - ref).max() <= 1e-12 * np.abs(ref).max()
             direction = coil.pose.rotation[:, 0]
             table = displacement_sweep(coil, sensor, direction, [0.0, 4.0, 8.0], train)
             for off, *row in table["rows"]:
-                ref = reference_peak_to_peak(coil, sensor.displaced(off * direction), train)
+                ref = reference_peak_to_peak(coil, displaced(sensor, off * direction), train)
                 ref = list(ref) + [0.0, 0.0]
                 assert np.abs(np.subtract(row, ref[:3])).max() <= 1e-12 * max(ref)
 
@@ -284,8 +289,9 @@ def test_sweep_rows_match_per_offset_calls():
     direction = coil.pose.rotation @ np.array([0.6, 0.8, 0.0])
     offsets = np.linspace(0.0, 10.0, 11)
     rows = np.array(displacement_sweep(coil, sensor, direction, offsets)["rows"])
-    moved = [sensor.displaced(off * direction).pose for off in offsets]
-    single = np.array([peak_to_peak_voltages(coil, sensor, [p], PulseTrain())[0] for p in moved])
+    moved = [displaced(sensor, off * direction).pose for off in offsets]
+    single = np.array([peak_to_peak_voltages(coil, sensor, *pose_arrays(p), PulseTrain())[0]
+                       for p in moved])
     np.testing.assert_array_equal(rows[:, 0], offsets)
     assert np.abs(rows[:, 1:] - single).max() <= 1e-13 * np.abs(single).max()
 
@@ -300,11 +306,15 @@ def test_batch_blocks_across_poses_match_per_pose_calls(segments, quadrature):
     poses = [RigidTransform(rotation_about_axis(rng.normal(size=3), 0.3),
                             [rng.uniform(-40.0, 40.0), rng.uniform(-40.0, 40.0), -20.0])
              for _ in range(7)]
-    batch = _flux_coefficients(coil, sensor, poses, *quadrature)
-    single = np.concatenate([_flux_coefficients(coil, sensor, [p], *quadrature) for p in poses])
+    rotations = np.array([p.rotation for p in poses])
+    shifts = np.array([p.translation for p in poses])
+    batch = _flux_coefficients(coil, sensor, rotations, shifts, *quadrature)
+    single = np.concatenate([_flux_coefficients(coil, sensor, *pose_arrays(p), *quadrature)
+                             for p in poses])
     assert np.abs(batch - single).max() <= 1e-13 * np.abs(single).max()
-    vpp = peak_to_peak_voltages(coil, sensor, poses, PulseTrain())
-    ref = np.array([peak_to_peak_voltages(coil, sensor, [p], PulseTrain())[0] for p in poses])
+    vpp = peak_to_peak_voltages(coil, sensor, rotations, shifts, PulseTrain())
+    ref = np.array([peak_to_peak_voltages(coil, sensor, *pose_arrays(p), PulseTrain())[0]
+                    for p in poses])
     assert np.abs(vpp - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -498,15 +508,16 @@ def test_flux_vs_vector_potential_rim_oracle():
 def test_zero_intensity_zero_output():
     coil = CoilModel(segments_per_loop=128)
     sensor = sensor_at(-20.0)
-    vpp = peak_to_peak_voltages(coil, sensor, [sensor.pose], PulseTrain(intensity_fraction=0.0))[0]
+    vpp = peak_to_peak_voltages(coil, sensor, *pose_arrays(sensor.pose),
+                                PulseTrain(intensity_fraction=0.0))[0]
     assert np.all(vpp == 0.0)
 
 
 def test_peak_to_peak_linear_in_intensity():
     coil = CoilModel(segments_per_loop=128)
     sensor = sensor_at(-20.0)
-    lo = peak_to_peak_voltages(coil, sensor, [sensor.pose], PulseTrain(intensity_fraction=0.15))[0]
-    hi = peak_to_peak_voltages(coil, sensor, [sensor.pose], PulseTrain(intensity_fraction=0.30))[0]
+    lo, hi = (peak_to_peak_voltages(coil, sensor, *pose_arrays(sensor.pose),
+                                    PulseTrain(intensity_fraction=f))[0] for f in (0.15, 0.30))
     np.testing.assert_allclose(hi, 2.0 * lo, rtol=1e-12)
 
 
@@ -515,7 +526,7 @@ def test_primary_peak_to_peak_closed_form():
                                  peak_current_a=3000.0)
     sensor = sensor_at(-20.0)
     train = PulseTrain(intensity_fraction=0.3, pulse_frequency_hz=4000.0)
-    vpp = peak_to_peak_voltages(coil, sensor, [sensor.pose], train)[0]
+    vpp = peak_to_peak_voltages(coil, sensor, *pose_arrays(sensor.pose), train)[0]
     k = flux_coefficient(coil, sensor, 0)
     expected = 2.0 * abs(k) * 0.3 * 3000.0 * 2.0 * np.pi * 4000.0
     assert vpp[0] == pytest.approx(expected, rel=1e-12)
@@ -588,6 +599,7 @@ def test_select_hotspot_finds_pose_nearest_sensor():
             plan.pose.rotation @ np.diag([1.0, -1.0, -1.0]), plan.pose.translation
         )
         coil = CoilModel.single_loop(35.0, segments_per_loop=128, pose=coil_pose)
-        responses.append(peak_to_peak_voltages(coil, sensor, [sensor.pose], PulseTrain())[0, 0])
+        responses.append(peak_to_peak_voltages(coil, sensor, *pose_arrays(sensor.pose),
+                                               PulseTrain())[0, 0])
     idx, best = select_hotspot(grid, responses)
     np.testing.assert_allclose(best.pose.translation[:2], sensor_xy, atol=1e-9)

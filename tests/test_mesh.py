@@ -115,6 +115,16 @@ def test_index_out_of_range_rejected():
         TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 3]])
 
 
+def test_corners_and_index_are_read_only():
+    # the mesh's queries read these arrays, so writing them would move later answers
+    m = icosphere(50.0, subdivisions=2)
+    ids, levels = m.index()
+    for array in (*m.corners(), m.vertices, m.triangles, ids, *levels):
+        with pytest.raises(ValueError):
+            array[...] += 1
+    assert closest_point(m, [0.0, 0.0, 80.0]).point == pytest.approx([0.0, 0.0, 50.0])
+
+
 def test_empty_mesh_query_raises():
     m = TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
     with pytest.raises(EmptyMeshError):

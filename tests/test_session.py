@@ -4,7 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tmsnav import transforms
 from tmsnav.fieldsim import CoilModel, PulseTrain, SensorModel, peak_to_peak_voltages
+from tmsnav.fileio import dump, parse
+from tmsnav.kinematics import APPROACH_FLIP
 from tmsnav.pose_plan import PlanPose, PoseConstraintInput, Strategy, pose_from_constraint
 from tmsnav.session import (
     ActuationModel,
@@ -15,7 +18,9 @@ from tmsnav.session import (
     session_to_dict,
     summarize,
 )
-from tmsnav.transforms import RigidTransform
+from tmsnav.transforms import RigidTransform, compose, invert, rotation_angle
+
+from conftest import pose_arrays, random_transform
 
 
 def flat_plan(center=(0.0, 0.0, 0.0)) -> PlanPose:
@@ -117,7 +122,8 @@ def test_holding_voltages_match_per_train_induced_voltage(actuation):
     model = getattr(ActuationModel, actuation)(17)
     record = run_holding_session(plan, model, coil, sensor, train)
     single = np.array([peak_to_peak_voltages(replace(coil, pose=s.measured), sensor,
-                                             [sensor.pose], train)[0] for s in record.samples])
+                                             *pose_arrays(sensor.pose), train)[0]
+                       for s in record.samples])
     assert record.voltages_vpp.shape == single.shape == (20, 3)
     assert np.abs(record.voltages_vpp - single).max() <= 1e-13 * np.abs(single).max()
 
@@ -221,3 +227,163 @@ def test_csv_rows_shape():
     assert header[:2] == ["index", "timestamp_s"]
     assert "primary_vpp" in header
     assert len(rows) == 20
+
+
+# --- scalar oracle: the per-train loop that the batched sessions replace ---------------
+
+def _rodrigues(axis, angle) -> np.ndarray:
+    x, y, z = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def _scalar_error(planned: RigidTransform, measured: RigidTransform) -> tuple:
+    delta = measured.translation - planned.translation
+    return (np.linalg.norm(delta), rotation_angle(planned.rotation.T @ measured.rotation),
+            planned.rotation.T @ delta)
+
+
+def scalar_alignment(plan, model, repetitions):
+    """One scalar pose per repetition; returns the generator, poses and (distance, angle,
+    components) errors."""
+    rng = np.random.default_rng(model.rng_seed)
+    poses = []
+    for _ in range(repetitions):
+        delta_t = rng.normal(0.0, model.translation_sigma_mm, size=3)
+        axis = rng.normal(size=3)
+        angle = rng.normal(0.0, model.rotation_sigma_rad)
+        poses.append(RigidTransform(_rodrigues(axis, angle) @ plan.pose.rotation,
+                                    plan.pose.translation + delta_t))
+    return rng, poses, [_scalar_error(plan.pose, m) for m in poses], None
+
+
+def scalar_holding(plan, model, coil, sensor, train):
+    """One scalar actuated pose per train, then the sensor in each train's coil frame."""
+    rng = np.random.default_rng(model.rng_seed)
+    contact = max(abs(o) for o in coil.wing_offsets()) + coil.loop_radius_mm
+    period_s = train.pulses_per_train / train.train_rate_hz + train.inter_train_wait_s
+    drift_step = model.drift_mm_per_min * np.sqrt(period_s / 60.0)
+    drift_xy = np.zeros(2)
+    rot, origin = plan.pose.rotation, plan.pose.translation
+    target = compose(plan.pose, APPROACH_FLIP)
+    poses = []
+    for k in range(train.trains):
+        if k > 0:
+            drift_xy = drift_xy + rng.normal(0.0, drift_step, size=2)
+        slip = rng.normal(0.0, model.translation_sigma_mm, size=2) + drift_xy
+        center = origin + slip[0] * rot[:, 0] + slip[1] * rot[:, 1]
+        azimuth = rng.uniform(0.0, 2.0 * np.pi)
+        tilt = abs(rng.normal(0.0, model.rotation_sigma_rad))
+        if tilt == 0.0:
+            actuated = RigidTransform(rot, center)
+        else:
+            contact_dir = np.cos(azimuth) * rot[:, 0] + np.sin(azimuth) * rot[:, 1]
+            pivot = center + contact * contact_dir
+            delta = _rodrigues(np.cross(rot[:, 2], contact_dir), tilt)
+            actuated = RigidTransform(delta @ rot, pivot + delta @ (center - pivot))
+        poses.append(compose(actuated, APPROACH_FLIP))
+    in_coil = [compose(invert(m), sensor.pose) for m in poses]
+    voltages = peak_to_peak_voltages(
+        replace(coil, pose=RigidTransform.identity()), sensor,
+        np.array([p.rotation for p in in_coil]), np.array([p.translation for p in in_coil]), train)
+    return rng, poses, [_scalar_error(target, m) for m in poses], voltages
+
+
+def batched(monkeypatch, run, *args):
+    """The session `run` gives, and the generator it drew from."""
+    made, real = [], np.random.default_rng
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng", lambda seed: made.append(real(seed)) or made[-1])
+        record = run(*args)
+    return record, made[-1]
+
+
+def assert_matches_oracle(record, rng, oracle):
+    oracle_rng, poses, errors, voltages = oracle
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    pairs = [
+        ([s.measured.rotation for s in record.samples], [p.rotation for p in poses]),
+        ([s.measured.translation for s in record.samples], [p.translation for p in poses]),
+        ([s.error.translation_error_mm for s in record.samples], [e[0] for e in errors]),
+        ([s.error.rotation_error_rad for s in record.samples], [e[1] for e in errors]),
+        ([s.error.translation_components_mm for s in record.samples], [e[2] for e in errors]),
+    ]
+    if voltages is not None:
+        pairs.append((record.voltages_vpp, voltages))
+    for got, want in pairs:
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def tilted_fixture(seed: int, origin=None):
+    """A plan at a random pose, a figure-8 coil and a 3-axis sensor 20 mm inside, off centre."""
+    pose = random_transform(np.random.default_rng(seed))
+    if origin is not None:
+        pose = RigidTransform(pose.rotation, origin)
+    plan = replace(flat_plan(), pose=pose)
+    sensor = SensorModel(pose=RigidTransform(pose.rotation, pose.apply([5.0, 10.0, -20.0])))
+    return plan, CoilModel(segments_per_loop=64), sensor, PulseTrain()
+
+
+@pytest.mark.parametrize("seed", [0, 31])
+@pytest.mark.parametrize("actuation", ["robotic", "manual"])
+def test_holding_session_matches_the_scalar_oracle(monkeypatch, actuation, seed):
+    plan, coil, sensor, train = tilted_fixture(40 + seed)
+    model = getattr(ActuationModel, actuation)(seed)
+    record, rng = batched(monkeypatch, run_holding_session, plan, model, coil, sensor, train)
+    assert_matches_oracle(record, rng, scalar_holding(plan, model, coil, sensor, train))
+
+
+@pytest.mark.parametrize("actuation", ["robotic", "manual"])
+def test_alignment_trials_match_the_scalar_oracle(monkeypatch, actuation):
+    plan = tilted_fixture(50)[0]
+    model = getattr(ActuationModel, actuation)(12)
+    record, rng = batched(monkeypatch, run_alignment_trials, plan, model, 25)
+    assert_matches_oracle(record, rng, scalar_alignment(plan, model, 25))
+
+
+def test_zero_noise_holding_poses_are_exactly_the_plan(monkeypatch):
+    # the --actuation none model: no slip and no tilt, so every train holds the plan;
+    # near the origin, lifting the centre by a zero tilt about the rim would round
+    plan, coil, sensor, train = tilted_fixture(60, origin=[0.1234567, -0.00321, 1e-3])
+    model = ActuationModel("none", 0.0, 0.0, 0.0, 4)
+    record, rng = batched(monkeypatch, run_holding_session, plan, model, coil, sensor, train)
+    oracle = scalar_holding(plan, model, coil, sensor, train)
+    assert_matches_oracle(record, rng, oracle)
+    flipped = compose(plan.pose, APPROACH_FLIP)
+    for s in record.samples:
+        np.testing.assert_array_equal(s.measured.rotation, flipped.rotation)
+        np.testing.assert_array_equal(s.measured.translation, plan.pose.translation)
+        assert s.error.translation_error_mm == 0.0
+    assert np.ptp(record.voltages_vpp, axis=0).max() == 0.0
+    assert all(record.stats[name]["std"] == 0.0
+               for name in ("primary_vpp", "secondary1_vpp", "secondary2_vpp"))
+
+
+@pytest.mark.parametrize("mode", ["holding", "alignment"])
+def test_off_orthonormal_json_plan_takes_the_fallback_on_every_train(monkeypatch, mode):
+    # a plan read from JSON may be up to 1e-6 off orthonormal: each actuated pose
+    # drifts past ORTHO_DRIFT_TOL in the approach flip and is orthonormalized
+    plan, coil, sensor, train = tilted_fixture(70)
+    doc = dump(plan)
+    doc["rotation"] = [x * (1.0 + 1e-9) for x in doc["rotation"]]
+    plan = parse(PlanPose, doc, "plan")
+    assert transforms.orthonormality_error(plan.pose.rotation) > 1e-9
+    model = ActuationModel.manual(9)
+    calls = []
+    real = transforms.orthonormalize
+    monkeypatch.setattr(transforms, "orthonormalize", lambda r: calls.append(1) or real(r))
+    if mode == "holding":
+        record, rng = batched(monkeypatch, run_holding_session, plan, model, coil, sensor, train)
+        batched_calls = len(calls)
+        oracle = scalar_holding(plan, model, coil, sensor, train)
+        # one per train, and one for the flipped plan the errors are taken against
+        assert batched_calls == len(calls) - batched_calls == train.trains + 1
+        for s in record.samples:
+            assert transforms.orthonormality_error(s.measured.rotation) <= 1e-12
+    else:  # alignment trials compose nothing: the drift carries into the poses
+        record, rng = batched(monkeypatch, run_alignment_trials, plan, model, 10)
+        oracle = scalar_alignment(plan, model, 10)
+        assert not calls
+    assert_matches_oracle(record, rng, oracle)
