@@ -14,6 +14,7 @@ import argparse
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cache
 from pathlib import Path
 from typing import Annotated
 
@@ -23,7 +24,7 @@ from . import session as session_mod
 from .config import ProjectConfig, load_config
 from .errors import SingularEvaluation, ToolkitError, ValidationError
 from .fieldsim import VOLTAGE_COLUMNS, displacement_sweep
-from .fileio import Points, dump, parse, polyline_svg, read_json, write_csv, write_json
+from .fileio import Points, dump, parse, read_json, write_csv, write_json, write_svg
 from .kinematics import FrameGraph, GraphDocument, GraphEdge, solve_commanded_end_effector
 from .pose_plan import (
     ConstraintKind,
@@ -270,9 +271,8 @@ def cmd_session(args) -> int:
         series = {name: [float(v) for v in column]
                   for name, column in zip(VOLTAGE_COLUMNS, record.voltages_vpp.T)}
         times = [s.timestamp_s for s in record.samples]
-        (out / "session.svg").write_text(
-            polyline_svg(series, times, title=f"{model.label} per-train voltages")
-        )
+        write_svg(out / "session.svg", series, times,
+                  title=f"{model.label} per-train voltages")
     key = "primary_vpp" if record.voltages_vpp is not None else "translation_error_mm"
     stats = record.stats[key]
     print(f"{args.mode} session ({model.label}): {key} mean {stats['mean']:.4g} "
@@ -295,6 +295,7 @@ def cmd_report(args) -> int:
 
 # --- parser ------------------------------------------------------------------------
 
+@cache  # parse_args makes a fresh namespace per call and nothing changes the parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tmsnav",

@@ -26,13 +26,60 @@ Vec3 = Annotated[np.ndarray, (3,)]
 Points = Annotated[np.ndarray, (-1, 3)]
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json(o, line: str) -> str:
+    """`o` as JSON text; `line` is the newline and indent of the line it ends on."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    inner = line + "  "
+    if isinstance(o, (float, list, tuple)):
+        try:  # a float, or a list of floats only (a vector, a matrix), in one join
+            text = ("," + inner).join(map(float.__repr__, [o] if isinstance(o, float) else o))
+            if "n" in text:  # a float's repr holds an n only as nan or inf
+                raise ValueError("Out of range float values are not JSON compliant: "
+                                 + next(t for t in text.split(",") if "n" in t).strip())
+        except TypeError:
+            text = ("," + inner).join([_json(v, inner) for v in o])
+        return text if isinstance(o, float) else f"[{inner}{text}{line}]" if o else "[]"
+    if isinstance(o, dict):
+        text = ("," + inner).join([f"{_quote(_key(k))}: {_json(v, inner)}"
+                                   for k, v in sorted(o.items())])
+        return f"{{{inner}{text}{line}}}" if o else "{}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _key(k) -> str:  # json's key types: a str as it is, None, bool, int or float as text
+    if not (k is None or isinstance(k, (str, int, float))):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    return k if isinstance(k, str) else _json(k, "")
+
+
 def canonical_json(obj) -> str:
-    """JSON text with sorted keys and a trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """`json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)` and a newline, byte
+    for byte and with its ValueError (NaN, inf) and TypeError (a type or key it cannot
+    write), without the pure-Python encoder `json` takes for an indent."""
+    try:
+        return _json(obj, "\n") + "\n"
+    except RecursionError:  # a cycle, or nesting deeper than the stack: json decides
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _write_text(path, text: str) -> None:
+    """Write `text` to `path`; a file that cannot be written is a ValidationError."""
+    try:
+        Path(path).write_text(text)
+    except OSError as err:
+        raise ValidationError(f"cannot write {path}: {err}") from err
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(canonical_json(obj))
+    _write_text(path, canonical_json(obj))
 
 
 def read_json(path):
@@ -164,23 +211,16 @@ def dump(value):
     return value
 
 
-def format_float(x: float) -> str:
-    """Shortest round-trip decimal form (repr of a Python float)."""
-    return repr(float(x))
-
-
 def write_csv(path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            format_float(v) if isinstance(v, float) else str(v) for v in row
-        ))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """CSV with floats in their shortest round-trip form (the repr of a Python float)."""
+    lines = [",".join(header)] + [",".join(float.__repr__(v) if isinstance(v, float) else str(v)
+                                           for v in row) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
-def polyline_svg(series: dict[str, list[float]], x_values: list[float],
-                 title: str = "", width: int = 640, height: int = 360) -> str:
-    """Plain polyline plot of named series over shared x values."""
+def write_svg(path, series: dict[str, list[float]], x_values: list[float],
+              title: str = "", width: int = 640, height: int = 360) -> None:
+    """Plain polyline plot of named series over shared x values, written to `path`."""
     margin = 40.0
     xs = [float(x) for x in x_values]
     all_y = [float(v) for ys in series.values() for v in ys]
@@ -212,5 +252,4 @@ def polyline_svg(series: dict[str, list[float]], x_values: list[float],
             f'<text x="{width - margin + 4}" y="{30 + 16 * i}" fill="{color}" '
             f'font-family="sans-serif" font-size="11">{name}</text>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    _write_text(path, "\n".join(parts) + "\n</svg>\n")

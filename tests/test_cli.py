@@ -646,6 +646,20 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "register" in capsys.readouterr().out
 
+
+def test_repeated_calls_in_one_process_are_independent(project, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    assert run(project, "--seed=9", f"--out={tmp_path / 'a'}", "session", "--svg") == EXIT_OK
+    assert (tmp_path / "a" / "session.svg").is_file()
+    assert run(project, f"--out={tmp_path / 'b'}", "session") == EXIT_OK
+    assert run(project, "session", "--mode=bogus") == EXIT_USAGE
+    assert run(project, f"--out={tmp_path / 'c'}", "session") == EXIT_OK
+    assert not (tmp_path / "b" / "session.svg").exists()
+    assert tree_bytes(tmp_path / "c") == tree_bytes(tmp_path / "b")
+    # the flags of the first call left no trace: no seed means seed 0
+    assert run(project, "--seed=0", f"--out={tmp_path / 'd'}", "session") == EXIT_OK
+    assert tree_bytes(tmp_path / "d") == tree_bytes(tmp_path / "b")
+
 # --- malformed input exits 64 and names the key or flag, never 1 ----------------------
 
 MISSING = object()
