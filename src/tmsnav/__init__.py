@@ -28,7 +28,6 @@ from .registration import (
     IcpConfig,
     LandmarkSet,
     RegistrationResult,
-    fiducial_residual_report,
     icp_refine,
     pairpoint_register,
 )
@@ -67,7 +66,7 @@ __all__ = [
     "pose_from_constraint", "free_skin_pose", "restricted_cortex_pose",
     "closest_skin_pose", "hotspot_grid", "select_hotspot",
     "LandmarkSet", "RegistrationResult", "IcpConfig",
-    "pairpoint_register", "icp_refine", "fiducial_residual_report",
+    "pairpoint_register", "icp_refine",
     "FrameGraph", "GraphEdge", "PoseError", "chain",
     "solve_commanded_end_effector", "pose_error",
     "CoilModel", "SensorModel", "SensorKind", "PulseTrain",

@@ -45,10 +45,6 @@ class DegenerateLandmarks(ToolkitError):
     """Landmark set is collinear or too small for a unique rigid fit."""
 
 
-class MismatchedLandmarks(ToolkitError):
-    """Registration result does not belong to the supplied landmark set."""
-
-
 class DegenerateCorrespondences(ToolkitError):
     """ICP correspondences collapsed to a degenerate configuration."""
 

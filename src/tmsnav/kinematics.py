@@ -5,7 +5,9 @@ center), Cr (coil marker), O (optical tracker), H (head image), Hr (head
 marker), and b (the planned coil pose). Seven directed edges connect
 them; an edge {A->B} maps B-frame coordinates into A. Edges are stored
 exactly as measured/calibrated; inverses are computed on demand, never
-stored. A graph instance is an immutable snapshot.
+stored. A graph instance is an immutable snapshot. ``chain`` composes the
+edges along the tree's unique path between two frames, and the commanded
+end-effector solve is two such walks.
 """
 
 from __future__ import annotations
@@ -135,10 +137,12 @@ def solve_commanded_end_effector(
 ) -> RigidTransform:
     """Desired {R->E*} that lands the coil on the planned pose.
 
-    Uses the current snapshot to recover the robot-base-to-tracker
-    transform, then chains the head-side edges and the plan, flipping the
-    planned outward z into the coil's approach direction. Tracked edges
-    whose timestamps spread beyond SNAPSHOT_SKEW_MS raise StaleSnapshot.
+    Chains the snapshot from the robot base through the tracker and the
+    head-side edges to the plan, flips the planned outward z into the
+    coil's approach direction, and backs out the end effector through the
+    calibrations. Tracked edges whose timestamps spread beyond
+    SNAPSHOT_SKEW_MS raise StaleSnapshot; a missing edge raises MissingEdge
+    naming the first one met along R..b, then C..E.
     """
     stamps = [
         e.timestamp_ms
@@ -150,18 +154,9 @@ def solve_commanded_end_effector(
             f"tracked-edge timestamps spread {max(stamps) - min(stamps):.1f} ms "
             f"(bound {SNAPSHOT_SKEW_MS} ms)"
         )
-    r_e = graph.edge("R", "E")
-    e_cr = graph.edge("E", "Cr")
-    cr_c = graph.edge("Cr", "C")
-    o_cr = graph.edge("O", "Cr")
-    o_hr = graph.edge("O", "Hr")
-    hr_h = graph.edge("Hr", "H")
-    # {R->O} from the current snapshot
-    r_o = compose(compose(r_e, e_cr), invert(o_cr))
-    # desired coil pose in tracker coordinates
-    o_c_desired = compose(compose(compose(o_hr, hr_h), plan.pose), APPROACH_FLIP)
-    # back out the end-effector pose through the calibrations
-    return compose(compose(compose(r_o, o_c_desired), invert(cr_c)), invert(e_cr))
+    with_plan = FrameGraph({**graph.edges, ("H", "b"): GraphEdge(plan.pose, "plan")})
+    # {R->E*} = {R->b} . flip . {C->E}
+    return compose(compose(chain(with_plan, "R", "b"), APPROACH_FLIP), chain(graph, "C", "E"))
 
 
 @dataclass(frozen=True)

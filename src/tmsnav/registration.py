@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateCorrespondences, DegenerateLandmarks, MismatchedLandmarks
+from .errors import DegenerateCorrespondences, DegenerateLandmarks
 from .fileio import Points
 from .mesh import TriangleMesh, closest_point_batch
 from .transforms import RigidTransform, compose, rotation_about_axis
@@ -242,26 +242,3 @@ def icp_refine(
         icp_plane_sv_ratio=sv_ratio,
     )
 
-
-def fiducial_residual_report(result: RegistrationResult, landmarks: LandmarkSet) -> dict:
-    """Per-landmark residual table, ordered by landmark name.
-
-    Raises MismatchedLandmarks when the result was not produced from the
-    same landmark set.
-    """
-    residuals = np.linalg.norm(
-        result.transform.apply(landmarks.probe_points) - landmarks.image_points, axis=1
-    )
-    mean = float(residuals.mean())
-    if result.pairpoint_residual_mean is None or not np.isclose(
-        mean, result.pairpoint_residual_mean, rtol=0.0, atol=1e-6
-    ):
-        raise MismatchedLandmarks("result does not match the supplied landmark set")
-    order = sorted(range(len(landmarks)), key=lambda i: (landmarks.names[i], i))
-    return {
-        "rows": [
-            {"name": landmarks.names[i], "residual_mm": float(residuals[i])} for i in order
-        ],
-        "mean_mm": mean,
-        "max_mm": float(residuals.max()),
-    }

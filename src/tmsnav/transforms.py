@@ -3,6 +3,9 @@
 A RigidTransform is a 3x3 rotation plus a 3-vector translation in
 millimeters; it is the currency passed between every other module.
 Transforms compose right-to-left: ``compose(a, b)`` applies ``b`` first.
+Every 3x3 product, in ``compose``, ``invert`` and ``apply`` too, is a
+``matmul3`` fixed-order sum, so no BLAS kernel picks its rounding; only the
+drift fallback ``orthonormalize`` goes through BLAS and LAPACK.
 """
 
 from __future__ import annotations
@@ -114,19 +117,17 @@ class RigidTransform:
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform one point (3,) or a stack of points (N, 3)."""
         p = np.asarray(points, dtype=float)
-        return p @ self.rotation.T + self.translation
+        return matmul3(p.reshape(-1, 3), self.rotation.T).reshape(p.shape) + self.translation
 
 
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     """Composition applying b first, then a."""
-    r = settle_drift(a.rotation @ b.rotation)
-    t = a.rotation @ b.translation + a.translation
-    return RigidTransform(r, t)
+    m = matmul3(a.rotation, np.column_stack([b.rotation, b.translation]))  # a.R [b.R | b.t]
+    return RigidTransform(settle_drift(m[:, :3]), m[:, 3] + a.translation)
 
 
 def invert(t: RigidTransform) -> RigidTransform:
-    r = t.rotation.T
-    return RigidTransform(r, -(r @ t.translation))
+    return RigidTransform(t.rotation.T, -matmul3(t.translation[None], t.rotation)[0])
 
 
 def rotation_about_axis(axis, angle_rad) -> np.ndarray:

@@ -10,12 +10,13 @@ import pytest
 from tmsnav import cli
 from tmsnav import session as session_mod
 from tmsnav.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
-from tmsnav.fileio import dump, parse, read_json, write_json
+from tmsnav.fileio import canonical_json, dump, parse, read_json, write_json
 from tmsnav.kinematics import CANONICAL_EDGES
 from tmsnav.mesh import sample_surface, save_stl
 from tmsnav.meshgen import icosphere
 from tmsnav.pose_plan import PlanPose, PoseConstraintInput
 from tmsnav.registration import RegistrationResult
+from tmsnav.transforms import RigidTransform, rotation_about_axis
 
 from conftest import random_transform
 
@@ -483,26 +484,37 @@ def test_fieldsim_single_loop_keeps_the_configured_turns(project, tmp_path):
 # from this variable; an OpenBLAS without it ignores the variable
 BLAS_KERNELS = (None, "Haswell", "Prescott", "SandyBridge")
 FIXTURES = Path(__file__).parent / "fixtures"
-# the control: the chain fixture's commanded pose, whose 3x3 products still go
-# through BLAS, so its bytes differ between kernels wherever the variable takes effect
+# the control: the chain fixture's commanded pose composed as plain 4x4 products with
+# numpy's @, which goes through BLAS, so its bytes differ between kernels wherever the
+# variable takes effect
 RUN_CONTROL = """
 import sys
 from pathlib import Path
+import numpy as np
 from tmsnav.cli import main
-from tmsnav.fileio import parse, read_json, write_json
-from tmsnav.kinematics import GraphDocument, solve_commanded_end_effector
-from tmsnav.pose_plan import PlanPose
+from tmsnav.fileio import read_json, write_json
 config, out, fixture = sys.argv[1:]
 record = read_json(fixture)
-commanded = solve_commanded_end_effector(parse(GraphDocument, record["graph"], "graph").graph(),
-                                         parse(PlanPose, record["plan"], "plan"))
+m = {(e["from"], e["to"]): np.reshape(e["matrix"], (4, 4)) for e in record["graph"]["edges"]}
+plan = np.eye(4)
+plan[:3, :3] = np.reshape(record["plan"]["rotation"], (3, 3))
+plan[:3, 3] = record["plan"]["translation"]
+inv = np.linalg.inv
+control = (m["R", "E"] @ m["E", "Cr"] @ inv(m["O", "Cr"]) @ m["O", "Hr"] @ m["Hr", "H"] @ plan
+           @ np.diag([1.0, -1.0, -1.0, 1.0]) @ inv(m["Cr", "C"]) @ inv(m["E", "Cr"]))
 Path(out).mkdir(parents=True)
-write_json(Path(out) / "control.json", {"matrix": commanded.to_matrix().ravel().tolist()})
+write_json(Path(out) / "control.json", {"matrix": control.ravel().tolist()})
 """
 RUN_SWEEPS = """
 for name, args in (("sweep8", ["--direction=x"]), ("sweep1", ["--single-loop", "--direction=y"])):
     assert main([f"--config={config}", f"--out={out}/{name}", "fieldsim", "--standoff=20",
                  "--offsets=0:10:11", *args]) == 0
+"""
+RUN_CHAIN = """
+inputs = Path(config).parent
+for name, args in (("plain", []), ("registered", [f"--registration={inputs / 'registration.json'}"])):
+    assert main([f"--out={out}/{name}", "chain", f"--graph={inputs / 'graph.json'}",
+                 f"--plan={inputs / 'plan.json'}", *args]) == 0
 """
 RUN_SESSIONS = """
 for name, args in (("robotic", ["--mode=holding", "--actuation=robotic"]),
@@ -553,6 +565,21 @@ def test_sessions_do_not_depend_on_the_blas_kernel(tmp_path):
                for ext in ("json", "csv")] + ["report/report.csv"]
     counts = distinct_outputs_per_kernel(tmp_path, RUN_SESSIONS, config, outputs)
     assert counts == dict.fromkeys(outputs, 1)
+
+
+def test_chain_does_not_depend_on_the_blas_kernel(tmp_path):
+    # the chain fixture's graph and plan, alone and with one fixed registration
+    record = read_json(FIXTURES / "chain_seed42.json")
+    write_json(tmp_path / "graph.json", record["graph"])
+    write_json(tmp_path / "plan.json", record["plan"])
+    head = RigidTransform(rotation_about_axis([1.0, -2.0, 0.5], 0.3), [4.0, -5.0, 6.0])
+    write_json(tmp_path / "registration.json", dump(RegistrationResult(head, 1.0, 0.5, True)))
+    outputs = ("plain/commanded.json", "registered/commanded.json")
+    counts = distinct_outputs_per_kernel(tmp_path, RUN_CHAIN, {}, outputs)
+    assert counts == dict.fromkeys(outputs, 1)
+    # the default kernel's file is the fixture's pinned pose
+    pinned = read_json(tmp_path / "None" / "plain" / "commanded.json")["matrix"]
+    assert canonical_json(pinned) == canonical_json(record["commanded_matrix"])
 
 
 # --- session / report --------------------------------------------------------------------------

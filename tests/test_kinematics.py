@@ -159,15 +159,17 @@ def test_solve_round_trip_random_graphs():
 
 
 def test_solve_missing_edge():
+    # the solve walks R..b before C..E, so {O->Hr} is named when {Cr->C} is missing too
     rng = np.random.default_rng(59)
-    edges = {
-        pair: GraphEdge(random_transform(rng), prov)
-        for pair, prov in CANONICAL_EDGES.items()
-        if pair != ("O", "Hr")
-    }
-    with pytest.raises(MissingEdge) as err:
-        solve_commanded_end_effector(FrameGraph(edges), random_plan(rng))
-    assert err.value.edge == ("O", "Hr")
+    for missing in ([("O", "Hr")], [("O", "Hr"), ("Cr", "C")]):
+        edges = {
+            pair: GraphEdge(random_transform(rng), prov)
+            for pair, prov in CANONICAL_EDGES.items()
+            if pair not in missing
+        }
+        with pytest.raises(MissingEdge) as err:
+            solve_commanded_end_effector(FrameGraph(edges), random_plan(rng))
+        assert err.value.edge == ("O", "Hr")
 
 
 def test_solve_stale_snapshot():

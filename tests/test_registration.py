@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from tmsnav.errors import (
-    DegenerateCorrespondences,
-    DegenerateLandmarks,
-    MismatchedLandmarks,
-)
+from tmsnav.errors import DegenerateCorrespondences, DegenerateLandmarks
 from tmsnav.fileio import dump, parse
 from tmsnav.mesh import sample_surface
 from tmsnav.meshgen import ellipsoid, icosphere
@@ -14,7 +10,6 @@ from tmsnav.registration import (
     LandmarkSet,
     _plane_step,
     RegistrationResult,
-    fiducial_residual_report,
     icp_refine,
     pairpoint_register,
     solve_rigid,
@@ -326,53 +321,6 @@ def test_plane_sv_ratio_counts_a_direction_the_cloud_leaves_free():
     d = np.random.default_rng(5).normal(size=(60, 3))
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     assert _plane_step(85.0 * d, 87.0 * d, d)[1] < 1e-3
-
-
-# --- fiducial report ------------------------------------------------------------
-
-def test_report_identity_all_zero():
-    rng = np.random.default_rng(44)
-    lm = landmark_fixture(rng, RigidTransform.identity())
-    res = pairpoint_register(lm)
-    report = fiducial_residual_report(res, lm)
-    assert all(row["residual_mm"] <= 1e-12 for row in report["rows"])
-    assert report["max_mm"] <= 1e-12
-
-
-def test_report_rows_match_direct_recomputation():
-    rng = np.random.default_rng(45)
-    truth = random_transform(rng)
-    probe = rng.uniform(-60, 60, size=(6, 3))
-    image = truth.apply(probe)
-    image[2] += np.array([0.0, 0.0, 3.0])  # one displaced landmark
-    lm = LandmarkSet(NAMES6, image, probe)
-    res = pairpoint_register(lm)
-    report = fiducial_residual_report(res, lm)
-    by_name = {row["name"]: row["residual_mm"] for row in report["rows"]}
-    recomputed = np.linalg.norm(res.transform.apply(probe) - image, axis=1)
-    for name, r in zip(NAMES6, recomputed):
-        assert by_name[name] == pytest.approx(r, abs=1e-12)
-    # the displaced landmark dominates
-    assert max(by_name, key=by_name.get) == NAMES6[2]
-
-
-def test_report_mean_consistency_and_ordering():
-    rng = np.random.default_rng(46)
-    lm = landmark_fixture(rng, random_transform(rng), noise=2.0)
-    res = pairpoint_register(lm)
-    report = fiducial_residual_report(res, lm)
-    mean = np.mean([row["residual_mm"] for row in report["rows"]])
-    assert mean == pytest.approx(res.pairpoint_residual_mean, abs=1e-12)
-    assert [row["name"] for row in report["rows"]] == sorted(NAMES6)
-
-
-def test_report_mismatched_landmarks_raises():
-    rng = np.random.default_rng(47)
-    lm = landmark_fixture(rng, random_transform(rng), noise=2.0)
-    other = landmark_fixture(rng, random_transform(rng), noise=2.0)
-    res = pairpoint_register(lm)
-    with pytest.raises(MismatchedLandmarks):
-        fiducial_residual_report(res, other)
 
 
 # --- serialization ----------------------------------------------------------------

@@ -5,6 +5,7 @@ from tmsnav.transforms import (
     RigidTransform,
     compose,
     invert,
+    matmul3,
     orthonormality_error,
     rotation_about_axis,
     rotation_angle,
@@ -15,6 +16,13 @@ from conftest import random_transform
 
 def rz(deg):
     return rotation_about_axis([0, 0, 1], np.deg2rad(deg))
+
+
+def scalar_product(a, b):
+    """a @ b for a (m, 3) and b (3, n), each entry summed (a0*b0 + a1*b1) + a2*b2 in Python floats."""
+    return np.array([[(float(a[i, 0]) * float(b[0, j]) + float(a[i, 1]) * float(b[1, j]))
+                      + float(a[i, 2]) * float(b[2, j]) for j in range(b.shape[1])]
+                     for i in range(a.shape[0])])
 
 
 def test_compose_identity():
@@ -94,3 +102,44 @@ def test_rotation_angle_round_trip():
         angle = rng.uniform(0.0, np.pi)
         r = rotation_about_axis(axis, angle)
         assert rotation_angle(r) == pytest.approx(angle, abs=1e-9)
+
+
+# --- matmul3: fixed-order sums, checked bit for bit against the scalar sums -----------
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((3, 3), (3, 3)),
+    ((7, 3), (3, 3)),
+    ((5, 3, 3), (3, 3)),
+    ((3, 3), (5, 3, 3)),
+    ((5, 7, 3), (3, 3)),
+    ((7, 3), (5, 3, 3)),
+    ((4, 1, 3, 3), (1, 5, 3, 3)),
+    ((2, 1, 7, 3), (4, 3, 3)),
+])
+def test_matmul3_equals_the_left_to_right_scalar_sums(a_shape, b_shape):
+    rng = np.random.default_rng(8)
+    a, b = rng.normal(size=a_shape) * 100.0, rng.normal(size=b_shape)
+    out = matmul3(a, b)
+    batch = np.broadcast_shapes(a_shape[:-2], b_shape[:-2])
+    assert out.shape == (*batch, a_shape[-2], b_shape[-1])
+    a, b = np.broadcast_to(a, (*batch, *a_shape[-2:])), np.broadcast_to(b, (*batch, *b_shape[-2:]))
+    for i in np.ndindex(*batch):
+        np.testing.assert_array_equal(out[i], scalar_product(a[i], b[i]))
+
+
+def test_compose_invert_apply_equal_the_scalar_sums():
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        a, b = random_transform(rng), random_transform(rng)
+        pts = rng.uniform(-100.0, 100.0, size=(6, 3))
+        out = compose(a, b)
+        np.testing.assert_array_equal(out.rotation, scalar_product(a.rotation, b.rotation))
+        np.testing.assert_array_equal(
+            out.translation, scalar_product(a.rotation, b.translation[:, None])[:, 0] + a.translation)
+        inv = invert(a)
+        np.testing.assert_array_equal(inv.rotation, a.rotation.T)
+        np.testing.assert_array_equal(
+            inv.translation, -scalar_product(a.rotation.T, a.translation[:, None])[:, 0])
+        expected = scalar_product(pts, a.rotation.T) + a.translation
+        np.testing.assert_array_equal(a.apply(pts), expected)
+        np.testing.assert_array_equal(a.apply(pts[0]), expected[0])
