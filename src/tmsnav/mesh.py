@@ -4,7 +4,7 @@ Meshes are consumed in millimeters with outward-winding triangles:
 normal = normalize((v1 - v0) x (v2 - v0)) points away from the enclosed
 volume. Closest-point and ray queries are exact and deterministic, ties
 going to the lowest triangle id, and are served by one index, built on its
-first query: a 32-ary tree over the triangles in the Morton order of their
+first query: an 8-ary tree over the triangles in the Morton order of their
 centroids, from each triangle's box up. A batch of closest-point queries
 may start from earlier triangle ids, with the same results. Containment
 sums the generalized winding number over every triangle, so open surfaces
@@ -25,7 +25,7 @@ DEGENERATE_AREA_MM2 = 1e-9
 RAY_MIN_PARAMETER = 1e-9
 _RAY_PARALLEL_EPS = 1e-12
 
-CHUNK_SIZE = 32  # children per tree node
+CHUNK_SIZE = 8  # children per tree node
 # cap on the (query, node) pairs of one step of a tree walk, so on its temporaries
 _BLOCK_PAIRS = 1 << 14
 # boxes are widened by this fraction of the mesh's coordinate scale, so rounding
@@ -33,6 +33,10 @@ _BLOCK_PAIRS = 1 << 14
 _BOX_PAD = 1e-9
 # (lo, hi, anchor) of the nodes that pad a level: an empty box, an anchor at infinity
 _EMPTY_NODE = np.array([[np.inf] * 3, [-np.inf] * 3, [np.inf] * 3])
+# L (D + L) bound, L and D the largest coordinate magnitudes of a mesh and a query: below
+# it every product in _closest_on_triangles (at most 216 L^2 (D + L)^2) and every squared
+# distance stays finite, so no row's bound is inf, which would keep the empty nodes too
+_FAR_LIMIT = 1e150
 
 
 @dataclass(frozen=True)
@@ -102,8 +106,8 @@ class TriangleMesh:
         ids holds the triangle ids in Morton order, ties in id order. Each level
         is (N, 3, 3) node rows (lo, hi, anchor): a widened box and a vertex in
         it. levels[0] has one node per triangle of ids, and node j of a level
-        above bounds nodes 32j to 32j + 31 below it, up to a top level of at most
-        32 nodes. Empty nodes (_EMPTY_NODE) pad each level to a multiple of 32.
+        above bounds nodes 8j to 8j + 7 below it (CHUNK_SIZE = 8), up to a top level
+        of at most 8 nodes. Empty nodes (_EMPTY_NODE) pad each level to a multiple of 8.
         """
         if self._index is None:
             a, b, c = self.corners()
@@ -129,8 +133,9 @@ class TriangleMesh:
 
 def _descend(mesh: TriangleMesh, n_rows: int, keep):
     """Walk the index depth first from the root for n_rows queries and yield the kept leaf
-    pairs as (rows, triangle ids), at least once. A step expands at most _BLOCK_PAIRS / 32
-    (row, node) pairs; keep(rows, nodes) flags which of their children to keep."""
+    pairs as (rows, triangle ids), at least once. A step expands at most
+    _BLOCK_PAIRS / CHUNK_SIZE (row, node) pairs; keep(rows, nodes) flags which of their
+    children to keep."""
     ids, levels = mesh.index()
     step = _BLOCK_PAIRS // CHUNK_SIZE
     stack = [(len(levels) - 1, np.arange(n_rows), np.zeros(n_rows, dtype=np.int64))]
@@ -248,6 +253,11 @@ def _nearest(mesh: TriangleMesh, q: np.ndarray,
     bad = np.flatnonzero(~np.isfinite(q).all(axis=1))
     if bad.size:  # a nan row would have no candidate triangle
         raise ValidationError(f"non-finite query point at row {bad[0]}: {q[bad[0]].tolist()}")
+    scale = np.abs(mesh.vertices).max()
+    bad = np.flatnonzero(scale * (np.abs(q).max(axis=1) + scale) >= _FAR_LIMIT)
+    if bad.size:
+        raise ValidationError(f"query point at row {bad[0]} is too far from the mesh for exact "
+                              f"distances: {q[bad[0]].tolist()}")
     a, b, c = mesh.corners()
     if start is None:
         upper = np.full(len(q), np.inf)
@@ -377,6 +387,15 @@ def contains_point(mesh: TriangleMesh, point) -> bool:
 _STL_FACET_RE = re.compile(
     rb"outer\s+loop\s+" + 3 * rb"vertex\s+(\S+\s+\S+\s+\S+)\s+" + rb"endloop\s+endfacet\b"
 )
+# the same records, scanned about twice as fast: a spelling is a run of bytes other than
+# one that no number holds and the next keyword starts with (v of vertex, d of endloop),
+# which sre scans in its tight loop where \S tests a category per byte, ending in
+# whitespace. The 256-byte bound keeps a loop with no endloop from scanning the rest of
+# the file. Rstripped to exactly three words, a spelling is _STL_FACET_RE's, and its
+# record is the one _STL_FACET_RE matches at the same place
+_STL_FAST_RE = re.compile(
+    rb"outer\s+loop\s+" + 2 * rb"vertex\s+([^v]{0,256}\s)" + rb"vertex\s+([^d]{0,256}\s)"
+    rb"endloop\s+endfacet\b")
 # the keywords that a well-formed file holds only in its records
 _STL_KEYWORD_RE = re.compile(rb"outer\s+loop|endloop|endfacet")
 # a solid or endsolid name in the text between records (\0 where a record was): it runs to
@@ -388,8 +407,10 @@ _STL_NAME_RE = re.compile(
 
 
 def _holds_keyword(text: bytes) -> bool:
-    # every keyword holds "loop" or "endfacet", which a plain byte search finds fast
-    return (b"loop" in text or b"endfacet" in text) and bool(_STL_KEYWORD_RE.search(text))
+    # every keyword holds "loop" or "endfacet", which a plain byte search finds fast, and
+    # memchr finds the p of "loop" faster still
+    return ((b"p" in text and b"loop" in text) or b"endfacet" in text) and bool(
+        _STL_KEYWORD_RE.search(text))
 
 
 def load_stl(path) -> TriangleMesh:
@@ -404,6 +425,10 @@ def load_stl(path) -> TriangleMesh:
     record. A record inside a name is name text, but one that goes on past the
     name's line end is a broken facet. A keyword left in that text or in a vertex
     spelling names the facet after the last whole record before it.
+    The pass takes a fast record scan first. It accepts the file only if each
+    spelling it finds is three words and no keyword lies between its records (names
+    included); any other file is read again with the exact record regex, which alone
+    accepts such a file or names its fault. Both give the same mesh.
     Vertices are merged by exact coordinate value, in first-occurrence order, so
     the result is an indexed mesh. Degenerate facets raise.
     """
@@ -416,9 +441,33 @@ def load_stl(path) -> TriangleMesh:
     # starts with "solid") would read as one
     if not re.match(rb"\s*solid", data) or b"\0" in data:
         raise MeshValidationError(f"{path}: not an ASCII STL file")
-    parts = _STL_FACET_RE.split(data)  # the text between records at 0, 4, 8, ...
+    try:
+        vertices, triangles = _read_facets(path, data, fast=True)
+    except MeshValidationError:
+        vertices, triangles = _read_facets(path, data, fast=False)
+    return TriangleMesh(vertices, triangles)
+
+
+def _read_facets(path, data: bytes, fast: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Merged vertices and triangles of load_stl's data, split by the fast or the exact
+    record regex; any fault raises MeshValidationError."""
+    record_re = _STL_FAST_RE if fast else _STL_FACET_RE
+    parts = record_re.split(data)  # the text between records at 0, 4, 8, ...
     text = b"\0".join(parts[::4])  # \0 is no whitespace: no keyword forms across a join
     del parts[::4]  # leaves each record's three vertex spellings, in order
+    if fast:
+        parts = list(map(bytes.rstrip, parts))
+    # each vertex is spelled once per facet that uses it: parse each spelling once
+    spellings = dict.fromkeys(parts)
+    # their words, each spelling's closed by the word vd, which no fast spelling holds
+    words = b" vd ".join(spellings).split()
+    between = _holds_keyword(text)
+    # a fast record is the exact one at its place when its spellings are three words each
+    # (held records too, so before names drop them); with no keyword between the records,
+    # names included, no exact record starts there either, so both scans split alike
+    if fast and (between or len(words) != 4 * len(spellings) - 1
+                 or words[3::4].count(b"vd") != len(spellings) - 1):
+        raise MeshValidationError(f"{path}: not read by the fast record scan")
     in_names = []  # (first, count) of the records that names hold, in file order
 
     def blank(name):
@@ -429,17 +478,18 @@ def load_stl(path) -> TriangleMesh:
     gaps = _STL_NAME_RE.sub(blank, text)
     for first, k in reversed(in_names):
         del parts[3 * first:3 * (first + k)]
-    # each vertex is spelled once per facet that uses it: parse each spelling once
-    spellings = dict.fromkeys(parts)
+    if in_names:
+        spellings = dict.fromkeys(parts)
+        words = b" vd ".join(spellings).split()
     spellings.update(zip(spellings, count()))  # spelling -> id, in first use
     corners = np.fromiter(map(spellings.__getitem__, parts), np.int64, len(parts))
     n = len(corners) // 3
     bad = []  # each fault as the facet after the whole records before it
     if in_names:  # a name ends at its line end, so a record it holds that spans one is broken
         held = [i for first, k in in_names for i in range(first, first + k)]
-        spans = [b"\n" in r[0] for r in islice(_STL_FACET_RE.finditer(data), held[-1] + 1)]
+        spans = [b"\n" in r[0] for r in islice(record_re.finditer(data), held[-1] + 1)]
         bad += [i - before for before, i in enumerate(held) if spans[i]]
-    if _holds_keyword(gaps):  # a keyword outside a record's own
+    if between and _holds_keyword(gaps):  # a keyword outside a record's own
         bad.append(gaps.count(b"\0", 0, _STL_KEYWORD_RE.search(gaps).start()))
     if _holds_keyword(b"\0".join(spellings)):
         joined = b"\0".join(parts)
@@ -449,8 +499,9 @@ def load_stl(path) -> TriangleMesh:
             f"{path}: facet {min(bad)} is not one loop of exactly three vertices")
     if not n:
         raise MeshValidationError(f"{path}: no facets found")
+    del words[3::4]  # the vd words: every spelling is three words now
     try:
-        xyz = np.fromiter(map(float, b" ".join(spellings).split()), float).reshape(-1, 3)
+        xyz = np.fromiter(map(float, words), float).reshape(-1, 3)
     except ValueError as exc:  # the message names the word; name the first facet spelling it
         for s in spellings:  # in first use, so the first that fails holds that word
             try:
@@ -461,9 +512,8 @@ def load_stl(path) -> TriangleMesh:
     keys = (xyz + 0.0).view(np.dtype((np.void, 24))).ravel()
     _, first, merged = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
-    v = xyz[first[order]]
     t = np.argsort(order)[merged][corners].reshape(-1, 3)  # argsort inverts the permutation
-    return TriangleMesh(v, t)
+    return xyz[first[order]], t
 
 
 def save_stl(mesh: TriangleMesh, path, name: str = "surface") -> None:

@@ -291,6 +291,17 @@ def test_plan_off_surface_is_domain_error(project, tmp_path):
     assert code == EXIT_REJECTED
 
 
+def test_plan_center_too_far_for_exact_distances_is_input_error(project, tmp_path, capsys):
+    # every squared distance from the center overflows: an input error, not a crash
+    write_json(tmp_path / "huge.json", dump(PoseConstraintInput.two_point(
+        [1e300, 0.0, 0.0], [1e300, 8.0, 0.0]
+    )))
+    code = run(project, f"--out={tmp_path}", "plan", "--strategy=free-skin",
+               f"--constraint={tmp_path / 'huge.json'}")
+    assert code == EXIT_USAGE
+    assert "too far from the mesh" in capsys.readouterr().err
+
+
 def test_plan_two_point_tail_at_the_center_is_domain_error(project, tmp_path, capsys):
     # a constraint read from JSON gets the same check as PoseConstraintInput.two_point
     write_json(tmp_path / "same.json", {"constraint_kind": "two_point", "center": [0, 0, 70],

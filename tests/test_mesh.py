@@ -5,8 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tmsnav import mesh as mesh_module
 from tmsnav.errors import EmptyMeshError, MeshValidationError, ValidationError
 from tmsnav.mesh import (
+    _BLOCK_PAIRS,
+    CHUNK_SIZE,
     TriangleMesh,
     closest_point,
     closest_point_batch,
@@ -33,7 +36,8 @@ def unit_triangle(z=0.0):
     return TriangleMesh([[0, 0, z], [1, 0, z], [0, 1, z]], [[0, 1, 2]])
 
 
-# Shapes the spatial index must serve exactly as the brute-force oracles do.
+# Shapes the spatial index must serve exactly as the brute-force oracles do, each built
+# from the index's fan-out CHUNK_SIZE.
 INDEX_SHAPES = ["soup", "one_triangle", "padded_chunk", "grid_patch", "hemisphere",
                 "two_top_nodes"]
 
@@ -48,14 +52,16 @@ def index_shape(name, rng):
         return random_soup(rng, 500)
     if name == "one_triangle":
         return random_soup(rng, 1)
-    if name == "padded_chunk":  # one full chunk of 32 plus one padded chunk
-        mesh = random_soup(rng, 33)
-        assert len(mesh) == 33
+    if name == "padded_chunk":  # one full chunk plus one padded chunk
+        mesh = random_soup(rng, CHUNK_SIZE + 1)
+        assert len(mesh) == CHUNK_SIZE + 1
         return mesh
-    if name == "two_top_nodes":  # padded leaves, then 34 nodes, then a top level of 2
-        mesh = random_soup(rng, 1057)
-        assert real_nodes_per_level(mesh) == [1057, 34, 2]
-        assert [len(level) for level in mesh.index()[1]] == [1088, 64, 32]
+    if name == "two_top_nodes":  # padded leaves, then C + 2 nodes, then a top level of 2
+        n = CHUNK_SIZE ** 2 + CHUNK_SIZE + 1
+        mesh = random_soup(rng, n)
+        assert real_nodes_per_level(mesh) == [n, CHUNK_SIZE + 2, 2]
+        assert [len(level) for level in mesh.index()[1]] == [
+            CHUNK_SIZE * (CHUNK_SIZE + 2), 2 * CHUNK_SIZE, CHUNK_SIZE]
         return mesh
     if name == "grid_patch":  # zero z extent: flat boxes and Morton codes
         return grid_patch(12, 12, spacing=5.0, z=3.0)
@@ -172,6 +178,17 @@ def test_non_finite_query_rejected():
         contains_point(m, [0.0, np.nan, 0.0])
 
 
+@pytest.mark.parametrize("x", [1.3e154, 1e300])
+def test_query_whose_squared_distances_overflow_rejected(x):
+    # every bound and distance of the row would be inf, which keeps the empty index nodes too
+    mesh = icosphere(85.0, subdivisions=2)
+    for query in ([x, 0.0, 0.0], [0.0, -x, 0.0]):
+        with pytest.raises(ValidationError, match="row 0 is too far from the mesh"):
+            closest_point(mesh, query)
+        with pytest.raises(ValidationError, match="row 1 is too far from the mesh"):
+            closest_point_batch(mesh, [[0.0, 0.0, 90.0], query], [0, 0])
+
+
 def test_closest_point_matches_scalar_oracle():
     rng = np.random.default_rng(12)
     mesh = random_soup(rng, 120)
@@ -231,16 +248,19 @@ def test_warm_start_ids_must_be_one_triangle_id_per_row(start_ids):
 
 
 TIE_QUERY = np.array([-1.0, -1.0, 11.0])
+# one triangle more than a top node holds: the leaves, C + 1 nodes, a top level of 2
+TIE_TRIANGLES = CHUNK_SIZE ** 2 + 1
 
 
 def two_top_node_tie(upper_first):
-    """1,057 triangles in which ids 0 and 1 tie for TIE_QUERY and sit in different top nodes.
+    """TIE_TRIANGLES triangles in which ids 0 and 1 tie for TIE_QUERY and sit in different
+    top nodes.
 
     Both share the vertex (0, 0, 0), the nearest point of each to TIE_QUERY
     (d2 = 123), and a ray from TIE_QUERY through it hits both at t = 1. One
     spans the top corner of the centroids' box, the other the bottom corner,
     so they are the last and the first in Morton order; upper_first gives id
-    0 to the top one. The other 1,055 small triangles lie over 15 mm away.
+    0 to the top one. The other small triangles lie over 15 mm away.
     """
     fan = np.array([[0, 0, 0], [60, 50, 10], [50, 60, 10],
                     [0, 0, 0], [-60, -50, -10], [-50, -60, -10]], dtype=float)
@@ -248,7 +268,7 @@ def two_top_node_tie(upper_first):
         fan = fan[[3, 4, 5, 0, 1, 2]]
     rng = np.random.default_rng(21)
     anchors = rng.uniform([-30, -30, -5], [30, 30, 5], size=(4000, 3))
-    anchors = anchors[np.linalg.norm(anchors - TIE_QUERY, axis=1) > 15.0][:1055]
+    anchors = anchors[np.linalg.norm(anchors - TIE_QUERY, axis=1) > 15.0][:TIE_TRIANGLES - 2]
     others = anchors[:, None] + np.concatenate(
         [np.zeros((len(anchors), 1, 3)), rng.uniform(-2, 2, size=(len(anchors), 2, 3))], axis=1)
     verts = np.concatenate([fan, others.reshape(-1, 3)])
@@ -257,20 +277,33 @@ def two_top_node_tie(upper_first):
 
 @pytest.mark.parametrize("upper_first", [True, False], ids=["winner_in_top_node_1",
                                                             "winner_in_top_node_0"])
-def test_tie_across_two_top_nodes_goes_to_lowest_id(upper_first):
+def test_tie_across_two_top_nodes_goes_to_lowest_id(upper_first, monkeypatch):
     mesh = two_top_node_tie(upper_first)
-    assert len(mesh) == 1057 and real_nodes_per_level(mesh)[-1] == 2
-    rank = np.argsort(mesh.index()[0])  # Morton rank of each id; top node 1 starts at 1024
-    assert sorted(rank[:2] >= 1024) == [False, True] and (rank[0] >= 1024) == upper_first
+    assert len(mesh) == TIE_TRIANGLES and real_nodes_per_level(mesh)[-1] == 2
+    rank = np.argsort(mesh.index()[0])  # Morton rank of each id; top node 1 starts at C^2
+    top_1 = CHUNK_SIZE ** 2
+    assert sorted(rank[:2] >= top_1) == [False, True] and (rank[0] >= top_1) == upper_first
     for k in (0, 1):  # each tied triangle alone: the same nearest point and ray hit
         alone = TriangleMesh(mesh.vertices, mesh.triangles[k:k + 1])
         assert closest_point_brute(alone, TIE_QUERY).point.tolist() == [0.0, 0.0, 0.0]
         assert ray_intersect_brute(alone, TIE_QUERY, -TIE_QUERY).ray_parameter == 1.0
     hit = closest_point(mesh, TIE_QUERY)
     assert hit.triangle_id == closest_point_brute(mesh, TIE_QUERY).triangle_id == 0
-    # enough rows that some rows' kept nodes straddle two steps of the walk
-    points, tri_ids = closest_point_batch(mesh, np.tile(TIE_QUERY, (700, 1)))
+    # one row more than a step holds, so that some rows meet the two tied triangles in two
+    # steps of the walk
+    steps = []
+    descend = mesh_module._descend
+
+    def spy(*args):
+        for rows, tris in descend(*args):
+            steps.append({k: set(rows[tris == k].tolist()) for k in (0, 1)})
+            yield rows, tris
+
+    monkeypatch.setattr(mesh_module, "_descend", spy)
+    n_rows = _BLOCK_PAIRS // CHUNK_SIZE + 1
+    points, tri_ids = closest_point_batch(mesh, np.tile(TIE_QUERY, (n_rows, 1)))
     assert not points.any() and not tri_ids.any()
+    assert any(step[0] - step[1] for step in steps)  # a row with one tied triangle in a step
     ray = ray_intersect(mesh, TIE_QUERY, -TIE_QUERY)
     assert ray.triangle_id == ray_intersect_brute(mesh, TIE_QUERY, -TIE_QUERY).triangle_id == 0
     assert ray.ray_parameter == 1.0
@@ -887,6 +920,97 @@ def test_stl_seeded_corpus_matches_reference_and_corruptions_name_the_facet(tmp_
         with pytest.raises(MeshValidationError,
                            match=f"facet {bad} is not one loop of exactly three vertices"):
             load_stl(path)
+
+
+# words that a fuzzed file gains: facet keywords, a solid line, and words with the bytes
+# that end the fast scan's spelling runs
+FUZZ_WORDS = ["outer loop", "outer", "loop", "vertex", "endloop", "endfacet", "facet",
+              "facet normal 0 0 1", "\nsolid y", "endsolid", "1v", "2d", "\n"]
+
+
+def fuzzed_stl(seed):
+    """corpus_stl text, sound or with a corruption and with its names kept or made plain,
+    in which up to three words after the first are inserted, replaced by a FUZZ_WORDS word,
+    deleted, or lengthened past the fast scan's 256-byte spelling runs."""
+    rng = np.random.default_rng(seed)
+    layout = str(rng.choice(["lines", "one_line"]))
+    corruption = rng.choice([None] * 4 + CORPUS_CORRUPTIONS)
+    text, _ = corpus_stl(int(rng.integers(1 << 30)), layout, corruption)
+    if rng.integers(4):  # names without a keyword, as most files have
+        text = re.sub(r"(solid[ \t]+)(?:endfacet_x|endloop_x|outer loop)", r"\1x", text)
+    tokens = re.split(r"(\s+)", text)  # words at even positions
+    for _ in range(int(rng.integers(0, 4))):
+        k = 2 * int(rng.integers(1, len(tokens) // 2 + 1))
+        edit = rng.choice(["insert", "replace", "delete", "long"])
+        word = str(rng.choice(FUZZ_WORDS))
+        if edit == "insert":
+            tokens[k:k] = [word, " "]
+        elif k < len(tokens):
+            tokens[k] = {"replace": word, "delete": "", "long": "0" * 300 + tokens[k]}[edit]
+    return "".join(tokens)
+
+
+def mesh_or_message(read):
+    """A mesh's (vertices, triangles) bytes, or the message of the MeshValidationError
+    that reading or building it raises."""
+    try:
+        mesh = read()
+        return mesh.vertices.tobytes(), mesh.triangles.tobytes()
+    except MeshValidationError as err:
+        return str(err)
+
+
+def test_stl_fast_record_scan_agrees_with_the_exact_scan(tmp_path):
+    path = tmp_path / "fuzz.stl"
+
+    def scan(fast):
+        return TriangleMesh(*mesh_module._read_facets(path, path.read_bytes(), fast))
+
+    facet = "facet normal 0 0 1 outer loop vertex {} 0 0 vertex 1 0 0 vertex 0 1 0 endloop endfacet"
+    for text, expected in [
+        # a one-line file whose first name holds a fast record that swallows the next facet:
+        # its spellings are checked before the name drops it
+        (f"solid x outer loop vertex 1 2 3 endloop endfacet {facet.format(0)} "
+         f"{facet.format(2)} endsolid x\n", 2),
+        # an exact record that no fast one matches (a v in a spelling) runs from the first
+        # name past its line end into a second name: a broken facet, not name text
+        (f"solid x outer loop vertex 1v 2 3\nvertex solid y 3 vertex 1 2 3 endloop endfacet\n"
+         f"{facet.format(0)}\nendsolid x\n", "facet 0 is not one loop"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(MeshValidationError):  # not accepted by the fast scan
+            scan(fast=True)
+        if isinstance(expected, int):
+            assert len(load_stl(path)) == expected
+        else:
+            with pytest.raises(MeshValidationError, match=expected):
+                load_stl(path)
+    corpus = [corpus_stl(seed, ["lines", "one_line"][seed % 2],
+                         [None, *CORPUS_CORRUPTIONS][seed % 5])[0] for seed in range(100)]
+    accepted = 0
+    for seed, text in enumerate(corpus + [fuzzed_stl(seed) for seed in range(400)]):
+        path.write_text(text)
+        exact = mesh_or_message(lambda: scan(fast=False))
+        try:
+            records = mesh_module._read_facets(path, path.read_bytes(), fast=True)
+        except MeshValidationError:
+            pass  # not accepted: load_stl reads the file again with the exact scan
+        else:  # accepted: the same mesh, or the same degenerate facet
+            assert mesh_or_message(lambda: TriangleMesh(*records)) == exact, seed
+            accepted += 1
+        assert mesh_or_message(lambda: load_stl(path)) == exact, seed
+    assert accepted >= 30
+
+
+def test_stl_loops_without_endloop_read_in_linear_time(tmp_path):
+    # a record scan whose vertex runs were unbounded would try each loop to the end of the file
+    path = tmp_path / "no_endloop.stl"
+    path.write_text("solid x\n" + "outer loop vertex 1 2 3 vertex 1 2 3 vertex 1 2 3 " * 8000
+                    + "\nendsolid x\n")
+    start = time.perf_counter()
+    with pytest.raises(MeshValidationError):
+        load_stl(path)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_outward_winding_of_generated_sphere(sphere85):
