@@ -9,7 +9,6 @@ from .mesh import (
     load_stl,
     ray_intersect,
     save_stl,
-    triangle_normal,
 )
 from .pose_plan import (
     ConstraintKind,
@@ -61,7 +60,7 @@ __version__ = "0.1.0"
 __all__ = [
     "RigidTransform", "compose", "invert", "rotation_about_axis", "rotation_angle",
     "TriangleMesh", "SurfaceHit", "closest_point", "closest_point_batch",
-    "ray_intersect", "triangle_normal", "load_stl", "save_stl",
+    "ray_intersect", "load_stl", "save_stl",
     "ConstraintKind", "Strategy", "PoseConstraintInput", "PlanPose", "HotspotGrid",
     "pose_from_constraint", "free_skin_pose", "restricted_cortex_pose",
     "closest_skin_pose", "hotspot_grid", "select_hotspot",

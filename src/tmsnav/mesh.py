@@ -63,12 +63,9 @@ def _morton_codes(points: np.ndarray) -> np.ndarray:
     return (cells[:, 0] << 2) | (cells[:, 1] << 1) | cells[:, 2]
 
 
-def _areas(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
-
-
 class TriangleMesh:
-    """Read-only indexed triangle surface with a lazily built spatial index."""
+    """Read-only indexed triangle surface: its unit face normals (T, 3), from the stored
+    winding, and a lazily built spatial index."""
 
     def __init__(self, vertices, triangles):
         v = np.asarray(vertices, dtype=float).reshape(-1, 3).copy()
@@ -76,22 +73,31 @@ class TriangleMesh:
         bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
         if bad.size:
             raise MeshValidationError(f"non-finite vertex {bad[0]}: {v[bad[0]].tolist()}")
+        # no query would pass _nearest's bound on a mesh with a coordinate c where
+        # c^2 >= _FAR_LIMIT, and the cross products below could overflow
+        bad = np.flatnonzero((np.abs(v) >= np.sqrt(_FAR_LIMIT)).any(axis=1))
+        if bad.size:
+            raise MeshValidationError(f"vertex {bad[0]} has a coordinate of 1e75 mm or more: "
+                                      f"{v[bad[0]].tolist()}")
         if t.size and (t.min() < 0 or t.max() >= len(v)):
             raise MeshValidationError("triangle index out of range")
         v.setflags(write=False)
         t.setflags(write=False)
         self.vertices = v
         self.triangles = t
-        # gathered once, for the degeneracy check here and for every query
-        self._corners = (v[t[:, 0]], v[t[:, 1]], v[t[:, 2]])
-        for x in self._corners:
-            x.setflags(write=False)
-        self._index = None
-        bad = np.flatnonzero(_areas(*self._corners) <= DEGENERATE_AREA_MM2)
+        # gathered once, for the normals here and for every query
+        a, b, c = self._corners = (v[t[:, 0]], v[t[:, 1]], v[t[:, 2]])
+        cross = np.cross(b - a, c - a)
+        length = np.linalg.norm(cross, axis=1)  # row sums: no BLAS kernel picks a normal
+        bad = np.flatnonzero(0.5 * length <= DEGENERATE_AREA_MM2)
         if bad.size:
             raise MeshValidationError(
                 f"{bad.size} degenerate triangle(s), first at id {int(bad[0])}"
             )
+        self.normals = cross / length[:, None]
+        for x in (*self._corners, self.normals):
+            x.setflags(write=False)
+        self._index = None
 
     def __len__(self) -> int:
         return len(self.triangles)
@@ -152,23 +158,6 @@ def _descend(mesh: TriangleMesh, n_rows: int, keep):
             stack.append((level - 1, rows, children))
         else:
             yield rows, ids[children]
-
-
-def triangle_normal(mesh: TriangleMesh, triangle_id: int) -> np.ndarray:
-    """Unit outward normal of one triangle from its stored winding."""
-    i0, i1, i2 = mesh.triangles[triangle_id]
-    v = mesh.vertices
-    n = np.cross(v[i1] - v[i0], v[i2] - v[i0])
-    norm = np.linalg.norm(n)
-    if norm <= 2.0 * DEGENERATE_AREA_MM2:
-        raise MeshValidationError(f"degenerate triangle {triangle_id}")
-    return n / norm
-
-
-def triangle_normals(mesh: TriangleMesh) -> np.ndarray:
-    a, b, c = mesh.corners()
-    n = np.cross(b - a, c - a)
-    return n / np.linalg.norm(n, axis=1, keepdims=True)
 
 
 def _closest_on_triangles(a, b, c, q):
@@ -317,7 +306,7 @@ def _ray_hits_triangles(a, b, c, origin, direction):
     s = origin - a
     u = np.einsum("ij,ij->i", s, h) / inv
     qv = np.cross(s, e1)
-    v = np.dot(qv, direction) / inv
+    v = (qv * direction).sum(-1) / inv
     t = np.einsum("ij,ij->i", e2, qv) / inv
     valid &= (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (t > RAY_MIN_PARAMETER)
     return t, valid
@@ -517,8 +506,8 @@ def _read_facets(path, data: bytes, fast: bool) -> tuple[np.ndarray, np.ndarray]
 
 
 def save_stl(mesh: TriangleMesh, path, name: str = "surface") -> None:
-    """Write an ASCII STL with normals recomputed from winding."""
-    normals = triangle_normals(mesh)
+    """Write an ASCII STL with the mesh's face normals."""
+    normals = mesh.normals
     a, b, c = mesh.corners()
     lines = [f"solid {name}"]
     for i in range(len(mesh)):
@@ -538,7 +527,7 @@ def save_stl(mesh: TriangleMesh, path, name: str = "surface") -> None:
 def sample_surface(mesh: TriangleMesh, n: int, rng: np.random.Generator) -> np.ndarray:
     """Area-weighted random points on the surface, shape (n, 3)."""
     a, b, c = mesh.corners()
-    areas = _areas(a, b, c)
+    areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
     ids = rng.choice(len(mesh), size=n, p=areas / areas.sum())
     r1 = np.sqrt(rng.uniform(size=n))[:, None]
     r2 = rng.uniform(size=n)[:, None]

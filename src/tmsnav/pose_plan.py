@@ -9,7 +9,9 @@ cortex-oriented, skin-projected) and hotspot-grid generation. Only a
 two-point constraint reads the mesh it is placed on; others may pass None.
 
 The derivation is fully deterministic: identical inputs give bitwise
-identical poses.
+identical poses. Face normals come from the mesh's normal table, and every
+dot and norm that shapes a pose is a fixed-order sum, so no BLAS kernel
+picks a pose's rounding.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .mesh import (
     closest_point_batch,
     contains_point,
     ray_intersect,
-    triangle_normal,
 )
 from .transforms import RigidTransform, as_vec3
 
@@ -130,19 +131,23 @@ class HotspotGrid:
 
 
 def _frame_from_normal_and_tail(n: np.ndarray, y_raw: np.ndarray) -> np.ndarray:
-    """Rotation with columns (x, y, n): tail projected into the tangent plane."""
-    y_perp = y_raw - np.dot(y_raw, n) * n
-    norm = np.linalg.norm(y_perp)
-    if norm < TAIL_PROJECTION_MIN_MM:
+    """Rotation with columns (x, y, n): tail projected into the tangent plane.
+
+    n and y_raw are (3,) or broadcast (P, 3) rows, giving (3, 3) or (P, 3, 3); dots and
+    norms are fixed-order row sums, so no BLAS kernel picks their rounding.
+    """
+    y_perp = y_raw - (y_raw * n).sum(-1, keepdims=True) * n
+    norm = np.sqrt((y_perp * y_perp).sum(-1, keepdims=True))
+    if (norm < TAIL_PROJECTION_MIN_MM).any():
         raise DegenerateTail("tail direction is parallel to the surface normal")
     y = y_perp / norm
     x = np.cross(y, n)
-    return np.stack([x, y, n], axis=1)
+    return np.stack([x, y, n], axis=-1)
 
 
 def _plane_normal(p: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     c = np.cross(p1 - p, p2 - p)
-    norm = np.linalg.norm(c)
+    norm = np.sqrt((c * c).sum())
     if norm <= DEGENERATE_CROSS_MM2:
         raise DegenerateConstraint("plane points are collinear")
     return c / norm
@@ -169,10 +174,10 @@ def pose_from_constraint(
                 f"center is {np.linalg.norm(constraint.center - hit.point):.1f} mm "
                 f"from the mesh (bound {SURFACE_BOUND_MM} mm)"
             )
-        n = triangle_normal(mesh, hit.triangle_id)
+        n = mesh.normals[hit.triangle_id]
         y_raw = constraint.tail_point - constraint.center
         v0 = mesh.vertices[mesh.triangles[hit.triangle_id][0]]
-        center = constraint.center - np.dot(constraint.center - v0, n) * n
+        center = constraint.center - ((constraint.center - v0) * n).sum() * n
     else:
         p, p1, p2 = constraint.plane_points
         n = _plane_normal(p, p1, p2)
@@ -230,8 +235,8 @@ def closest_skin_pose(
     """Skin-tangential plan at the skin point nearest the cortex target."""
     cortex_pose = pose_from_constraint(cortex_constraint, cortex)
     hit = closest_point(skin, cortex_pose.pose.translation)
-    n = triangle_normal(skin, hit.triangle_id)
-    rotation = _frame_from_normal_and_tail(n, cortex_pose.pose.rotation[:, 1])
+    rotation = _frame_from_normal_and_tail(skin.normals[hit.triangle_id],
+                                           cortex_pose.pose.rotation[:, 1])
     return PlanPose(
         RigidTransform(rotation, hit.point),
         Strategy.CLOSEST_SKIN,
@@ -259,22 +264,22 @@ def hotspot_grid(
     x_axis = seed_pose.pose.rotation[:, 0]
     y_axis = seed_pose.pose.rotation[:, 1]
     origin = seed_pose.pose.translation
-    lattice = []
-    for r in range(rows):
-        dv = (r - (rows - 1) / 2.0) * spacing
-        for c in range(cols):
-            du = (c - (cols - 1) / 2.0) * spacing
-            lattice.append(((r, c), origin + du * x_axis + dv * y_axis))
-    points, tri_ids = closest_point_batch(skin, [q for _, q in lattice])
-    poses = []
-    for ((r, c), q), point, tri in zip(lattice, points, tri_ids):
-        gap = np.linalg.norm(point - q)
-        if gap > 2.0 * spacing:
-            raise GridEscapedSurface(f"lattice point ({r},{c}) projected {gap:.1f} mm away")
-        rotation = _frame_from_normal_and_tail(triangle_normal(skin, tri), y_axis)
-        source = PoseConstraintInput.two_point(q, q + y_axis)
-        poses.append(PlanPose(RigidTransform(rotation, point), seed_pose.strategy, source))
-    return HotspotGrid(tuple(poses), rows, cols, spacing)
+    r, c = np.divmod(np.arange(rows * cols), cols)  # row-major
+    du = (c - (cols - 1) / 2.0) * spacing
+    dv = (r - (rows - 1) / 2.0) * spacing
+    lattice = origin + du[:, None] * x_axis + dv[:, None] * y_axis
+    points, tri_ids = closest_point_batch(skin, lattice)
+    gaps = np.linalg.norm(points - lattice, axis=1)
+    escaped = np.flatnonzero(gaps > 2.0 * spacing)
+    n = escaped[0] if escaped.size else len(lattice)
+    # as pose by pose: a degenerate tail before the first escaped point raises first
+    rotations = _frame_from_normal_and_tail(skin.normals[tri_ids[:n]], y_axis)
+    if escaped.size:
+        raise GridEscapedSurface(f"lattice point ({r[n]},{c[n]}) projected {gaps[n]:.1f} mm away")
+    poses = tuple(PlanPose(RigidTransform(rotation, point), seed_pose.strategy,
+                           PoseConstraintInput.two_point(q, q + y_axis))
+                  for rotation, point, q in zip(rotations, points, lattice))
+    return HotspotGrid(poses, rows, cols, spacing)
 
 
 def select_hotspot(grid: HotspotGrid, responses) -> tuple[int, PlanPose]:

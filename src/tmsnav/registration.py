@@ -190,7 +190,6 @@ def icp_refine(
     pts = np.asarray(cloud, dtype=float).reshape(-1, 3)
     if len(pts) < 10:
         raise DegenerateCorrespondences("ICP needs a cloud of at least 10 points")
-    a, b, c = skin.corners()
 
     def correspond(transform, start):
         moved = transform.apply(pts)
@@ -213,10 +212,7 @@ def icp_refine(
         sv = np.linalg.svd(kept - kept.mean(axis=0), compute_uv=False)
         if sv[1] <= _COLLINEAR_SV_MIN:
             raise DegenerateCorrespondences("correspondences collapsed to a line")
-        ids = tri_ids[keep]
-        normals = np.cross(b[ids] - a[ids], c[ids] - a[ids])
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        step, sv_ratio = _plane_step(moved[keep], kept, normals)
+        step, sv_ratio = _plane_step(moved[keep], kept, skin.normals[tri_ids[keep]])
         trial = compose(step, current)
         found = correspond(trial, tri_ids)
         if found[3].mean() > previous:  # the plane step overshot: fit point to point

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from tmsnav.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
 from tmsnav.fileio import canonical_json, dump, parse, read_json, write_json
 from tmsnav.kinematics import CANONICAL_EDGES
 from tmsnav.mesh import sample_surface, save_stl
-from tmsnav.meshgen import icosphere
+from tmsnav.meshgen import ellipsoid, icosphere
 from tmsnav.pose_plan import PlanPose, PoseConstraintInput
 from tmsnav.registration import RegistrationResult
 from tmsnav.transforms import RigidTransform, rotation_about_axis
@@ -302,6 +303,22 @@ def test_plan_center_too_far_for_exact_distances_is_input_error(project, tmp_pat
     assert "too far from the mesh" in capsys.readouterr().err
 
 
+def test_plan_on_a_skin_too_large_for_exact_distances_is_input_error(project, constraints,
+                                                                     tmp_path, capsys):
+    # the first vertex spelling at 1e300 mm: the mesh, not a query, is named, and no cross
+    # product overflows on the way
+    text = (project / "skin.stl").read_text()
+    first = text.index("vertex ")
+    skin = tmp_path / "skin.stl"
+    skin.write_text(text[:first] + "vertex 1e300 0 0" + text[text.index("\n", first):])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _plan(project, tmp_path / "out", "free-skin", constraints["two"],
+                     skin_mesh=skin) == (EXIT_USAGE, None)
+    assert "vertex 0 has a coordinate of 1e75 mm or more: [1e+300, 0.0, 0.0]" in (
+        capsys.readouterr().err)
+
+
 def test_plan_two_point_tail_at_the_center_is_domain_error(project, tmp_path, capsys):
     # a constraint read from JSON gets the same check as PoseConstraintInput.two_point
     write_json(tmp_path / "same.json", {"constraint_kind": "two_point", "center": [0, 0, 70],
@@ -535,6 +552,17 @@ for name, args in (("robotic", ["--mode=holding", "--actuation=robotic"]),
 assert main([f"--out={out}/report", "report", f"--input={out}/manual/session.json"]) == 0
 """
 
+RUN_PLANS = """
+inputs = Path(config).parent
+for i in range(4):
+    for strategy, mesh in (("free-skin", "skin"), ("restricted-cortex", "cortex"),
+                           ("closest-skin", "cortex")):
+        assert main([f"--config={config}", f"--out={out}/{strategy}{i}", "plan",
+                     f"--strategy={strategy}", f"--constraint={inputs / f'{mesh}{i}.json'}"]) == 0
+    assert main([f"--config={config}", f"--out={out}/hotspot{i}", "hotspot",
+                 f"--plan={out}/free-skin{i}/plan.json", "--rows=5", "--cols=5"]) == 0
+"""
+
 
 def distinct_outputs_per_kernel(tmp_path, script: str, config: dict, outputs) -> dict:
     """Run the control and `script` in a fresh process per kernel; count each output's
@@ -591,6 +619,30 @@ def test_chain_does_not_depend_on_the_blas_kernel(tmp_path):
     # the default kernel's file is the fixture's pinned pose
     pinned = read_json(tmp_path / "None" / "plain" / "commanded.json")["matrix"]
     assert canonical_json(pinned) == canonical_json(record["commanded_matrix"])
+
+
+def test_plans_do_not_depend_on_the_blas_kernel(tmp_path):
+    # head-sized ellipsoids of 5,120 triangles, written here once: the icosphere's midpoint
+    # norms go through BLAS, so a child that built them would get its kernel's own mesh
+    for name, axes in (("skin", np.array([80.0, 95.0, 70.0])),
+                       ("cortex", np.array([65.0, 80.0, 55.0]))):
+        save_stl(ellipsoid(axes, 4), tmp_path / f"{name}.stl", name=name)
+        # two-point constraints 0.7 mm off the analytic surface, tails along its tangent
+        for i, d in enumerate(np.array([[0.3, 0.2, 1.0], [0.9, -0.4, 0.5], [-0.6, 0.7, 0.4],
+                                        [-0.2, -0.8, 0.6]])):
+            point = d / np.sqrt((d * d / axes ** 2).sum())
+            normal = point / axes ** 2
+            normal /= np.sqrt((normal * normal).sum())
+            center = point + 0.7 * normal
+            tail = center + 8.0 * np.cross(normal, [0.0, 0.0, 1.0])
+            write_json(tmp_path / f"{name}{i}.json",
+                       dump(PoseConstraintInput.two_point(center, tail)))
+    config = {"skin_mesh": str(tmp_path / "skin.stl"), "cortex_mesh": str(tmp_path / "cortex.stl")}
+    outputs = [f"{name}{i}/{kind}.json" for i in range(4) for name, kind in (
+        ("free-skin", "plan"), ("restricted-cortex", "plan"), ("closest-skin", "plan"),
+        ("hotspot", "hotspot"))]
+    counts = distinct_outputs_per_kernel(tmp_path, RUN_PLANS, config, outputs)
+    assert counts == dict.fromkeys(outputs, 1)
 
 
 # --- session / report --------------------------------------------------------------------------

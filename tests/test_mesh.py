@@ -18,8 +18,6 @@ from tmsnav.mesh import (
     ray_intersect,
     sample_surface,
     save_stl,
-    triangle_normal,
-    triangle_normals,
 )
 from tmsnav.meshgen import ellipsoid, grid_patch, hemisphere, icosphere
 
@@ -76,20 +74,20 @@ def around(mesh, rng, n, margin=30.0):
     return rng.uniform(lo, hi, size=(n, 3))
 
 
-# --- triangle_normal -------------------------------------------------------
+# --- normals ---------------------------------------------------------------
 
 def test_triangle_normal_basic():
-    np.testing.assert_allclose(triangle_normal(unit_triangle(), 0), [0, 0, 1], atol=1e-15)
+    np.testing.assert_allclose(unit_triangle().normals[0], [0, 0, 1], atol=1e-15)
 
 
 def test_triangle_normal_winding_flip():
     m = TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 2, 1]])
-    np.testing.assert_allclose(triangle_normal(m, 0), [0, 0, -1], atol=1e-15)
+    np.testing.assert_allclose(m.normals[0], [0, 0, -1], atol=1e-15)
 
 
 def test_triangle_normal_scale_invariant():
     m = TriangleMesh([[0, 0, 0], [2, 0, 0], [0, 3, 0]], [[0, 1, 2]])
-    np.testing.assert_allclose(triangle_normal(m, 0), [0, 0, 1], atol=1e-15)
+    np.testing.assert_allclose(m.normals[0], [0, 0, 1], atol=1e-15)
 
 
 def test_triangle_normal_unit_norm_and_sign_property():
@@ -97,9 +95,19 @@ def test_triangle_normal_unit_norm_and_sign_property():
     m = random_soup(rng, 100)
     flipped = TriangleMesh(m.vertices, m.triangles[:, [0, 2, 1]])
     for i in range(len(m)):
-        n = triangle_normal(m, i)
+        n = m.normals[i]
         assert abs(np.linalg.norm(n) - 1.0) <= 1e-12
-        np.testing.assert_allclose(triangle_normal(flipped, i), -n, atol=1e-12)
+        np.testing.assert_allclose(flipped.normals[i], -n, atol=1e-12)
+
+
+def test_normals_are_the_normalised_cross_of_the_corners():
+    # bitwise: the one table every plan, ICP step and saved STL reads
+    for m in (random_soup(np.random.default_rng(12), 300), ellipsoid((80.0, 95.0, 70.0), 3)):
+        a, b, c = m.corners()
+        cross = np.cross(b - a, c - a)
+        expected = cross / np.sqrt((cross * cross).sum(axis=1))[:, None]
+        assert m.normals.shape == (len(m), 3)
+        assert m.normals.tobytes() == expected.tobytes()
 
 
 # --- validation ------------------------------------------------------------
@@ -116,6 +124,20 @@ def test_non_finite_vertex_rejected(bad):
         TriangleMesh(verts, [[0, 1, 2], [0, 1, 3]])
 
 
+@pytest.mark.parametrize("far", [1e300, -1e75, 1e100])
+def test_vertex_too_far_for_exact_distances_rejected(far, recwarn):
+    # no query could pass the closest-point bound, and the cross products would overflow
+    verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, far, 0]]
+    with pytest.raises(MeshValidationError, match="vertex 3 has a coordinate of 1e75 mm"):
+        TriangleMesh(verts, [[0, 1, 2], [0, 1, 3]])
+    assert not recwarn.list
+
+
+def test_vertex_just_inside_the_far_bound_accepted():
+    m = TriangleMesh([[0, 0, 0], [9e74, 0, 0], [0, 9e74, 0]], [[0, 1, 2]])
+    assert m.normals.tolist() == [[0.0, 0.0, 1.0]]
+
+
 def test_index_out_of_range_rejected():
     with pytest.raises(MeshValidationError):
         TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 3]])
@@ -125,7 +147,7 @@ def test_corners_and_index_are_read_only():
     # the mesh's queries read these arrays, so writing them would move later answers
     m = icosphere(50.0, subdivisions=2)
     ids, levels = m.index()
-    for array in (*m.corners(), m.vertices, m.triangles, ids, *levels):
+    for array in (*m.corners(), m.vertices, m.triangles, m.normals, ids, *levels):
         with pytest.raises(ValueError):
             array[...] += 1
     assert closest_point(m, [0.0, 0.0, 80.0]).point == pytest.approx([0.0, 0.0, 50.0])
@@ -463,6 +485,15 @@ def test_stl_round_trip(tmp_path):
     np.testing.assert_allclose(h_back.point, h_orig.point, atol=1e-12)
 
 
+def test_save_stl_writes_the_mesh_normals(tmp_path):
+    mesh = ellipsoid((80.0, 95.0, 70.0), 2)
+    path = tmp_path / "skin.stl"
+    save_stl(mesh, path)
+    written = [line.split()[2:] for line in path.read_text().splitlines()
+               if line.lstrip().startswith("facet normal")]
+    assert np.array(written, dtype=float).tobytes() == mesh.normals.tobytes()
+
+
 def test_stl_file_normals_ignored(tmp_path):
     # write a facet with a wildly wrong normal: loader must recompute
     path = tmp_path / "tri.stl"
@@ -478,7 +509,7 @@ def test_stl_file_normals_ignored(tmp_path):
         "endsolid junk\n"
     )
     mesh = load_stl(path)
-    np.testing.assert_allclose(triangle_normal(mesh, 0), [0, 0, 1], atol=1e-15)
+    np.testing.assert_allclose(mesh.normals[0], [0, 0, 1], atol=1e-15)
 
 
 def stl_text(*facets):
@@ -1014,7 +1045,7 @@ def test_stl_loops_without_endloop_read_in_linear_time(tmp_path):
 
 
 def test_outward_winding_of_generated_sphere(sphere85):
-    normals = triangle_normals(sphere85)
+    normals = sphere85.normals
     a, b, c = sphere85.corners()
     centroids = (a + b + c) / 3.0
     assert np.all(np.einsum("ij,ij->i", normals, centroids) > 0.0)

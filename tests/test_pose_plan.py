@@ -12,7 +12,7 @@ from tmsnav.errors import (
     ValidationError,
 )
 from tmsnav.fileio import dump, parse
-from tmsnav.mesh import closest_point, sample_surface, triangle_normal
+from tmsnav.mesh import TriangleMesh, closest_point, sample_surface
 from tmsnav.meshgen import grid_patch, hemisphere, icosphere
 from tmsnav.pose_plan import (
     ConstraintKind,
@@ -20,6 +20,7 @@ from tmsnav.pose_plan import (
     PlanPose,
     PoseConstraintInput,
     Strategy,
+    _frame_from_normal_and_tail,
     closest_skin_pose,
     free_skin_pose,
     hotspot_grid,
@@ -202,7 +203,7 @@ def test_free_skin_on_head_mesh_center_on_surface(sphere85):
         # z-axis equals the brute-force containing triangle's normal
         tid = closest_point_brute(sphere85, pc).triangle_id
         np.testing.assert_allclose(
-            plan.pose.rotation[:, 2], triangle_normal(sphere85, tid), atol=1e-12
+            plan.pose.rotation[:, 2], sphere85.normals[tid], atol=1e-12
         )
 
 
@@ -316,7 +317,7 @@ def test_closest_skin_z_axis_is_skin_triangle_normal(sphere85, cortex70):
         )
         tid = closest_point_brute(sphere85, plan.cortex_target).triangle_id
         np.testing.assert_allclose(
-            plan.pose.rotation[:, 2], triangle_normal(sphere85, tid), atol=1e-12
+            plan.pose.rotation[:, 2], sphere85.normals[tid], atol=1e-12
         )
         hit = closest_point(sphere85, plan.pose.translation)
         assert np.linalg.norm(hit.point - plan.pose.translation) <= 1e-6
@@ -407,13 +408,36 @@ def test_hotspot_grid_escape_names_the_first_escaped_point_in_row_major_order():
         hotspot_grid(skin, seed, 9, 9, 3.0)
 
 
+@pytest.mark.parametrize("tail_y, error, message", [
+    (3.0, GridEscapedSurface, "lattice point (0,0) "),
+    (-3.0, DegenerateTail, "parallel to the surface normal"),
+])
+def test_hotspot_grid_raises_for_its_first_failing_point_in_row_major_order(tail_y, error,
+                                                                            message):
+    # a 20 mm square patch and a wall 13 mm off it, its normal along the grid's y axis: the
+    # row of a 7 x 3 grid at 12 mm pitch nearest the wall lands on it, with no tangent tail,
+    # and the outer columns of the farthest row escape; the row on the tail's side comes last
+    patch = grid_patch(4, 4, spacing=5.0)
+    wall = [[-50.0, 13.0, -50.0], [50.0, 13.0, -50.0], [50.0, 13.0, 50.0], [-50.0, 13.0, 50.0]]
+    skin = TriangleMesh(np.vstack([patch.vertices, wall]),
+                        np.vstack([patch.triangles, len(patch.vertices) + np.array(
+                            [[0, 2, 1], [0, 3, 2]])]))
+    seed = free_skin_pose(skin, PoseConstraintInput.two_point([0.0, 0.0, 0.0],
+                                                              [0.0, tail_y, 0.0]))
+    with pytest.raises(error, match=re.escape(message)):
+        hotspot_grid(skin, seed, 3, 7, 12.0)
+
+
 def test_hotspot_grid_poses_sit_on_the_nearest_triangle(sphere85):
     seed = seed_on_sphere(sphere85)
     for pose in hotspot_grid(sphere85, seed, 4, 5, 7.0).poses:
         hit = closest_point_brute(sphere85, pose.source.center)
         np.testing.assert_array_equal(pose.pose.translation, hit.point)
         np.testing.assert_array_equal(pose.pose.rotation[:, 2],
-                                      triangle_normal(sphere85, hit.triangle_id))
+                                      sphere85.normals[hit.triangle_id])
+        # the grid's frames, built in one call, are the single pose's frame bit for bit
+        np.testing.assert_array_equal(pose.pose.rotation, _frame_from_normal_and_tail(
+            sphere85.normals[hit.triangle_id], seed.pose.rotation[:, 1]))
 
 
 def test_hotspot_grid_validates_shape(sphere85):
