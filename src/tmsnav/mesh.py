@@ -8,13 +8,16 @@ first query: an 8-ary tree over the triangles in the Morton order of their
 centroids, from each triangle's box up. A batch of closest-point queries
 may start from earlier triangle ids, with the same results. Containment
 sums the generalized winding number over every triangle, so open surfaces
-need no cap.
+need no cap. A mesh gathers its corners once into a (coordinate, corner,
+triangle) table: the normals, the index build and containment run on its
+contiguous rows, with fixed-order sums and no BLAS.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 from itertools import count, islice
 
 import numpy as np
@@ -54,13 +57,13 @@ class SurfaceHit:
 
 
 def _morton_codes(points: np.ndarray) -> np.ndarray:
-    """30-bit Morton codes of points quantized to 1024 cells per axis of their box."""
-    lo = points.min(axis=0)
-    span = points.max(axis=0) - lo
+    """30-bit Morton codes of points (3, N), quantized to 1024 cells per axis of their box."""
+    lo = points.min(axis=1, keepdims=True)
+    span = points.max(axis=1, keepdims=True) - lo
     cells = ((points - lo) * (1023.0 / np.where(span > 0.0, span, 1.0))).astype(np.int64)
     for shift, mask in ((16, 0xFF0000FF), (8, 0x0F00F00F), (4, 0xC30C30C3), (2, 0x49249249)):
         cells = (cells | cells << shift) & mask  # spread each axis's 10 bits 3 apart
-    return (cells[:, 0] << 2) | (cells[:, 1] << 1) | cells[:, 2]
+    return (cells[0] << 2) | (cells[1] << 1) | cells[2]
 
 
 class TriangleMesh:
@@ -68,14 +71,17 @@ class TriangleMesh:
     winding, and a lazily built spatial index."""
 
     def __init__(self, vertices, triangles):
-        v = np.asarray(vertices, dtype=float).reshape(-1, 3).copy()
-        t = np.asarray(triangles, dtype=np.int64).reshape(-1, 3).copy()
-        bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
+        v = np.array(vertices, dtype=float, order="C")  # copies
+        t = np.array(triangles, dtype=np.int64, order="C")
+        for name, x in (("vertex", v), ("triangle", t)):
+            if x.ndim != 2 or x.shape[1] != 3:
+                raise MeshValidationError(f"{name} array must have shape (N, 3), not {x.shape}")
+        bad = np.flatnonzero(~np.isfinite(v)) // 3  # the rows of the bad entries
         if bad.size:
             raise MeshValidationError(f"non-finite vertex {bad[0]}: {v[bad[0]].tolist()}")
         # no query would pass _nearest's bound on a mesh with a coordinate c where
         # c^2 >= _FAR_LIMIT, and the cross products below could overflow
-        bad = np.flatnonzero((np.abs(v) >= np.sqrt(_FAR_LIMIT)).any(axis=1))
+        bad = np.flatnonzero(np.abs(v) >= np.sqrt(_FAR_LIMIT)) // 3
         if bad.size:
             raise MeshValidationError(f"vertex {bad[0]} has a coordinate of 1e75 mm or more: "
                                       f"{v[bad[0]].tolist()}")
@@ -85,17 +91,20 @@ class TriangleMesh:
         t.setflags(write=False)
         self.vertices = v
         self.triangles = t
-        # gathered once, for the normals here and for every query
-        a, b, c = self._corners = (v[t[:, 0]], v[t[:, 1]], v[t[:, 2]])
-        cross = np.cross(b - a, c - a)
-        length = np.linalg.norm(cross, axis=1)  # row sums: no BLAS kernel picks a normal
+        # gathered once: the corners (a, b, c) for the tree's leaf gathers, and a table
+        # (coordinate, corner, triangle) for the normals, the index build and containment
+        self._corners = tuple(v.take(t.T, axis=0))
+        self._table = table = np.ascontiguousarray(v.T).take(t.T, axis=1)
+        u, w = table[:, 1] - table[:, 0], table[:, 2] - table[:, 0]  # edge rows (3, T)
+        cross = u[[1, 2, 0]] * w[[2, 0, 1]] - u[[2, 0, 1]] * w[[1, 2, 0]]  # as np.cross forms it
+        length = np.sqrt((cross * cross).sum(axis=0))  # fixed-order sums: no BLAS kernel
         bad = np.flatnonzero(0.5 * length <= DEGENERATE_AREA_MM2)
         if bad.size:
             raise MeshValidationError(
                 f"{bad.size} degenerate triangle(s), first at id {int(bad[0])}"
             )
-        self.normals = cross / length[:, None]
-        for x in (*self._corners, self.normals):
+        self.normals = np.ascontiguousarray((cross / length).T)
+        for x in (*self._corners, table, self.normals):
             x.setflags(write=False)
         self._index = None
 
@@ -109,28 +118,33 @@ class TriangleMesh:
     def index(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Spatial index (ids, levels), built on first use (non-empty meshes).
 
-        ids holds the triangle ids in Morton order, ties in id order. Each level
+        ids holds the triangle ids in Morton order of the centroids (from the corner table's
+        rows), ties in id order: one sort of the keys (code << bits) | id. Each level
         is (N, 3, 3) node rows (lo, hi, anchor): a widened box and a vertex in
         it. levels[0] has one node per triangle of ids, and node j of a level
         above bounds nodes 8j to 8j + 7 below it (CHUNK_SIZE = 8), up to a top level
         of at most 8 nodes. Empty nodes (_EMPTY_NODE) pad each level to a multiple of 8.
         """
         if self._index is None:
-            a, b, c = self.corners()
-            ids = np.argsort(_morton_codes((a + b + c) / 3.0), kind="stable")
+            table = self._table
+            a, b, c = table[:, 0], table[:, 1], table[:, 2]
+            n = len(self)
+            bits = max(1, (n - 1).bit_length())  # 30-bit codes: the keys fit in 63 bits
+            keys = np.sort(_morton_codes((a + b + c) / 3.0) << bits | np.arange(n))
+            ids = keys & ((1 << bits) - 1)
             pad = _BOX_PAD * (1.0 + np.abs(self.vertices).max())
-            boxes = np.stack([np.minimum(np.minimum(a, b), c) - pad,
-                              np.maximum(np.maximum(a, b), c) + pad, a], axis=1)
-            n = len(ids)
             nodes = np.empty((n + -n % CHUNK_SIZE, 3, 3))  # the padded leaf level
-            np.take(boxes, ids, axis=0, out=nodes[:n], mode="clip")  # ids in range: unbuffered
+            for k, rows in enumerate((table.min(axis=1) - pad, table.max(axis=1) + pad, a)):
+                nodes[:n, k] = rows.take(ids, axis=1).T  # lo, hi, anchor in Morton order
             nodes[n:] = _EMPTY_NODE
             levels = []
             while not levels or len(nodes) > 1:  # up to the root, which is not kept
                 empty = np.broadcast_to(_EMPTY_NODE, (-len(nodes) % CHUNK_SIZE, 3, 3))
                 levels.append(np.concatenate([nodes, empty]) if len(empty) else nodes)
-                g = levels[-1].reshape(-1, CHUNK_SIZE, 3, 3)
-                nodes = np.stack([g[:, :, 0].min(axis=1), g[:, :, 1].max(axis=1), g[:, 0, 2]], 1)
+                # child k of every parent at once: min and max over 8 long rows, not 8-wide axes
+                g = levels[-1].reshape(-1, CHUNK_SIZE, 3, 3).transpose(1, 0, 2, 3)
+                nodes = np.stack([reduce(np.minimum, g[:, :, 0]), reduce(np.maximum, g[:, :, 1]),
+                                  g[0, :, 2]], 1)
             for x in (ids, *levels):
                 x.setflags(write=False)
             self._index = (ids, tuple(levels))
@@ -359,15 +373,18 @@ def contains_point(mesh: TriangleMesh, point) -> bool:
 
     w sums each triangle's signed solid angle over 4 pi (Jacobson et al. 2013): +-1 inside
     a closed mesh of either winding, 0 outside, fractional near an open rim, 1/2 on a face.
+    The solid angles are taken on the corner table's coordinate rows, O(T) per point.
     """
     p = np.asarray(point, dtype=float).reshape(3)
     if not np.isfinite(p).all():  # a nan would read as outside
         raise ValidationError(f"non-finite point: {p.tolist()}")
-    a, b, c = (x - p for x in mesh.corners())
-    la, lb, lc = (np.sqrt(np.einsum("ij,ij->i", x, x)) for x in (a, b, c))
-    det = np.einsum("ij,ij->i", a, np.cross(b, c))
-    den = (la * lb * lc + np.einsum("ij,ij->i", a, b) * lc
-           + np.einsum("ij,ij->i", b, c) * la + np.einsum("ij,ij->i", c, a) * lb)
+    # coordinate rows of the corners about p; each dot sums x and z, then y, the order
+    # einsum("ij,ij->i") takes on (T, 3) rows (numpy 2.4), so w is bitwise einsum's
+    (ax, bx, cx), (ay, by, cy), (az, bz, cz) = x, y, z = mesh._table - p[:, None, None]
+    la, lb, lc = np.sqrt(x * x + z * z + y * y)
+    det = ax * (by * cz - bz * cy) + az * (bx * cy - by * cx) + ay * (bz * cx - bx * cz)
+    den = (la * lb * lc + (ax * bx + az * bz + ay * by) * lc
+           + (bx * cx + bz * cz + by * cy) * la + (cx * ax + cz * az + cy * ay) * lb)
     return bool(abs(np.arctan2(det, den).sum()) > np.pi)  # Van Oosterom-Strackee half angles
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,26 @@ def oracle_closest_on_mesh(mesh, p):
         if d < best_d:
             best_d, best_pt, best_id = d, q, i
     return best_pt, best_id, best_d
+
+
+# --- independent scalar winding-number oracle --------------------------------
+# The generalized winding number one triangle at a time, in Python floats: each
+# triangle's Van Oosterom-Strackee half angle, summed exactly with math.fsum.
+
+def _dot(u, w):
+    return u[0] * w[0] + u[1] * w[1] + u[2] * w[2]
+
+
+def oracle_winding_number(mesh, p) -> float:
+    p = [float(x) for x in p]
+    half_angles = []
+    for triangle in mesh.vertices[mesh.triangles].tolist():
+        x, y, z = ([u - q for u, q in zip(corner, p)] for corner in triangle)
+        yz = [y[1] * z[2] - y[2] * z[1], y[2] * z[0] - y[0] * z[2], y[0] * z[1] - y[1] * z[0]]
+        lx, ly, lz = (math.sqrt(_dot(u, u)) for u in (x, y, z))
+        den = lx * ly * lz + _dot(x, y) * lz + _dot(y, z) * lx + _dot(z, x) * ly
+        half_angles.append(math.atan2(_dot(x, yz), den))
+    return math.fsum(half_angles) / (2.0 * math.pi)
 
 
 def random_soup(rng: np.random.Generator, n_triangles: int = 500,

@@ -25,6 +25,7 @@ from conftest import (
     closest_point_brute,
     oracle_closest_on_mesh,
     oracle_closest_on_triangle,
+    oracle_winding_number,
     random_soup,
     ray_intersect_brute,
 )
@@ -136,6 +137,27 @@ def test_vertex_too_far_for_exact_distances_rejected(far, recwarn):
 def test_vertex_just_inside_the_far_bound_accepted():
     m = TriangleMesh([[0, 0, 0], [9e74, 0, 0], [0, 9e74, 0]], [[0, 1, 2]])
     assert m.normals.tolist() == [[0.0, 0.0, 1.0]]
+
+
+TETRAHEDRON = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+TETRAHEDRON_FACES = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
+
+
+@pytest.mark.parametrize("vertices, triangles, message", [
+    # each would reshape into a valid mesh: four vertices, four triangles
+    (TETRAHEDRON.reshape(6, 2), [[0, 1, 2]], r"vertex array .* not \(6, 2\)"),
+    (TETRAHEDRON, TETRAHEDRON_FACES.reshape(3, 4), r"triangle array .* not \(3, 4\)"),
+    (TETRAHEDRON.ravel(), [[0, 1, 2]], r"vertex array .* not \(12,\)"),
+    (TETRAHEDRON[None], [[0, 1, 2]], r"vertex array .* not \(1, 4, 3\)"),
+    (TETRAHEDRON, [0, 1, 2], r"triangle array .* not \(3,\)"),
+    (TETRAHEDRON, TETRAHEDRON_FACES[:, None], r"triangle array .* not \(4, 1, 3\)"),
+], ids=["vertices_6x2", "triangles_3x4", "vertices_1d", "vertices_3d", "triangles_1d",
+        "triangles_3d"])
+def test_array_not_of_three_columns_rejected(vertices, triangles, message):
+    with pytest.raises(MeshValidationError, match=message):
+        TriangleMesh(vertices, triangles)
+    assert len(TriangleMesh(TETRAHEDRON, TETRAHEDRON_FACES)) == 4
+    assert len(TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))) == 0
 
 
 def test_index_out_of_range_rejected():
@@ -295,6 +317,21 @@ def two_top_node_tie(upper_first):
         [np.zeros((len(anchors), 1, 3)), rng.uniform(-2, 2, size=(len(anchors), 2, 3))], axis=1)
     verts = np.concatenate([fan, others.reshape(-1, 3)])
     return TriangleMesh(verts, np.arange(len(verts)).reshape(-1, 3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 65, 1024, 1025])
+def test_index_ids_are_the_stable_argsort_of_the_morton_codes(n):
+    # three in four triangles share one centroid, so ties decide most of the order: the
+    # packed keys must give them in id order, with room for every id below the code bits
+    rng = np.random.default_rng(n)
+    anchors = np.where(rng.uniform(size=(n, 1)) < 0.75, 0.0, rng.uniform(-50, 50, (n, 3)))
+    verts = (anchors[:, None] + [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    mesh = TriangleMesh(verts.reshape(-1, 3), np.arange(3 * n).reshape(-1, 3))
+    a, b, c = mesh.corners()
+    codes = mesh_module._morton_codes(((a + b + c) / 3.0).T)
+    if n > 2:
+        assert len(np.unique(codes)) <= n // 2
+    assert mesh.index()[0].tolist() == np.argsort(codes, kind="stable").tolist()
 
 
 @pytest.mark.parametrize("upper_first", [True, False], ids=["winner_in_top_node_1",
@@ -461,6 +498,35 @@ def test_contains_point_matches_ellipsoid_oracle():
     expected = (norm < 1.0)[kept].tolist()
     for mesh in (outward, inward):  # either winding gives the same answers
         assert [contains_point(mesh, p) for p in points[kept]] == expected
+
+
+@pytest.mark.parametrize("shape", ["outward", "inward", "bowl", "patch"])
+def test_contains_point_matches_scalar_winding_oracle(shape):
+    # the decisions of the vectorised solid angles against one triangle at a time in Python
+    # floats, on closed meshes of both windings and on open ones, where |w| comes near 1/2
+    rng = np.random.default_rng(31)
+    if shape in ("outward", "inward"):
+        mesh = ellipsoid((80.0, 95.0, 70.0), subdivisions=2)
+        if shape == "inward":
+            mesh = TriangleMesh(mesh.vertices, mesh.triangles[:, ::-1])
+        points = around(mesh, rng, 150)
+    elif shape == "bowl":
+        mesh = hemisphere(85.0, subdivisions=2)
+        points = np.vstack([around(mesh, rng, 100),
+                            rng.uniform([-40, -40, -5], [40, 40, 25], size=(100, 3))])
+    else:  # heights over the interior of a 20 mm square: |w| -> 1/2 as they shrink
+        mesh = grid_patch(4, 4, spacing=5.0)
+        xy = rng.uniform(-8.0, 8.0, size=(150, 2))
+        heights = rng.choice([-1.0, 1.0], 150) * 10.0 ** rng.uniform(-3.0, 1.0, 150)
+        points = np.column_stack([xy, heights])
+    w = np.array([oracle_winding_number(mesh, p) for p in points])
+    margin = np.abs(np.abs(w) - 0.5)
+    assert margin.min() > 1e-9  # no decision hangs on rounding
+    if shape in ("outward", "inward"):
+        assert sorted(set(np.round(w, 9))) == ([0.0, 1.0] if shape == "outward" else [-1.0, 0.0])
+    else:
+        assert (margin < 0.05).sum() >= 20
+    assert [contains_point(mesh, p) for p in points] == (np.abs(w) > 0.5).tolist()
 
 
 def test_sample_surface_points_lie_on_mesh(sphere85):
