@@ -8,9 +8,9 @@ first query: an 8-ary tree over the triangles in the Morton order of their
 centroids, from each triangle's box up. A batch of closest-point queries
 may start from earlier triangle ids, with the same results. Containment
 sums the generalized winding number over every triangle, so open surfaces
-need no cap. A mesh gathers its corners once into a (coordinate, corner,
-triangle) table: the normals, the index build and containment run on its
-contiguous rows, with fixed-order sums and no BLAS.
+need no cap. A mesh gathers its corners once into its one corner layout, a
+(coordinate, corner, triangle) table: the normals, the index build, containment
+and closest points run on its rows, with fixed-order sums and no BLAS.
 """
 
 from __future__ import annotations
@@ -37,9 +37,13 @@ _BOX_PAD = 1e-9
 # (lo, hi, anchor) of the nodes that pad a level: an empty box, an anchor at infinity
 _EMPTY_NODE = np.array([[np.inf] * 3, [-np.inf] * 3, [np.inf] * 3])
 # L (D + L) bound, L and D the largest coordinate magnitudes of a mesh and a query: below
-# it every product in _closest_on_triangles (at most 216 L^2 (D + L)^2) and every squared
-# distance stays finite, so no row's bound is inf, which would keep the empty nodes too
+# it every product in _closest_on_triangles (at most 216 L^2 (D + L)^2) and the squared
+# distance of every lane it selects (the rejected lanes are masked) stay finite, so no
+# row's bound is inf, which would keep the empty nodes too
 _FAR_LIMIT = 1e150
+# a point within this fraction of the coordinate scale of a triangle is on the surface: far
+# above the rounding of a point put on a face, far below an offset meant to leave it
+_ON_SURFACE = 1e-13
 
 
 @dataclass(frozen=True)
@@ -91,9 +95,8 @@ class TriangleMesh:
         t.setflags(write=False)
         self.vertices = v
         self.triangles = t
-        # gathered once: the corners (a, b, c) for the tree's leaf gathers, and a table
-        # (coordinate, corner, triangle) for the normals, the index build and containment
-        self._corners = tuple(v.take(t.T, axis=0))
+        # the corners, gathered once into a (coordinate, corner, triangle) table for the
+        # normals, the index build, containment and closest points
         self._table = table = np.ascontiguousarray(v.T).take(t.T, axis=1)
         u, w = table[:, 1] - table[:, 0], table[:, 2] - table[:, 0]  # edge rows (3, T)
         cross = u[[1, 2, 0]] * w[[2, 0, 1]] - u[[2, 0, 1]] * w[[1, 2, 0]]  # as np.cross forms it
@@ -104,7 +107,7 @@ class TriangleMesh:
                 f"{bad.size} degenerate triangle(s), first at id {int(bad[0])}"
             )
         self.normals = np.ascontiguousarray((cross / length).T)
-        for x in (*self._corners, table, self.normals):
+        for x in (table, self.normals):
             x.setflags(write=False)
         self._index = None
 
@@ -112,8 +115,8 @@ class TriangleMesh:
         return len(self.triangles)
 
     def corners(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-triangle vertex arrays (a, b, c), each (M, 3)."""
-        return self._corners
+        """Per-triangle vertex arrays (a, b, c), each a read-only (T, 3) view of the table."""
+        return tuple(self._table.transpose(1, 2, 0))
 
     def index(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Spatial index (ids, levels), built on first use (non-empty meshes).
@@ -174,71 +177,34 @@ def _descend(mesh: TriangleMesh, n_rows: int, keep):
             yield rows, ids[children]
 
 
-def _closest_on_triangles(a, b, c, q):
-    """Closest point on each triangle (a, b, c): returns (points, d2).
+def _closest_on_triangles(corners, q):
+    """Closest point of each (triangle, query) pair: points (3, P), squared distances (P,).
 
-    Vectorized Voronoi-region walk (Ericson-style region classification,
-    exact comparisons). One query (3,) against corners (T, 3), or queries
-    (P, 3) each against its own corners (P, T, 3), with (..., T) outputs.
+    corners holds (coordinate, corner, pair) rows gathered from a mesh's table, and q
+    (coordinate, pair) query rows, or (3, 1) for one query against every pair. Each dot
+    sums x, y, z in turn. One select picks each pair's Voronoi region (Ericson, Real-Time
+    Collision Detection, 2005, 5.1.5) by exact comparisons, the first that holds in the
+    order vertex a, vertex b, edge ab, vertex c, edge ac, edge bc, else the face. Every
+    region's point is formed in every lane; a rejected lane's may divide by zero,
+    overflow or be nan, and is masked.
     """
-    qv = q[..., None, :]  # (..., 1, 3) against (..., T, 3)
-    ab = b - a
-    ac = c - a
-    ap = qv - a
-    d1 = (ab * ap).sum(-1)
-    d2_ = (ac * ap).sum(-1)
-    bp = qv - b
-    d3 = (ab * bp).sum(-1)
-    d4 = (ac * bp).sum(-1)
-    cp = qv - c
-    d5 = (ab * cp).sum(-1)
-    d6 = (ac * cp).sum(-1)
-
-    result = np.empty(a.shape)
-    remain = np.ones(d1.shape, dtype=bool)
-
-    is_a = (d1 <= 0.0) & (d2_ <= 0.0)
-    result[is_a] = a[is_a]
-    remain &= ~is_a
-
-    is_b = (d3 >= 0.0) & (d4 <= d3) & remain
-    result[is_b] = b[is_b]
-    remain &= ~is_b
-
-    vc = d1 * d4 - d3 * d2_
-    is_ab = (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0) & remain
-    if is_ab.any():
-        t = (d1[is_ab] / (d1[is_ab] - d3[is_ab]))[:, None]
-        result[is_ab] = a[is_ab] + t * ab[is_ab]
-    remain &= ~is_ab
-
-    is_c = (d6 >= 0.0) & (d5 <= d6) & remain
-    result[is_c] = c[is_c]
-    remain &= ~is_c
-
-    vb = d5 * d2_ - d1 * d6
-    is_ac = (vb <= 0.0) & (d2_ >= 0.0) & (d6 <= 0.0) & remain
-    if is_ac.any():
-        w = (d2_[is_ac] / (d2_[is_ac] - d6[is_ac]))[:, None]
-        result[is_ac] = a[is_ac] + w * ac[is_ac]
-    remain &= ~is_ac
-
-    va = d3 * d6 - d5 * d4
-    is_bc = (va <= 0.0) & ((d4 - d3) >= 0.0) & ((d5 - d6) >= 0.0) & remain
-    if is_bc.any():
-        d43 = d4[is_bc] - d3[is_bc]
-        w = (d43 / (d43 + d5[is_bc] - d6[is_bc]))[:, None]
-        result[is_bc] = b[is_bc] + w * (c[is_bc] - b[is_bc])
-    remain &= ~is_bc
-
-    if remain.any():
-        denom = va[remain] + vb[remain] + vc[remain]
-        v = (vb[remain] / denom)[:, None]
-        w = (vc[remain] / denom)[:, None]
-        result[remain] = a[remain] + v * ab[remain] + w * ac[remain]
-
-    diff = result - qv
-    return result, (diff * diff).sum(-1)
+    a, b, c = corners.transpose(1, 0, 2)  # (3, P) rows each
+    ab, ac = b - a, c - a
+    d1, d2, d3, d4, d5, d6 = (u[0] * w[0] + u[1] * w[1] + u[2] * w[2]
+                              for w in (q - a, q - b, q - c) for u in (ab, ac))
+    va, vb, vc = d3 * d6 - d5 * d4, d5 * d2 - d1 * d6, d1 * d4 - d3 * d2
+    with np.errstate(all="ignore"):
+        denom = va + vb + vc
+        points = np.select(
+            [(d1 <= 0.0) & (d2 <= 0.0), (d3 >= 0.0) & (d4 <= d3),
+             (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0), (d6 >= 0.0) & (d5 <= d6),
+             (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0),
+             (va <= 0.0) & (d4 - d3 >= 0.0) & (d5 - d6 >= 0.0)],
+            [a, b, a + d1 / (d1 - d3) * ab, c, a + d2 / (d2 - d6) * ac,
+             b + (d4 - d3) / (d4 - d3 + d5 - d6) * (c - b)],
+            a + vb / denom * ab + vc / denom * ac)
+    diff = points - q
+    return points, diff[0] * diff[0] + diff[1] * diff[1] + diff[2] * diff[2]
 
 
 def _nearest(mesh: TriangleMesh, q: np.ndarray,
@@ -261,7 +227,7 @@ def _nearest(mesh: TriangleMesh, q: np.ndarray,
     if bad.size:
         raise ValidationError(f"query point at row {bad[0]} is too far from the mesh for exact "
                               f"distances: {q[bad[0]].tolist()}")
-    a, b, c = mesh.corners()
+    table = mesh._table
     if start is None:
         upper = np.full(len(q), np.inf)
     else:
@@ -269,7 +235,7 @@ def _nearest(mesh: TriangleMesh, q: np.ndarray,
         if start.shape != (len(q),) or start.dtype.kind not in "iu" or (
                 len(q) and not 0 <= start.min() <= start.max() < len(mesh)):
             raise ValidationError(f"start ids must be {len(q)} triangle ids in [0, {len(mesh)})")
-        upper = _closest_on_triangles(a[start, None], b[start, None], c[start, None], q)[1][:, 0]
+        upper = _closest_on_triangles(table[:, :, start], q.T)[1]
     best_d2 = np.full(len(q), np.inf)
     tri_ids = np.zeros(len(q), dtype=np.int64)
     points = np.empty_like(q)
@@ -282,13 +248,13 @@ def _nearest(mesh: TriangleMesh, q: np.ndarray,
         return np.einsum("ij,ij->i", gap, gap) <= upper[rows]
 
     for rows, tris in _descend(mesh, len(q), keep):
-        pts, d2 = _closest_on_triangles(a[tris, None], b[tris, None], c[tris, None], q[rows])
-        first = np.lexsort((tris, d2[:, 0], rows))  # per row: nearest, then lowest id
+        pts, d2 = _closest_on_triangles(table[:, :, tris], q.T[:, rows])
+        first = np.lexsort((tris, d2, rows))  # per row: nearest, then lowest id
         first = first[np.flatnonzero(np.diff(rows[first], prepend=-1))]
-        r, d2, tris = rows[first], d2[first, 0], tris[first]
+        r, d2, tris = rows[first], d2[first], tris[first]
         better = (d2 < best_d2[r]) | ((d2 == best_d2[r]) & (tris < tri_ids[r]))
         r, first = r[better], first[better]
-        best_d2[r], tri_ids[r], points[r] = d2[better], tris[better], pts[first, 0]
+        best_d2[r], tri_ids[r], points[r] = d2[better], tris[better], pts[:, first].T
         np.minimum(upper, best_d2, out=upper)
     return points, tri_ids
 
@@ -373,7 +339,9 @@ def contains_point(mesh: TriangleMesh, point) -> bool:
 
     w sums each triangle's signed solid angle over 4 pi (Jacobson et al. 2013): +-1 inside
     a closed mesh of either winding, 0 outside, fractional near an open rim, 1/2 on a face.
-    The solid angles are taken on the corner table's coordinate rows, O(T) per point.
+    The solid angles are taken on the corner table's coordinate rows, O(T) per point. A
+    point on the surface (within _ON_SURFACE of the coordinate scale) is not inside: the
+    rounded sum would read w there as 0 or 1.
     """
     p = np.asarray(point, dtype=float).reshape(3)
     if not np.isfinite(p).all():  # a nan would read as outside
@@ -383,6 +351,12 @@ def contains_point(mesh: TriangleMesh, point) -> bool:
     (ax, bx, cx), (ay, by, cy), (az, bz, cz) = x, y, z = mesh._table - p[:, None, None]
     la, lb, lc = np.sqrt(x * x + z * z + y * y)
     det = ax * (by * cz - bz * cy) + az * (bx * cy - by * cx) + ay * (bz * cx - bx * cz)
+    # |det| is twice the area times the plane's distance, and twice the area is at most
+    # la lb + lb lc + lc la: the band is doubled for the rounding of det and the distances
+    band = _ON_SURFACE * (1.0 + np.abs(mesh.vertices).max(initial=0.0))
+    near = mesh._table[:, :, np.abs(det) <= 2.0 * band * (la * lb + lb * lc + lc * la)]
+    if near.size and _closest_on_triangles(near, p[:, None])[1].min() <= band * band:
+        return False
     den = (la * lb * lc + (ax * bx + az * bz + ay * by) * lc
            + (bx * cx + bz * cz + by * cy) * la + (cx * ax + cz * az + cy * ay) * lb)
     return bool(abs(np.arctan2(det, den).sum()) > np.pi)  # Van Oosterom-Strackee half angles
@@ -523,19 +497,14 @@ def _read_facets(path, data: bytes, fast: bool) -> tuple[np.ndarray, np.ndarray]
 
 
 def save_stl(mesh: TriangleMesh, path, name: str = "surface") -> None:
-    """Write an ASCII STL with the mesh's face normals."""
-    normals = mesh.normals
-    a, b, c = mesh.corners()
+    """Write an ASCII STL with the mesh's face normals, named by one line without NUL."""
+    if "\n" in name or "\0" in name:  # load_stl would read its next line, or reject the file
+        raise ValidationError(f"STL solid name must be one line without NUL: {name!r}")
     lines = [f"solid {name}"]
-    for i in range(len(mesh)):
-        nx, ny, nz = (float(x) for x in normals[i])
-        lines.append(f"  facet normal {nx!r} {ny!r} {nz!r}")
-        lines.append("    outer loop")
-        for p in (a[i], b[i], c[i]):
-            px, py, pz = (float(x) for x in p)
-            lines.append(f"      vertex {px!r} {py!r} {pz!r}")
-        lines.append("    endloop")
-        lines.append("  endfacet")
+    for (nx, ny, nz), corners in zip(mesh.normals.tolist(), mesh._table.T.tolist()):
+        lines.append(f"  facet normal {nx!r} {ny!r} {nz!r}\n    outer loop")
+        lines += [f"      vertex {px!r} {py!r} {pz!r}" for px, py, pz in corners]
+        lines.append("    endloop\n  endfacet")
     lines.append(f"endsolid {name}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

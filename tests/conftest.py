@@ -8,7 +8,6 @@ from tmsnav.fieldsim import MU0, _flux_coefficients
 from tmsnav.mesh import (
     SurfaceHit,
     TriangleMesh,
-    _closest_on_triangles,
     _first_hit,
     _ray_args,
     closest_point_batch,
@@ -26,9 +25,78 @@ def closest_point_brute(mesh: TriangleMesh, query) -> SurfaceHit:
         raise EmptyMeshError("closest_point on empty mesh")
     q = np.asarray(query, dtype=float).reshape(3)
     a, b, c = mesh.corners()
-    pts, d2 = _closest_on_triangles(a, b, c, q)
+    pts, d2 = oracle_closest_on_triangles(a, b, c, q)
     best = int(np.argmin(d2))  # argmin keeps the lowest id on exact ties
     return SurfaceHit(pts[best], best)
+
+
+# the closest-point kernel as per-region masked assignments on (T, 3) corner arrays: the
+# reference that mesh._closest_on_triangles's one region select must equal bit for bit
+def oracle_closest_on_triangles(a, b, c, q):
+    """Closest point on each triangle (a, b, c): returns (points, d2).
+
+    Vectorized Voronoi-region walk (Ericson-style region classification,
+    exact comparisons). One query (3,) against corners (T, 3), or queries
+    (P, 3) each against its own corners (P, T, 3), with (..., T) outputs.
+    """
+    qv = q[..., None, :]  # (..., 1, 3) against (..., T, 3)
+    ab = b - a
+    ac = c - a
+    ap = qv - a
+    d1 = (ab * ap).sum(-1)
+    d2_ = (ac * ap).sum(-1)
+    bp = qv - b
+    d3 = (ab * bp).sum(-1)
+    d4 = (ac * bp).sum(-1)
+    cp = qv - c
+    d5 = (ab * cp).sum(-1)
+    d6 = (ac * cp).sum(-1)
+
+    result = np.empty(a.shape)
+    remain = np.ones(d1.shape, dtype=bool)
+
+    is_a = (d1 <= 0.0) & (d2_ <= 0.0)
+    result[is_a] = a[is_a]
+    remain &= ~is_a
+
+    is_b = (d3 >= 0.0) & (d4 <= d3) & remain
+    result[is_b] = b[is_b]
+    remain &= ~is_b
+
+    vc = d1 * d4 - d3 * d2_
+    is_ab = (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0) & remain
+    if is_ab.any():
+        t = (d1[is_ab] / (d1[is_ab] - d3[is_ab]))[:, None]
+        result[is_ab] = a[is_ab] + t * ab[is_ab]
+    remain &= ~is_ab
+
+    is_c = (d6 >= 0.0) & (d5 <= d6) & remain
+    result[is_c] = c[is_c]
+    remain &= ~is_c
+
+    vb = d5 * d2_ - d1 * d6
+    is_ac = (vb <= 0.0) & (d2_ >= 0.0) & (d6 <= 0.0) & remain
+    if is_ac.any():
+        w = (d2_[is_ac] / (d2_[is_ac] - d6[is_ac]))[:, None]
+        result[is_ac] = a[is_ac] + w * ac[is_ac]
+    remain &= ~is_ac
+
+    va = d3 * d6 - d5 * d4
+    is_bc = (va <= 0.0) & ((d4 - d3) >= 0.0) & ((d5 - d6) >= 0.0) & remain
+    if is_bc.any():
+        d43 = d4[is_bc] - d3[is_bc]
+        w = (d43 / (d43 + d5[is_bc] - d6[is_bc]))[:, None]
+        result[is_bc] = b[is_bc] + w * (c[is_bc] - b[is_bc])
+    remain &= ~is_bc
+
+    if remain.any():
+        denom = va[remain] + vb[remain] + vc[remain]
+        v = (vb[remain] / denom)[:, None]
+        w = (vc[remain] / denom)[:, None]
+        result[remain] = a[remain] + v * ab[remain] + w * ac[remain]
+
+    diff = result - qv
+    return result, (diff * diff).sum(-1)
 
 
 def ray_intersect_brute(mesh: TriangleMesh, origin, direction) -> SurfaceHit | None:

@@ -11,6 +11,7 @@ from tmsnav.mesh import (
     _BLOCK_PAIRS,
     CHUNK_SIZE,
     TriangleMesh,
+    _closest_on_triangles,
     closest_point,
     closest_point_batch,
     contains_point,
@@ -25,6 +26,7 @@ from conftest import (
     closest_point_brute,
     oracle_closest_on_mesh,
     oracle_closest_on_triangle,
+    oracle_closest_on_triangles,
     oracle_winding_number,
     random_soup,
     ray_intersect_brute,
@@ -242,6 +244,59 @@ def test_closest_point_matches_scalar_oracle():
         pt, tid, d = oracle_closest_on_mesh(mesh, q)
         assert np.linalg.norm(hit.point - q) == pytest.approx(d, abs=1e-9)
         np.testing.assert_allclose(hit.point, pt, atol=1e-7)
+
+
+def region_queries(mesh, rng):
+    """(queries, triangle ids): for every triangle, points in each of its seven Voronoi
+    regions, in its plane and off it, and points exactly at its corners, on its edges
+    and on its face."""
+    a, b, c = mesh.corners()
+    n = mesh.normals
+    s = rng.uniform(0.1, 5.0, size=(len(mesh), 1))
+    h = rng.choice([0.0, -2.0, 3.0], size=(len(mesh), 1))
+
+    def unit(u):
+        return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+    queries = [a, b, c, a + 0.3 * (b - a), b + 0.6 * (c - b), c + 0.25 * (a - c),
+               (a + b + c) / 3.0, (a + b + c) / 3.0 + h * n]  # the face's region last
+    for p, u, w in ((a, b, c), (b, c, a), (c, a, b)):
+        queries.append(p - s * (unit(u - p) + unit(w - p)) + h * n)  # vertex p's region
+        queries.append((p + u) / 2.0 + s * unit(np.cross(u - p, n)) + h * n)  # edge pu's
+    return np.concatenate(queries), np.tile(np.arange(len(mesh)), len(queries))
+
+
+@pytest.mark.parametrize("case", ["regions", "ellipsoid", "broadcast"])
+def test_closest_point_kernel_equals_the_masked_oracle_bit_for_bit(case):
+    # the one region select on (coordinate, corner, pair) rows against the per-region
+    # masked assignments on (T, 3) corners. Where two regions hold, at a corner, their
+    # points differ by the rounding of an edge or the sign of a zero: random corners,
+    # half of them at x = -0.0, make a swap of two regions there show
+    rng = np.random.default_rng(41)
+    if case == "regions":
+        vertices = rng.uniform(-50.0, 50.0, size=(900, 3))
+        vertices[::2, 0] = -0.0
+        mesh = TriangleMesh(vertices, np.arange(900).reshape(300, 3))
+    else:
+        mesh = ellipsoid(subdivisions=5)
+    a, b, c = mesh.corners()
+    if case == "broadcast":  # one query against every triangle: a vertex, inside, outside
+        for q in (mesh.vertices[17], np.zeros(3), around(mesh, rng, 1)[0]):
+            points, d2 = _closest_on_triangles(mesh._table, q[:, None])
+            want_points, want_d2 = oracle_closest_on_triangles(a, b, c, q)
+            assert points.T.tobytes() == want_points.tobytes()
+            assert d2.tobytes() == want_d2.tobytes()
+        return
+    if case == "regions":
+        queries, ids = region_queries(mesh, rng)
+    else:
+        ids = rng.integers(0, len(mesh), 20_000)
+        queries = np.concatenate([around(mesh, rng, 10_000), sample_surface(mesh, 10_000, rng)])
+    points, d2 = _closest_on_triangles(mesh._table[:, :, ids], queries.T)
+    want_points, want_d2 = oracle_closest_on_triangles(a[ids, None], b[ids, None],
+                                                       c[ids, None], queries)
+    assert points.T.tobytes() == want_points[:, 0].tobytes()
+    assert d2.tobytes() == want_d2[:, 0].tobytes()
 
 
 def index_queries(shape, mesh, rng, n):
@@ -529,6 +584,18 @@ def test_contains_point_matches_scalar_winding_oracle(shape):
     assert [contains_point(mesh, p) for p in points] == (np.abs(w) > 0.5).tolist()
 
 
+def test_contains_point_on_the_surface_is_not_inside():
+    # a face centroid lies within rounding of the face, where w is 1/2 but its rounded sum
+    # reads 0 or 1 by the sign of the face's rounded det; a vertex is on the surface too.
+    # 1e-9 mm off the face, the point is inside or outside as its side says
+    mesh = ellipsoid(subdivisions=5)
+    a, b, c = (x[:200] for x in mesh.corners())
+    centroids, normals = (a + b + c) / 3.0, mesh.normals[:200]
+    assert not any(contains_point(mesh, p) for p in np.vstack([centroids, mesh.vertices[:50]]))
+    assert all(contains_point(mesh, p) for p in centroids - 1e-9 * normals)
+    assert not any(contains_point(mesh, p) for p in centroids + 1e-9 * normals)
+
+
 def test_sample_surface_points_lie_on_mesh(sphere85):
     rng = np.random.default_rng(16)
     pts = sample_surface(sphere85, 50, rng)
@@ -558,6 +625,26 @@ def test_save_stl_writes_the_mesh_normals(tmp_path):
     written = [line.split()[2:] for line in path.read_text().splitlines()
                if line.lstrip().startswith("facet normal")]
     assert np.array(written, dtype=float).tobytes() == mesh.normals.tobytes()
+
+
+STL_RECORD = ("  facet normal 0 0 1\n    outer loop\n      vertex 0 0 0\n      vertex 1 0 0\n"
+              "      vertex 0 1 0\n    endloop\n  endfacet")
+
+
+@pytest.mark.parametrize("name", ["a\nendloop", "a\n" + STL_RECORD, "a\0b"],
+                         ids=["keyword", "record", "nul"])
+def test_save_stl_rejects_a_name_that_is_not_one_line_without_nul(tmp_path, name):
+    # load_stl would reject the file, or read the record in both names as two more facets
+    with pytest.raises(ValueError, match="one line without NUL"):
+        save_stl(icosphere(10.0, 1), tmp_path / "named.stl", name=name)
+
+
+def test_save_stl_name_round_trips_corner_for_corner(tmp_path):
+    mesh = icosphere(10.0, 1)
+    save_stl(mesh, tmp_path / "named.stl", name="left scalp, 1 mm (v2) \tfacet_x endloop")
+    back = load_stl(tmp_path / "named.stl")
+    for got, want in zip(back.corners(), mesh.corners()):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_stl_file_normals_ignored(tmp_path):
