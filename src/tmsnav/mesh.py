@@ -2,15 +2,17 @@
 
 Meshes are consumed in millimeters with outward-winding triangles:
 normal = normalize((v1 - v0) x (v2 - v0)) points away from the enclosed
-volume. Closest-point and ray queries are exact and deterministic, ties
-going to the lowest triangle id, and are served by one index, built on its
-first query: an 8-ary tree over the triangles in the Morton order of their
-centroids, from each triangle's box up. A batch of closest-point queries
-may start from earlier triangle ids, with the same results. Containment
-sums the generalized winding number over every triangle, so open surfaces
-need no cap. A mesh gathers its corners once into its one corner layout, a
-(coordinate, corner, triangle) table: the normals, the index build, containment
-and closest points run on its rows, with fixed-order sums and no BLAS.
+volume. Closest-point and ray queries are exact and deterministic, ties going
+to the lowest triangle id. Closest points are served by one index, built on
+the first query: an 8-ary tree over the triangles in the Morton order of their
+centroids, from each triangle's box up. A batch of closest-point queries may
+start from earlier triangle ids, with the same results. A ray tests every
+triangle in one pass: a plan casts one ray per mesh, and the pass costs less
+than building the index. Containment sums the generalized winding number over
+every triangle, so open surfaces need no cap. A mesh gathers its corners once
+into its one corner layout, a (coordinate, corner, triangle) table: the normals,
+the index build, containment, closest points and rays run on its rows, with
+fixed-order sums and no BLAS.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ _EMPTY_NODE = np.array([[np.inf] * 3, [-np.inf] * 3, [np.inf] * 3])
 # L (D + L) bound, L and D the largest coordinate magnitudes of a mesh and a query: below
 # it every product in _closest_on_triangles (at most 216 L^2 (D + L)^2) and the squared
 # distance of every lane it selects (the rejected lanes are masked) stay finite, so no
-# row's bound is inf, which would keep the empty nodes too
+# row's bound is inf, which would keep the empty nodes too; a ray origin takes the same bound
 _FAR_LIMIT = 1e150
 # a point within this fraction of the coordinate scale of a triangle is on the surface: far
 # above the rounding of a point put on a face, far below an offset meant to leave it
@@ -275,63 +277,50 @@ def closest_point_batch(mesh: TriangleMesh, queries,
     return _nearest(mesh, np.asarray(queries, dtype=float).reshape(-1, 3), start_ids)
 
 
-def _ray_hits_triangles(a, b, c, origin, direction):
-    """Moller-Trumbore over a triangle batch: (t, valid) arrays."""
-    e1 = b - a
-    e2 = c - a
-    h = np.cross(direction[None, :], e2)
-    det = np.einsum("ij,ij->i", e1, h)
-    valid = np.abs(det) > _RAY_PARALLEL_EPS
-    inv = np.where(valid, det, 1.0)
-    s = origin - a
-    u = np.einsum("ij,ij->i", s, h) / inv
-    qv = np.cross(s, e1)
-    v = (qv * direction).sum(-1) / inv
-    t = np.einsum("ij,ij->i", e2, qv) / inv
-    valid &= (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (t > RAY_MIN_PARAMETER)
-    return t, valid
-
-
-def _first_hit(mesh: TriangleMesh, tris: np.ndarray, o, d) -> SurfaceHit | None:
-    """Nearest hit among the triangles tris, which are listed in ascending id order."""
-    a, b, c = mesh.corners()
-    t, valid = _ray_hits_triangles(a[tris], b[tris], c[tris], o, d)
-    if not valid.any():
-        return None
-    t = np.where(valid, t, np.inf)
-    best = int(np.argmin(t))  # argmin keeps the lowest id on exact ties
-    return SurfaceHit(o + t[best] * d, tris[best], t[best])
-
-
-def _ray_args(origin, direction) -> tuple[np.ndarray, np.ndarray]:
-    """Origin and direction as finite 3-vectors; a nan would read as a miss."""
+def _ray_args(mesh: TriangleMesh, origin, direction) -> tuple[np.ndarray, np.ndarray]:
+    """Origin and direction as finite 3-vectors, the direction nonzero and the origin within
+    the bound _nearest puts on its queries: a nan or zero direction would read as a miss,
+    and a far origin as a hit wherever its rounding lands."""
     o = np.asarray(origin, dtype=float).reshape(3)
     d = np.asarray(direction, dtype=float).reshape(3)
     for name, v in (("origin", o), ("direction", d)):
         if not np.isfinite(v).all():
             raise ValidationError(f"non-finite ray {name}: {v.tolist()}")
+    if not d.any():
+        raise ValidationError("ray direction must not be zero")
+    scale = np.abs(mesh.vertices).max(initial=0.0)
+    if scale * (np.abs(o).max() + scale) >= _FAR_LIMIT:
+        raise ValidationError(f"ray origin is too far from the mesh for exact hits: {o.tolist()}")
     return o, d
 
 
 def ray_intersect(mesh: TriangleMesh, origin, direction) -> SurfaceHit | None:
-    """Nearest intersection with ray_parameter > 1e-9 mm, or None."""
-    o, d = _ray_args(origin, direction)
-    if len(mesh) == 0:
+    """Nearest intersection with ray_parameter > 1e-9 mm, or None; exact ties go to the
+    lowest id.
+
+    One Moller-Trumbore pass tests every triangle on the corner table's rows, with no index:
+    a plan casts one ray at a freshly loaded skin, and one pass costs less than building the
+    index it would walk. Each cross product is formed as np.cross forms it, and each dot
+    sums x and z, then y, as einsum("ij,ij->i") does on (T, 3) rows (numpy 2.4); v sums
+    x, y, z in turn.
+    """
+    o, d = _ray_args(mesh, origin, direction)
+    a, b, c = mesh._table.transpose(1, 0, 2)  # (3, T) rows each
+    e1, e2, s = b - a, c - a, o[:, None] - a
+    h = d[[1, 2, 0], None] * e2[[2, 0, 1]] - d[[2, 0, 1], None] * e2[[1, 2, 0]]
+    qv = s[[1, 2, 0]] * e1[[2, 0, 1]] - s[[2, 0, 1]] * e1[[1, 2, 0]]
+    det = e1[0] * h[0] + e1[2] * h[2] + e1[1] * h[1]
+    valid = np.abs(det) > _RAY_PARALLEL_EPS
+    inv = np.where(valid, det, 1.0)
+    u = (s[0] * h[0] + s[2] * h[2] + s[1] * h[1]) / inv
+    v = (qv[0] * d[0] + qv[1] * d[1] + qv[2] * d[2]) / inv
+    t = (e2[0] * qv[0] + e2[2] * qv[2] + e2[1] * qv[1]) / inv
+    valid &= (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (t > RAY_MIN_PARAMETER)
+    if not valid.any():
         return None
-    negative = np.signbit(d)  # -0.0 too: its slab times are signed like a negative axis's
-
-    def keep(rows, nodes):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            near = (np.where(negative, nodes[:, 1], nodes[:, 0]) - o) / d
-            far = (np.where(negative, nodes[:, 0], nodes[:, 1]) - o) / d
-        # d == 0 on an axis gives -inf/+inf inside its slab (no constraint), equal infinities
-        # outside it (a miss) and nan on its faces (ignored); an empty node enters at +inf
-        enter = np.nanmax(near, axis=1, initial=-np.inf)
-        leave = np.nanmin(far, axis=1, initial=np.inf)
-        return leave >= np.maximum(enter, RAY_MIN_PARAMETER)
-
-    tris = np.concatenate([t for _, t in _descend(mesh, 1, keep)])
-    return _first_hit(mesh, np.sort(tris), o, d)
+    t = np.where(valid, t, np.inf)
+    best = int(np.argmin(t))  # argmin keeps the lowest id on exact ties
+    return SurfaceHit(o + t[best] * d, best, t[best])
 
 
 def contains_point(mesh: TriangleMesh, point) -> bool:
@@ -497,10 +486,14 @@ def _read_facets(path, data: bytes, fast: bool) -> tuple[np.ndarray, np.ndarray]
 
 
 def save_stl(mesh: TriangleMesh, path, name: str = "surface") -> None:
-    """Write an ASCII STL with the mesh's face normals, named by one line without NUL."""
-    if "\n" in name or "\0" in name:  # load_stl would read its next line, or reject the file
-        raise ValidationError(f"STL solid name must be one line without NUL: {name!r}")
+    """Write an ASCII STL with the mesh's face normals, named by one line without NUL that
+    load_stl reads whole."""
     lines = [f"solid {name}"]
+    line = lines[0].encode()
+    # else load_stl would read a next line or a facet spelled in the name, or reject the file
+    if b"\0" in line or _STL_NAME_RE.match(line).end() < len(line):
+        raise ValidationError(f"STL solid name must be one line without NUL that load_stl "
+                              f"reads whole: {name!r}")
     for (nx, ny, nz), corners in zip(mesh.normals.tolist(), mesh._table.T.tolist()):
         lines.append(f"  facet normal {nx!r} {ny!r} {nz!r}\n    outer loop")
         lines += [f"      vertex {px!r} {py!r} {pz!r}" for px, py, pz in corners]

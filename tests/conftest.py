@@ -6,9 +6,10 @@ import pytest
 from tmsnav.errors import EmptyMeshError
 from tmsnav.fieldsim import MU0, _flux_coefficients
 from tmsnav.mesh import (
+    _RAY_PARALLEL_EPS,
+    RAY_MIN_PARAMETER,
     SurfaceHit,
     TriangleMesh,
-    _first_hit,
     _ray_args,
     closest_point_batch,
 )
@@ -99,10 +100,39 @@ def oracle_closest_on_triangles(a, b, c, q):
     return result, (diff * diff).sum(-1)
 
 
+# the ray kernel as Moller-Trumbore on (T, 3) corner arrays, each dot written out in the
+# order einsum("ij,ij->i") takes on (T, 3) rows in numpy 2.4 (x and z, then y), v's x, y
+# then z: the reference that mesh.ray_intersect's pass over the corner table must equal bit
+# for bit, on any numpy
+def oracle_ray_hits_triangles(a, b, c, origin, direction):
+    """Moller-Trumbore over a triangle batch: (t, valid) arrays."""
+    def dot(x, y):
+        return x[:, 0] * y[:, 0] + x[:, 2] * y[:, 2] + x[:, 1] * y[:, 1]
+
+    e1 = b - a
+    e2 = c - a
+    h = np.cross(direction[None, :], e2)
+    det = dot(e1, h)
+    valid = np.abs(det) > _RAY_PARALLEL_EPS
+    inv = np.where(valid, det, 1.0)
+    s = origin - a
+    u = dot(s, h) / inv
+    qv = np.cross(s, e1)
+    v = (qv[:, 0] * direction[0] + qv[:, 1] * direction[1] + qv[:, 2] * direction[2]) / inv
+    t = dot(e2, qv) / inv
+    valid &= (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (t > RAY_MIN_PARAMETER)
+    return t, valid
+
+
 def ray_intersect_brute(mesh: TriangleMesh, origin, direction) -> SurfaceHit | None:
-    """Exhaustive nearest ray hit; the reference query path."""
-    o, d = _ray_args(origin, direction)
-    return _first_hit(mesh, np.arange(len(mesh)), o, d)
+    """Exhaustive nearest ray hit through the oracle kernel; the reference query path."""
+    o, d = _ray_args(mesh, origin, direction)
+    t, valid = oracle_ray_hits_triangles(*mesh.corners(), o, d)
+    if not valid.any():
+        return None
+    t = np.where(valid, t, np.inf)
+    best = int(np.argmin(t))  # argmin keeps the lowest id on exact ties
+    return SurfaceHit(o + t[best] * d, best, t[best])
 
 
 def icp_point_to_point(skin: TriangleMesh, cloud, init: RigidTransform,

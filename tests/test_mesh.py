@@ -27,6 +27,7 @@ from conftest import (
     oracle_closest_on_mesh,
     oracle_closest_on_triangle,
     oracle_closest_on_triangles,
+    oracle_ray_hits_triangles,
     oracle_winding_number,
     random_soup,
     ray_intersect_brute,
@@ -486,6 +487,71 @@ def test_non_finite_ray_rejected(query):
         query(m, [0.0, 0.0, 0.0], [0.0, np.inf, 1.0])
 
 
+@pytest.mark.parametrize("query", [ray_intersect, ray_intersect_brute])
+def test_zero_direction_ray_rejected(query):
+    # a zero direction is parallel to every triangle, so it would read as a missed surface
+    with pytest.raises(ValidationError, match="direction"):
+        query(icosphere(85.0, 3), [10.0, 0.0, 0.0], [0.0, -0.0, 0.0])
+
+
+@pytest.mark.parametrize("query", [ray_intersect, ray_intersect_brute])
+def test_ray_origin_too_far_for_exact_hits_rejected(query):
+    # past the bound that closest-point queries take, rounding would put a hit at
+    # x = 1.5e284 mm; just inside it, every triangle's lane is formed without overflow
+    m = icosphere(85.0, 3)
+    with pytest.raises(ValidationError, match="origin"):
+        query(m, [1e300, 0.0, 0.0], [-1.0, 0.0, 0.0])
+    with pytest.raises(ValidationError, match="origin"):
+        query(m, [0.0, 0.0, -1.2e148], [0.0, 0.0, 1.0])
+    for origin in ([1.1e148, 0.0, 0.0], [-1e148, 1e148, 1e148]):
+        query(m, origin, -np.sign(origin))
+
+
+def ray_cases(mesh, rng, n):
+    """n rays at the mesh, a quarter each: random directions, axis-parallel ones, rays through
+    a point on a triangle's edge (on a connected mesh, shared with its neighbour), half of
+    them along an axis, and rays through a vertex."""
+    k = n // 4
+    origins = around(mesh, rng, n)
+    directions = rng.normal(size=(n, 3))
+    axes = np.concatenate([np.eye(3), -np.eye(3)])[rng.integers(0, 6, n)]
+    directions[k:2 * k] = axes[k:2 * k]
+    corners = np.stack(mesh.corners(), 1)[rng.integers(0, len(mesh), n)]  # (n, 3, 3)
+    first = rng.integers(0, 3, n)
+    p0, p1 = corners[np.arange(n), first], corners[np.arange(n), (first + 1) % 3]
+    on_edge = p0 + np.where(rng.uniform(size=n) < 0.5, 0.5, rng.uniform(size=n))[:, None] * (
+        p1 - p0)
+    edge = slice(2 * k, 3 * k)
+    along = rng.uniform(size=(k, 1)) < 0.5
+    origins[edge] = np.where(along, on_edge[edge] - 40.0 * axes[edge], origins[edge])
+    directions[edge] = on_edge[edge] - origins[edge]
+    directions[3 * k:] = p0[3 * k:] - origins[3 * k:]
+    return origins, directions
+
+
+@pytest.mark.parametrize("shape", INDEX_SHAPES)
+def test_ray_pass_equals_the_oracle_kernel_bit_for_bit(shape):
+    # the one pass over the corner table against the (T, 3) Moller-Trumbore oracle: the same
+    # hit or miss, triangle id, hit point and ray parameter, byte for byte
+    rng = np.random.default_rng(16)
+    mesh = index_shape(shape, rng)
+    hits = ties = 0
+    for origin, d in zip(*ray_cases(mesh, rng, 2000)):
+        got, want = ray_intersect(mesh, origin, d), ray_intersect_brute(mesh, origin, d)
+        assert (got is None) == (want is None)
+        if want is None:
+            continue
+        hits += 1
+        assert got.triangle_id == want.triangle_id
+        assert got.point.tobytes() == want.point.tobytes()
+        assert np.float64(got.ray_parameter).tobytes() == np.float64(want.ray_parameter).tobytes()
+        t, valid = oracle_ray_hits_triangles(*mesh.corners(), origin, d)
+        ties += np.count_nonzero(valid & (t == want.ray_parameter)) > 1
+    assert hits >= 400
+    if shape in ("grid_patch", "hemisphere"):  # connected: rays through shared edges tie
+        assert ties >= 50
+
+
 @pytest.mark.parametrize("shape", INDEX_SHAPES + ["axis_parallel"])
 def test_index_ray_identical_to_brute_force(shape):
     rng = np.random.default_rng(15)
@@ -637,6 +703,17 @@ def test_save_stl_rejects_a_name_that_is_not_one_line_without_nul(tmp_path, name
     # load_stl would reject the file, or read the record in both names as two more facets
     with pytest.raises(ValueError, match="one line without NUL"):
         save_stl(icosphere(10.0, 1), tmp_path / "named.stl", name=name)
+
+
+def test_save_stl_rejects_a_name_that_load_stl_would_end_early(tmp_path):
+    # the name rule ends a name before a word facet that its line follows with a record or
+    # outer loop: load_stl would read the first file as 82 triangles, not 80, and reject the
+    # second
+    for name in ("x facet normal 0 0 1 outer loop vertex 0 0 0 vertex 1 0 0 vertex 0 1 0 "
+                 "endloop endfacet", "x facet outer loop"):
+        with pytest.raises(ValidationError, match="reads whole"):
+            save_stl(icosphere(10.0, 1), tmp_path / "named.stl", name=name)
+        assert not (tmp_path / "named.stl").exists()
 
 
 def test_save_stl_name_round_trips_corner_for_corner(tmp_path):

@@ -222,6 +222,16 @@ def test_restricted_cortex_concentric_spheres(sphere85, cortex70):
     np.testing.assert_allclose(plan.cortex_target, cortex_plan.pose.translation, atol=1e-12)
 
 
+def test_restricted_cortex_plan_leaves_the_skin_index_unbuilt():
+    # its one ray and the footprint's containment each test every triangle in one pass; the
+    # skin's index serves closest points only
+    skin, cortex = icosphere(85.0, subdivisions=3), icosphere(70.0, subdivisions=3)
+    c = PoseConstraintInput.two_point([0.0, 0.0, 70.0], [8.0, 0.0, 70.0])
+    plan = restricted_cortex_pose(cortex, skin, c)
+    assert abs(np.linalg.norm(plan.pose.translation) - 85.0) <= 0.5
+    assert skin._index is None
+
+
 def test_restricted_cortex_offset_sphere_quadratic_oracle(sphere85):
     cortex = icosphere(70.0, subdivisions=4, center=(10.0, 0.0, 0.0))
     c = PoseConstraintInput.two_point([10.0, 0.0, 70.0], [18.0, 0.0, 70.0])
