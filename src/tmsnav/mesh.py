@@ -277,26 +277,31 @@ def closest_point_batch(mesh: TriangleMesh, queries,
     return _nearest(mesh, np.asarray(queries, dtype=float).reshape(-1, 3), start_ids)
 
 
-def _ray_args(mesh: TriangleMesh, origin, direction) -> tuple[np.ndarray, np.ndarray]:
-    """Origin and direction as finite 3-vectors, the direction nonzero and the origin within
-    the bound _nearest puts on its queries: a nan or zero direction would read as a miss,
-    and a far origin as a hit wherever its rounding lands."""
+def _ray_args(mesh: TriangleMesh, origin, direction) -> tuple[np.ndarray, np.ndarray, float]:
+    """Origin and direction as finite 3-vectors, with the direction's length |d| as the
+    fixed-order sum sqrt(x*x + y*y + z*z). |d|^2 must be a finite normal float and the origin
+    within the bound _nearest puts on its queries: a nan or zero direction would read as a
+    miss, and a far origin as a hit wherever its rounding lands."""
     o = np.asarray(origin, dtype=float).reshape(3)
     d = np.asarray(direction, dtype=float).reshape(3)
     for name, v in (("origin", o), ("direction", d)):
         if not np.isfinite(v).all():
             raise ValidationError(f"non-finite ray {name}: {v.tolist()}")
-    if not d.any():
-        raise ValidationError("ray direction must not be zero")
+    x, y, z = d.tolist()  # Python floats: an overflow is inf, with no warning
+    length2 = x * x + y * y + z * z
+    if not np.finfo(float).tiny <= length2 < np.inf:
+        raise ValidationError(f"ray direction must not be zero, and its squared length must be "
+                              f"a finite normal float: {d.tolist()}")
     scale = np.abs(mesh.vertices).max(initial=0.0)
     if scale * (np.abs(o).max() + scale) >= _FAR_LIMIT:
         raise ValidationError(f"ray origin is too far from the mesh for exact hits: {o.tolist()}")
-    return o, d
+    return o, d, float(np.sqrt(length2))
 
 
 def ray_intersect(mesh: TriangleMesh, origin, direction) -> SurfaceHit | None:
     """Nearest intersection with ray_parameter > 1e-9 mm, or None; exact ties go to the
-    lowest id.
+    lowest id. The hit lies at o + t*d, and its ray_parameter is t*|d|, its distance from
+    the origin in mm for any direction length.
 
     One Moller-Trumbore pass tests every triangle on the corner table's rows, with no index:
     a plan casts one ray at a freshly loaded skin, and one pass costs less than building the
@@ -304,7 +309,7 @@ def ray_intersect(mesh: TriangleMesh, origin, direction) -> SurfaceHit | None:
     sums x and z, then y, as einsum("ij,ij->i") does on (T, 3) rows (numpy 2.4); v sums
     x, y, z in turn.
     """
-    o, d = _ray_args(mesh, origin, direction)
+    o, d, length = _ray_args(mesh, origin, direction)
     a, b, c = mesh._table.transpose(1, 0, 2)  # (3, T) rows each
     e1, e2, s = b - a, c - a, o[:, None] - a
     h = d[[1, 2, 0], None] * e2[[2, 0, 1]] - d[[2, 0, 1], None] * e2[[1, 2, 0]]
@@ -315,12 +320,12 @@ def ray_intersect(mesh: TriangleMesh, origin, direction) -> SurfaceHit | None:
     u = (s[0] * h[0] + s[2] * h[2] + s[1] * h[1]) / inv
     v = (qv[0] * d[0] + qv[1] * d[1] + qv[2] * d[2]) / inv
     t = (e2[0] * qv[0] + e2[2] * qv[2] + e2[1] * qv[1]) / inv
-    valid &= (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (t > RAY_MIN_PARAMETER)
+    valid &= (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (t * length > RAY_MIN_PARAMETER)
     if not valid.any():
         return None
     t = np.where(valid, t, np.inf)
     best = int(np.argmin(t))  # argmin keeps the lowest id on exact ties
-    return SurfaceHit(o + t[best] * d, best, t[best])
+    return SurfaceHit(o + t[best] * d, best, t[best] * length)
 
 
 def contains_point(mesh: TriangleMesh, point) -> bool:

@@ -13,7 +13,7 @@ from tmsnav.mesh import (
     _ray_args,
     closest_point_batch,
 )
-from tmsnav.meshgen import icosphere
+from tmsnav.meshgen import _ICOSAHEDRON, icosphere
 from tmsnav.registration import IcpConfig, solve_rigid
 from tmsnav.transforms import RigidTransform, compose, invert
 
@@ -125,14 +125,19 @@ def oracle_ray_hits_triangles(a, b, c, origin, direction):
 
 
 def ray_intersect_brute(mesh: TriangleMesh, origin, direction) -> SurfaceHit | None:
-    """Exhaustive nearest ray hit through the oracle kernel; the reference query path."""
-    o, d = _ray_args(mesh, origin, direction)
+    """Exhaustive nearest ray hit through the oracle kernel; the reference query path.
+
+    ray_parameter is t*|d|, in mm. The oracle's own cut t > RAY_MIN_PARAMETER, in units of
+    |d|, is the stricter one only for |d| > 1 and a hit within |d| * 1e-9 mm of the origin.
+    """
+    o, d, length = _ray_args(mesh, origin, direction)
     t, valid = oracle_ray_hits_triangles(*mesh.corners(), o, d)
+    valid &= t * length > RAY_MIN_PARAMETER
     if not valid.any():
         return None
     t = np.where(valid, t, np.inf)
     best = int(np.argmin(t))  # argmin keeps the lowest id on exact ties
-    return SurfaceHit(o + t[best] * d, best, t[best])
+    return SurfaceHit(o + t[best] * d, best, t[best] * length)
 
 
 def icp_point_to_point(skin: TriangleMesh, cloud, init: RigidTransform,
@@ -277,6 +282,75 @@ def oracle_winding_number(mesh, p) -> float:
         den = lx * ly * lz + _dot(x, y) * lz + _dot(y, z) * lx + _dot(z, x) * ly
         half_angles.append(math.atan2(_dot(x, yz), den))
     return math.fsum(half_angles) / (2.0 * math.pi)
+
+
+# --- phantom surfaces --------------------------------------------------------
+
+# the icosphere as a loop over the faces with a midpoint cache, each norm the fixed-order sum
+# sqrt(x*x + y*y + z*z): the reference that meshgen's array-built levels must equal byte for
+# byte
+def oracle_icosphere(radius: float = 1.0, subdivisions: int = 3,
+                     center=(0.0, 0.0, 0.0)) -> TriangleMesh:
+    """Subdivided icosahedron projected onto a sphere, one midpoint at a time."""
+    def norm(m):
+        return np.sqrt(m[0] * m[0] + m[1] * m[1] + m[2] * m[2])
+
+    verts, tris = _ICOSAHEDRON
+    verts = verts / norm(verts[0])
+    vert_list = [tuple(p) for p in verts]
+    cache: dict[tuple[int, int], int] = {}
+
+    def midpoint(i, j):
+        key = (i, j) if i < j else (j, i)
+        idx = cache.get(key)
+        if idx is None:
+            m = np.asarray(vert_list[i]) + np.asarray(vert_list[j])
+            m /= norm(m)
+            idx = len(vert_list)
+            vert_list.append(tuple(m))
+            cache[key] = idx
+        return idx
+
+    faces = [tuple(t) for t in tris]
+    for _ in range(subdivisions):
+        next_faces = []
+        for i0, i1, i2 in faces:
+            m01, m12, m20 = midpoint(i0, i1), midpoint(i1, i2), midpoint(i2, i0)
+            next_faces += [(i0, m01, m20), (i1, m12, m01), (i2, m20, m12), (m01, m12, m20)]
+        faces = next_faces
+
+    v = np.asarray(vert_list, dtype=float) * radius + np.asarray(center, dtype=float)
+    t = np.asarray(faces, dtype=np.int64)
+    return TriangleMesh(v, t)
+
+
+def grid_patch(nx: int = 10, ny: int = 10, spacing: float = 10.0, z: float = 0.0) -> TriangleMesh:
+    """Flat rectangular patch in the z plane, normals toward +z, centered on the origin."""
+    xs = (np.arange(nx + 1) - nx / 2.0) * spacing
+    ys = (np.arange(ny + 1) - ny / 2.0) * spacing
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    v = np.stack([gx.ravel(), gy.ravel(), np.full(gx.size, float(z))], axis=1)
+    tris = []
+    for i in range(nx):
+        for j in range(ny):
+            a = i * (ny + 1) + j
+            b = (i + 1) * (ny + 1) + j
+            tris.append((a, b, a + 1))
+            tris.append((b, b + 1, a + 1))
+    return TriangleMesh(v, np.asarray(tris, dtype=np.int64))
+
+
+def hemisphere(radius: float = 85.0, subdivisions: int = 3,
+               center=(0.0, 0.0, 0.0)) -> TriangleMesh:
+    """Upper half of an icosphere (open rim); keeps triangles with all z >= -1e-9."""
+    full = icosphere(radius, subdivisions, center=center)
+    cz = float(np.asarray(center, dtype=float)[2])
+    keep = np.all(full.vertices[full.triangles][:, :, 2] >= cz - 1e-9, axis=1)
+    tris = full.triangles[keep]
+    used = np.unique(tris)
+    remap = np.full(len(full.vertices), -1, dtype=np.int64)
+    remap[used] = np.arange(len(used))
+    return TriangleMesh(full.vertices[used], remap[tris])
 
 
 def random_soup(rng: np.random.Generator, n_triangles: int = 500,

@@ -552,6 +552,12 @@ for name, args in (("robotic", ["--mode=holding", "--actuation=robotic"]),
 assert main([f"--out={out}/report", "report", f"--input={out}/manual/session.json"]) == 0
 """
 
+RUN_PHANTOMS = """
+from tmsnav.mesh import save_stl
+from tmsnav.meshgen import ellipsoid, icosphere
+save_stl(icosphere(85.0, 5), Path(out) / "icosphere.stl", name="icosphere")
+save_stl(ellipsoid((80.0, 95.0, 70.0), 4), Path(out) / "ellipsoid.stl", name="ellipsoid")
+"""
 RUN_PLANS = """
 inputs = Path(config).parent
 for i in range(4):
@@ -621,9 +627,18 @@ def test_chain_does_not_depend_on_the_blas_kernel(tmp_path):
     assert canonical_json(pinned) == canonical_json(record["commanded_matrix"])
 
 
+def test_phantom_meshes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # a 20,480-triangle sphere and a head-sized 5,120-triangle ellipsoid, built in each child:
+    # every midpoint norm is a fixed-order sum, so no kernel picks a vertex's rounding
+    outputs = ("icosphere.stl", "ellipsoid.stl")
+    counts = distinct_outputs_per_kernel(tmp_path, RUN_PHANTOMS, {}, outputs)
+    assert counts == dict.fromkeys(outputs, 1)
+
+
 def test_plans_do_not_depend_on_the_blas_kernel(tmp_path):
-    # head-sized ellipsoids of 5,120 triangles, written here once: the icosphere's midpoint
-    # norms go through BLAS, so a child that built them would get its kernel's own mesh
+    # head-sized ellipsoids of 5,120 triangles, written here once, so each child plans on the
+    # same bytes whatever its kernel (test_phantom_meshes_do_not_depend_on_the_blas_kernel
+    # pins the builders themselves)
     for name, axes in (("skin", np.array([80.0, 95.0, 70.0])),
                        ("cortex", np.array([65.0, 80.0, 55.0]))):
         save_stl(ellipsoid(axes, 4), tmp_path / f"{name}.stl", name=name)

@@ -20,7 +20,13 @@ from tmsnav.fieldsim import (
 )
 from tmsnav.transforms import RigidTransform, rotation_about_axis
 
-from conftest import flux_coefficient, on_axis_loop_field, pose_arrays, random_transform
+from conftest import (
+    flux_coefficient,
+    grid_patch,
+    on_axis_loop_field,
+    pose_arrays,
+    random_transform,
+)
 
 
 def sensor_at(z_mm, kind=SensorKind.SENSOR_3D):
@@ -581,7 +587,6 @@ def test_sweep_2d_sensor_reports_zero_secondaries():
 # --- hotspot responses from a field sweep ---------------------------------------------
 
 def test_select_hotspot_finds_pose_nearest_sensor():
-    from tmsnav.meshgen import grid_patch
     from tmsnav.pose_plan import PoseConstraintInput, free_skin_pose, hotspot_grid, select_hotspot
 
     skin = grid_patch(16, 16, spacing=5.0, z=0.0)

@@ -1,0 +1,138 @@
+"""Metamorphic relations: an output depends only on the geometry it was given.
+
+Each test changes the inputs in a way that must leave an output the same, or move it in
+a known way, and checks that at the rounding level. They need no reference output.
+"""
+
+import numpy as np
+import pytest
+
+from tmsnav.mesh import TriangleMesh, ray_intersect
+from tmsnav.meshgen import ellipsoid, icosphere
+from tmsnav.pose_plan import (
+    PoseConstraintInput,
+    _frame_from_normal_and_tail,
+    closest_skin_pose,
+    free_skin_pose,
+    hotspot_grid,
+    pose_from_constraint,
+    restricted_cortex_pose,
+)
+from tmsnav.transforms import rotation_angle
+
+from conftest import oracle_closest_on_triangles, random_transform
+
+SKIN_AXES = np.array([80.0, 95.0, 70.0])
+CORTEX_AXES = np.array([65.0, 80.0, 55.0])
+
+
+def ellipsoid_constraints(axes, offset, n, rng):
+    """n two-point constraints `offset` mm along the outward normal of the analytic
+    ellipsoid, at random directions, each tail 8 mm along a tangent."""
+    constraints = []
+    for d in rng.normal(size=(n, 3)):
+        point = d / np.sqrt((d * d / axes ** 2).sum())
+        normal = point / axes ** 2
+        normal /= np.sqrt((normal * normal).sum())
+        center = point + offset * normal
+        constraints.append(PoseConstraintInput.two_point(
+            center, center + 8.0 * np.cross(normal, [0.0, 0.0, 1.0])))
+    return constraints
+
+
+def head_plans(skin, cortex, skin_constraints, cortex_constraints):
+    """(plan, query, tail direction) of every free-skin plan, its 5x5 hotspot grid and every
+    closest-skin plan: the query is the point whose nearest skin triangle sets the pose's z
+    axis, and the tail direction the vector projected into that triangle's plane for y."""
+    plans = []
+    for constraint in skin_constraints:
+        seed = free_skin_pose(skin, constraint)
+        plans.append((seed, constraint.center, constraint.tail_point - constraint.center))
+        y_axis = seed.pose.rotation[:, 1]
+        plans += [(pose, pose.source.center, y_axis)
+                  for pose in hotspot_grid(skin, seed, 5, 5, 10.0).poses]
+    for constraint in cortex_constraints:
+        plan = closest_skin_pose(cortex, skin, constraint)
+        plans.append((plan, plan.cortex_target,
+                      pose_from_constraint(constraint, cortex).pose.rotation[:, 1]))
+    return plans
+
+
+def moved(transform, constraint):
+    return PoseConstraintInput.two_point(transform.apply(constraint.center),
+                                         transform.apply(constraint.tail_point))
+
+
+# --- rays -------------------------------------------------------------------
+
+def test_scaling_a_ray_direction_leaves_its_hit_the_same():
+    # ray_parameter is in mm for any direction length: from 0.1 mm inside the sphere, the
+    # skin ahead is hit whatever the direction's length, at the same point and distance
+    mesh = icosphere(85.0, 3)
+    rng = np.random.default_rng(41)
+    origins = np.vstack([[84.9, 0.0, 0.0], rng.uniform(-45.0, 45.0, size=(200, 3))])
+    directions = np.vstack([[1.0, 0.0, 0.0], rng.normal(size=(200, 3))])
+    for origin, d in zip(origins, directions):
+        hit = ray_intersect(mesh, origin, d)
+        assert hit is not None
+        for scale in (1e150, 1e9, 1e-3):  # 1e150: near the bound on |d|^2
+            scaled = ray_intersect(mesh, origin, scale * d)
+            assert scaled is not None and scaled.triangle_id == hit.triangle_id
+            np.testing.assert_allclose(scaled.point, hit.point, rtol=0.0, atol=1e-12)
+            assert scaled.ray_parameter == pytest.approx(hit.ray_parameter, rel=0.0, abs=1e-12)
+    first = ray_intersect(mesh, origins[0], 1e9 * directions[0])
+    assert first.point.tolist() == [85.0, 0.0, 0.0]
+    assert first.ray_parameter == pytest.approx(0.1, abs=1e-12)
+
+
+# --- plans --------------------------------------------------------------------
+
+def test_a_rigid_motion_of_the_image_frame_moves_every_plan_by_it():
+    # skin, cortex and constraints moved by T: every pose moves by T, to rounding. Where the
+    # query's nearest skin point is shared by several triangles (an edge or a vertex),
+    # rounding picks which one sets z, so the moved pose is T times the frame of one of them
+    rng = np.random.default_rng(43)
+    skin, cortex = ellipsoid(SKIN_AXES, 4), ellipsoid(CORTEX_AXES, 4)
+    skin_constraints = ellipsoid_constraints(SKIN_AXES, 0.7, 20, rng)
+    cortex_constraints = ellipsoid_constraints(CORTEX_AXES, -5.0, 20, rng)
+    transform = random_transform(rng)
+    skin_t, cortex_t = (TriangleMesh(transform.apply(m.vertices), m.triangles)
+                        for m in (skin, cortex))
+    plans = head_plans(skin, cortex, skin_constraints, cortex_constraints)
+    plans_t = head_plans(skin_t, cortex_t, [moved(transform, c) for c in skin_constraints],
+                         [moved(transform, c) for c in cortex_constraints])
+    assert len(plans) == len(plans_t) == 20 * 26 + 20
+    shared = 0
+    for (plan, query, tail), (plan_t, _, _) in zip(plans, plans_t):
+        np.testing.assert_allclose(plan_t.pose.translation,
+                                   transform.apply(plan.pose.translation), rtol=0.0, atol=1e-11)
+        points, _ = oracle_closest_on_triangles(*skin.corners(), query)
+        nearest = np.flatnonzero(np.abs(points - plan.pose.translation).max(axis=1) <= 1e-9)
+        shared += len(nearest) > 1
+        frames = transform.rotation @ _frame_from_normal_and_tail(skin.normals[nearest], tail)
+        angles = rotation_angle(np.swapaxes(frames, 1, 2) @ plan_t.pose.rotation)
+        assert np.degrees(angles.min()) <= 1e-10
+    assert shared >= 1  # the tie branch is exercised
+
+
+def test_permuting_a_meshs_vertices_leaves_every_plan_bitwise_the_same():
+    rng = np.random.default_rng(47)
+    skin, cortex = ellipsoid(SKIN_AXES, 3), ellipsoid(CORTEX_AXES, 3)
+
+    def permuted(mesh):
+        order = rng.permutation(len(mesh.vertices))
+        return TriangleMesh(mesh.vertices[order], np.argsort(order)[mesh.triangles])
+
+    skin_constraints = ellipsoid_constraints(SKIN_AXES, 0.7, 10, rng)
+    cortex_constraints = ellipsoid_constraints(CORTEX_AXES, -5.0, 10, rng)
+    skin_p, cortex_p = permuted(skin), permuted(cortex)
+    assert not np.array_equal(skin_p.vertices, skin.vertices)
+    pairs = [(a, b) for (a, _, _), (b, _, _) in zip(
+        head_plans(skin, cortex, skin_constraints, cortex_constraints),
+        head_plans(skin_p, cortex_p, skin_constraints, cortex_constraints))]
+    pairs += [(restricted_cortex_pose(cortex, skin, c), restricted_cortex_pose(cortex_p, skin_p, c))
+              for c in cortex_constraints]
+    for plan, plan_p in pairs:
+        assert plan_p.pose.rotation.tobytes() == plan.pose.rotation.tobytes()
+        assert plan_p.pose.translation.tobytes() == plan.pose.translation.tobytes()
+        assert plan_p.skin_collision_warning == plan.skin_collision_warning

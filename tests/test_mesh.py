@@ -20,13 +20,16 @@ from tmsnav.mesh import (
     sample_surface,
     save_stl,
 )
-from tmsnav.meshgen import ellipsoid, grid_patch, hemisphere, icosphere
+from tmsnav.meshgen import ellipsoid, icosphere
 
 from conftest import (
     closest_point_brute,
+    grid_patch,
+    hemisphere,
     oracle_closest_on_mesh,
     oracle_closest_on_triangle,
     oracle_closest_on_triangles,
+    oracle_icosphere,
     oracle_ray_hits_triangles,
     oracle_winding_number,
     random_soup,
@@ -357,7 +360,7 @@ def two_top_node_tie(upper_first):
     top nodes.
 
     Both share the vertex (0, 0, 0), the nearest point of each to TIE_QUERY
-    (d2 = 123), and a ray from TIE_QUERY through it hits both at t = 1. One
+    (d2 = 123), and a ray from TIE_QUERY through it hits both sqrt(123) mm away. One
     spans the top corner of the centroids' box, the other the bottom corner,
     so they are the last and the first in Morton order; upper_first gives id
     0 to the top one. The other small triangles lie over 15 mm away.
@@ -401,7 +404,7 @@ def test_tie_across_two_top_nodes_goes_to_lowest_id(upper_first, monkeypatch):
     for k in (0, 1):  # each tied triangle alone: the same nearest point and ray hit
         alone = TriangleMesh(mesh.vertices, mesh.triangles[k:k + 1])
         assert closest_point_brute(alone, TIE_QUERY).point.tolist() == [0.0, 0.0, 0.0]
-        assert ray_intersect_brute(alone, TIE_QUERY, -TIE_QUERY).ray_parameter == 1.0
+        assert ray_intersect_brute(alone, TIE_QUERY, -TIE_QUERY).ray_parameter == np.sqrt(123.0)
     hit = closest_point(mesh, TIE_QUERY)
     assert hit.triangle_id == closest_point_brute(mesh, TIE_QUERY).triangle_id == 0
     # one row more than a step holds, so that some rows meet the two tied triangles in two
@@ -421,7 +424,7 @@ def test_tie_across_two_top_nodes_goes_to_lowest_id(upper_first, monkeypatch):
     assert any(step[0] - step[1] for step in steps)  # a row with one tied triangle in a step
     ray = ray_intersect(mesh, TIE_QUERY, -TIE_QUERY)
     assert ray.triangle_id == ray_intersect_brute(mesh, TIE_QUERY, -TIE_QUERY).triangle_id == 0
-    assert ray.ray_parameter == 1.0
+    assert ray.ray_parameter == np.sqrt(123.0)
 
 
 def test_warm_start_on_a_tied_higher_id_still_goes_to_lowest_id():
@@ -495,6 +498,18 @@ def test_zero_direction_ray_rejected(query):
 
 
 @pytest.mark.parametrize("query", [ray_intersect, ray_intersect_brute])
+def test_ray_direction_whose_squared_length_leaves_the_normal_floats_rejected(query):
+    # ray_parameter is t * |d|: a squared length that overflows would give inf mm, and one
+    # that underflows 0 mm or a length rounded in a subnormal
+    m = icosphere(85.0, 3)
+    for d in ([1e155, 0.0, 0.0], [0.0, 1e-155, 0.0], [3e-160, 3e-160, 3e-160]):
+        with pytest.raises(ValidationError, match="direction"):
+            query(m, [10.0, 0.0, 0.0], d)
+    for d in ([1e4, 0.0, 0.0], [1e-12, 0.0, 0.0]):
+        assert query(m, [10.0, 0.0, 0.0], d).ray_parameter == pytest.approx(75.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("query", [ray_intersect, ray_intersect_brute])
 def test_ray_origin_too_far_for_exact_hits_rejected(query):
     # past the bound that closest-point queries take, rounding would put a hit at
     # x = 1.5e284 mm; just inside it, every triangle's lane is formed without overflow
@@ -546,7 +561,8 @@ def test_ray_pass_equals_the_oracle_kernel_bit_for_bit(shape):
         assert got.point.tobytes() == want.point.tobytes()
         assert np.float64(got.ray_parameter).tobytes() == np.float64(want.ray_parameter).tobytes()
         t, valid = oracle_ray_hits_triangles(*mesh.corners(), origin, d)
-        ties += np.count_nonzero(valid & (t == want.ray_parameter)) > 1
+        length = np.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])  # t in mm, as ray_parameter
+        ties += np.count_nonzero(valid & (t * length == want.ray_parameter)) > 1
     assert hits >= 400
     if shape in ("grid_patch", "hemisphere"):  # connected: rays through shared edges tie
         assert ties >= 50
@@ -575,9 +591,9 @@ def test_index_ray_identical_to_brute_force(shape):
         assert accel.triangle_id == brute.triangle_id
         assert accel.ray_parameter == brute.ray_parameter
         np.testing.assert_array_equal(accel.point, brute.point)
-        # hit point consistency: origin + t*d == point
+        # hit point consistency: origin + t*d == point, t in mm along the unit direction
         np.testing.assert_allclose(
-            origin + accel.ray_parameter * d, accel.point, atol=1e-9
+            origin + accel.ray_parameter * d / np.linalg.norm(d), accel.point, atol=1e-9
         )
     assert hits > 0
 
@@ -1279,6 +1295,22 @@ def test_outward_winding_of_generated_sphere(sphere85):
     a, b, c = sphere85.corners()
     centroids = (a + b + c) / 3.0
     assert np.all(np.einsum("ij,ij->i", normals, centroids) > 0.0)
+
+
+@pytest.mark.parametrize("subdivisions", range(6))
+def test_icosphere_equals_the_midpoint_loop_byte_for_byte(subdivisions):
+    # the array-built levels against the loop over faces with its midpoint cache
+    for radius in (1.0, 85.0):
+        for center in ((0.0, 0.0, 0.0), (3.0, -7.5, 12.25)):
+            got = icosphere(radius, subdivisions, center)
+            want = oracle_icosphere(radius, subdivisions, center)
+            assert got.triangles.tobytes() == want.triangles.tobytes()
+            assert got.vertices.tobytes() == want.vertices.tobytes()
+    # the ellipsoid scales the same unit sphere per axis
+    unit = oracle_icosphere(1.0, subdivisions)
+    head = ellipsoid((80.0, 95.0, 70.0), subdivisions, (1.0, 2.0, 3.0))
+    assert head.triangles.tobytes() == unit.triangles.tobytes()
+    assert head.vertices.tobytes() == (unit.vertices * [80.0, 95.0, 70.0] + [1.0, 2.0, 3.0]).tobytes()
 
 
 def test_large_mesh_uses_acceleration_and_agrees_with_brute():

@@ -13,7 +13,7 @@ from tmsnav.errors import (
 )
 from tmsnav.fileio import dump, parse
 from tmsnav.mesh import TriangleMesh, closest_point, sample_surface
-from tmsnav.meshgen import grid_patch, hemisphere, icosphere
+from tmsnav.meshgen import icosphere
 from tmsnav.pose_plan import (
     ConstraintKind,
     HotspotGrid,
@@ -29,7 +29,7 @@ from tmsnav.pose_plan import (
     select_hotspot,
 )
 
-from conftest import closest_point_brute, oracle_closest_on_mesh
+from conftest import closest_point_brute, grid_patch, hemisphere, oracle_closest_on_mesh
 
 
 def assert_right_handed(rotation, tol=1e-9):
