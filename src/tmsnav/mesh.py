@@ -12,7 +12,9 @@ than building the index. Containment sums the generalized winding number over
 every triangle, so open surfaces need no cap. A mesh gathers its corners once
 into its one corner layout, a (coordinate, corner, triangle) table: the normals,
 the index build, containment, closest points and rays run on its rows, with
-fixed-order sums and no BLAS.
+fixed-order sums and no BLAS. A file that load_stl reads again in one process
+(a session re-planning on one subject's skin and cortex) is parsed once more and
+kept: later reads of the same bytes return that mesh, and its index, from memory.
 """
 
 from __future__ import annotations
@@ -307,7 +309,8 @@ def ray_intersect(mesh: TriangleMesh, origin, direction) -> SurfaceHit | None:
     a plan casts one ray at a freshly loaded skin, and one pass costs less than building the
     index it would walk. Each cross product is formed as np.cross forms it, and each dot
     sums x and z, then y, as einsum("ij,ij->i") does on (T, 3) rows (numpy 2.4); v sums
-    x, y, z in turn.
+    x, y, z in turn. A triangle is parallel to the ray when |det| <= 1e-12 |d|: det scales
+    with |d|, so the cut does not depend on the direction's length.
     """
     o, d, length = _ray_args(mesh, origin, direction)
     a, b, c = mesh._table.transpose(1, 0, 2)  # (3, T) rows each
@@ -315,7 +318,7 @@ def ray_intersect(mesh: TriangleMesh, origin, direction) -> SurfaceHit | None:
     h = d[[1, 2, 0], None] * e2[[2, 0, 1]] - d[[2, 0, 1], None] * e2[[1, 2, 0]]
     qv = s[[1, 2, 0]] * e1[[2, 0, 1]] - s[[2, 0, 1]] * e1[[1, 2, 0]]
     det = e1[0] * h[0] + e1[2] * h[2] + e1[1] * h[1]
-    valid = np.abs(det) > _RAY_PARALLEL_EPS
+    valid = np.abs(det) > _RAY_PARALLEL_EPS * length  # det scales with |d|
     inv = np.where(valid, det, 1.0)
     u = (s[0] * h[0] + s[2] * h[2] + s[1] * h[1]) / inv
     v = (qv[0] * d[0] + qv[1] * d[1] + qv[2] * d[2]) / inv
@@ -380,6 +383,11 @@ _STL_NAME_RE = re.compile(
     rb"solid\b(?:(?:(?!\bfacet\b)[^\n])*(?=\bfacet\b[^\n]*?(?:\0|outer\s+loop))|[^\n]*)")
 
 
+# load_stl's last _KEEP paths (a subject's skin and cortex), least recent first
+_KEEP = 2
+_kept: dict = {}
+
+
 def _holds_keyword(text: bytes) -> bool:
     # every keyword holds "loop" or "endfacet", which a plain byte search finds fast, and
     # memchr finds the p of "loop" faster still
@@ -405,12 +413,22 @@ def load_stl(path) -> TriangleMesh:
     accepts such a file or names its fault. Both give the same mesh.
     Vertices are merged by exact coordinate value, in first-occurrence order, so
     the result is an indexed mesh. Degenerate facets raise.
+
+    The last _KEEP paths read are remembered. A path read for the first time keeps
+    nothing, so a process that reads each file once holds no copy of any; read again, it
+    keeps its bytes and mesh, and every later read whose bytes equal them (==, a length
+    check, then memcmp) returns that same read-only mesh, with its index if a query built
+    it. Changed bytes are parsed afresh, and a read that raises keeps nothing.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as err:
         raise MeshValidationError(f"cannot read STL file {path}: {err}") from err
+    seen = _kept.pop(path, False)  # False: not seen; None: seen once; else (data, mesh)
+    if seen and seen[0] == data:
+        _kept[path] = seen
+        return seen[1]
     # \0 marks a record below; a NUL byte of the file's own (a binary STL whose header
     # starts with "solid") would read as one
     if not re.match(rb"\s*solid", data) or b"\0" in data:
@@ -419,7 +437,11 @@ def load_stl(path) -> TriangleMesh:
         vertices, triangles = _read_facets(path, data, fast=True)
     except MeshValidationError:
         vertices, triangles = _read_facets(path, data, fast=False)
-    return TriangleMesh(vertices, triangles)
+    mesh = TriangleMesh(vertices, triangles)
+    _kept[path] = None if seen is False else (data, mesh)
+    if len(_kept) > _KEEP:
+        del _kept[next(iter(_kept))]
+    return mesh
 
 
 def _read_facets(path, data: bytes, fast: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -105,7 +105,8 @@ def oracle_closest_on_triangles(a, b, c, q):
 # then z: the reference that mesh.ray_intersect's pass over the corner table must equal bit
 # for bit, on any numpy
 def oracle_ray_hits_triangles(a, b, c, origin, direction):
-    """Moller-Trumbore over a triangle batch: (t, valid) arrays."""
+    """Moller-Trumbore over a triangle batch: (t, valid) arrays. A triangle is parallel to
+    the ray when |det| <= _RAY_PARALLEL_EPS |d|, since det scales with |d|."""
     def dot(x, y):
         return x[:, 0] * y[:, 0] + x[:, 2] * y[:, 2] + x[:, 1] * y[:, 1]
 
@@ -113,7 +114,8 @@ def oracle_ray_hits_triangles(a, b, c, origin, direction):
     e2 = c - a
     h = np.cross(direction[None, :], e2)
     det = dot(e1, h)
-    valid = np.abs(det) > _RAY_PARALLEL_EPS
+    dx, dy, dz = direction
+    valid = np.abs(det) > _RAY_PARALLEL_EPS * np.sqrt(dx * dx + dy * dy + dz * dz)
     inv = np.where(valid, det, 1.0)
     s = origin - a
     u = dot(s, h) / inv

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from tmsnav import cli
+from tmsnav import mesh as mesh_module
 from tmsnav import session as session_mod
 from tmsnav.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
 from tmsnav.fileio import canonical_json, dump, parse, read_json, write_json
@@ -764,6 +765,64 @@ def test_repeated_calls_in_one_process_are_independent(project, tmp_path):
     # the flags of the first call left no trace: no seed means seed 0
     assert run(project, "--seed=0", f"--out={tmp_path / 'd'}", "session") == EXIT_OK
     assert tree_bytes(tmp_path / "d") == tree_bytes(tmp_path / "b")
+
+
+def plan_mix(root: Path, out: Path) -> list[list[str]]:
+    """Free-skin, restricted-cortex and closest-skin plans, a hotspot grid and a chain, each
+    plan on a two-point constraint, so every plan reads the meshes it places it on."""
+    cfg = f"--config={root / 'config.json'}"
+    return [
+        [cfg, f"--out={out}/free", "plan", "--strategy=free-skin",
+         f"--constraint={root / 'skin_constraint.json'}"],
+        [cfg, f"--out={out}/restricted", "plan", "--strategy=restricted-cortex",
+         f"--constraint={root / 'cortex_constraint.json'}"],
+        [cfg, f"--out={out}/closest", "plan", "--strategy=closest-skin",
+         f"--constraint={root / 'cortex_constraint.json'}"],
+        [cfg, f"--out={out}/hotspot", "hotspot", f"--plan={out}/free/plan.json", "--rows=5",
+         "--cols=5", f"--responses={root / 'responses.json'}"],
+        [cfg, f"--out={out}/chain", "chain", f"--graph={root / 'graph.json'}",
+         f"--plan={out}/closest/plan.json"],
+    ]
+
+
+def test_repeated_plans_in_one_process_reuse_meshes_and_write_fresh_process_bytes(
+        tmp_path, monkeypatch):
+    # from the second round on the meshes come from load_stl's kept table, their indexes
+    # already built; every round must still write the bytes of a fresh process
+    monkeypatch.setattr(mesh_module, "_kept", {})
+    for name, axes, offset in (("skin", np.array([80.0, 95.0, 70.0]), 0.7),
+                               ("cortex", np.array([65.0, 80.0, 55.0]), -5.0)):
+        save_stl(ellipsoid(axes, 3), tmp_path / f"{name}.stl", name=name)
+        d = np.array([0.3, 0.2, 1.0])
+        point = d / np.sqrt((d * d / axes ** 2).sum())
+        normal = point / axes ** 2
+        normal /= np.sqrt((normal * normal).sum())
+        center = point + offset * normal
+        write_json(tmp_path / f"{name}_constraint.json", dump(PoseConstraintInput.two_point(
+            center, center + 8.0 * np.cross(normal, [0.0, 0.0, 1.0]))))
+    write_json(tmp_path / "config.json", {"skin_mesh": "skin.stl", "cortex_mesh": "cortex.stl"})
+    write_json(tmp_path / "responses.json", {"responses": [float(i % 7) for i in range(25)]})
+    write_json(tmp_path / "graph.json", read_json(FIXTURES / "chain_seed42.json")["graph"])
+
+    def files(out: Path) -> dict:
+        return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+                if p.is_file()}
+
+    rounds = []
+    for k in range(3):
+        for argv in plan_mix(tmp_path, tmp_path / f"round{k}"):
+            assert main(argv) == EXIT_OK
+        rounds.append(files(tmp_path / f"round{k}"))
+    assert sum(entry is not None for entry in mesh_module._kept.values()) == 2
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c",
+                    "import json, sys\nfrom tmsnav.cli import main\n"
+                    "for argv in json.loads(sys.argv[1]):\n    assert main(argv) == 0\n",
+                    json.dumps(plan_mix(tmp_path, tmp_path / "fresh"))], env=env, check=True)
+    assert len(rounds[0]) == 5  # three plan.json, hotspot.json and commanded.json
+    assert rounds[1] == rounds[0] and rounds[2] == rounds[0]
+    assert files(tmp_path / "fresh") == rounds[0]
 
 # --- malformed input exits 64 and names the key or flag, never 1 ----------------------
 

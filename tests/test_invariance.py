@@ -67,7 +67,9 @@ def moved(transform, constraint):
 
 def test_scaling_a_ray_direction_leaves_its_hit_the_same():
     # ray_parameter is in mm for any direction length: from 0.1 mm inside the sphere, the
-    # skin ahead is hit whatever the direction's length, at the same point and distance
+    # skin ahead is hit whatever the direction's length, at the same point and distance; and
+    # the parallel cut scales with |d|, so a short direction still hits (one of length 1e-15
+    # missed every triangle under an absolute cut)
     mesh = icosphere(85.0, 3)
     rng = np.random.default_rng(41)
     origins = np.vstack([[84.9, 0.0, 0.0], rng.uniform(-45.0, 45.0, size=(200, 3))])
@@ -75,7 +77,7 @@ def test_scaling_a_ray_direction_leaves_its_hit_the_same():
     for origin, d in zip(origins, directions):
         hit = ray_intersect(mesh, origin, d)
         assert hit is not None
-        for scale in (1e150, 1e9, 1e-3):  # 1e150: near the bound on |d|^2
+        for scale in (1e150, 1e9, 1e-3, 1e-15):  # 1e150: near the bound on |d|^2
             scaled = ray_intersect(mesh, origin, scale * d)
             assert scaled is not None and scaled.triangle_id == hit.triangle_id
             np.testing.assert_allclose(scaled.point, hit.point, rtol=0.0, atol=1e-12)
@@ -136,3 +138,27 @@ def test_permuting_a_meshs_vertices_leaves_every_plan_bitwise_the_same():
         assert plan_p.pose.rotation.tobytes() == plan.pose.rotation.tobytes()
         assert plan_p.pose.translation.tobytes() == plan.pose.translation.tobytes()
         assert plan_p.skin_collision_warning == plan.skin_collision_warning
+
+
+def test_scaling_a_two_point_tail_vector_leaves_every_plan_the_same():
+    # only the tail's direction sets y: scaling tail - center by s keeps each free-skin,
+    # closest-skin and restricted-cortex plan's translation bitwise and its rotation to the
+    # rounding of the scaled tail point, about eps |tail| / |tail - center| rad (measured
+    # 9.8e-13 rad at s = 1e-3, where the tail lies 8 um from a center about 80 mm out)
+    rng = np.random.default_rng(53)
+    skin, cortex = ellipsoid(SKIN_AXES, 4), ellipsoid(CORTEX_AXES, 4)
+    plans = [(lambda c: free_skin_pose(skin, c), ellipsoid_constraints(SKIN_AXES, 0.7, 20, rng))]
+    cortex_constraints = ellipsoid_constraints(CORTEX_AXES, -5.0, 20, rng)
+    plans += [(lambda c: closest_skin_pose(cortex, skin, c), cortex_constraints),
+              (lambda c: restricted_cortex_pose(cortex, skin, c), cortex_constraints)]
+    for plan, constraints in plans:
+        for constraint in constraints:
+            pose = plan(constraint)
+            for scale in (1e-3, 7.0, 1e6):
+                tail = constraint.center + scale * (constraint.tail_point - constraint.center)
+                scaled = plan(PoseConstraintInput.two_point(constraint.center, tail))
+                assert scaled.pose.translation.tobytes() == pose.pose.translation.tobytes()
+                assert scaled.skin_collision_warning == pose.skin_collision_warning
+                bound = 1e-13 + 4.0 * np.finfo(float).eps * np.abs(tail).max() / np.sqrt(
+                    ((tail - constraint.center) ** 2).sum())
+                assert rotation_angle(pose.pose.rotation.T @ scaled.pose.rotation) <= bound

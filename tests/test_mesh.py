@@ -1290,6 +1290,79 @@ def test_stl_loops_without_endloop_read_in_linear_time(tmp_path):
     assert time.perf_counter() - start < 2.0
 
 
+# --- meshes kept across reads --------------------------------------------------
+
+@pytest.fixture
+def kept(monkeypatch):
+    """load_stl's table of kept paths, empty for the test."""
+    table = {}
+    monkeypatch.setattr(mesh_module, "_kept", table)
+    return table
+
+
+def test_stl_read_again_is_kept_and_served_with_its_index(tmp_path, kept, monkeypatch):
+    path = tmp_path / "sphere.stl"
+    save_stl(icosphere(30.0, 2), path)
+    first = load_stl(path)
+    assert kept == {path: None}  # read once: no bytes and no mesh kept
+    builds = []
+    morton = mesh_module._morton_codes
+    monkeypatch.setattr(mesh_module, "_morton_codes", lambda p: builds.append(1) or morton(p))
+    second = load_stl(path)  # read again: parsed once more, and kept
+    assert second is not first and kept[path] == (path.read_bytes(), second)
+    assert second.vertices.tobytes() == first.vertices.tobytes()
+    assert second.triangles.tobytes() == first.triangles.tobytes()
+    hit = closest_point(second, [0.0, 0.0, 40.0])
+    third = load_stl(path)
+    assert third is second
+    again = closest_point(third, [0.0, 0.0, 40.0])
+    assert again.point.tobytes() == hit.point.tobytes() and again.triangle_id == hit.triangle_id
+    assert len(builds) == 1  # one index, built by the second read's query
+
+
+def test_stl_rewritten_with_one_digit_changed_is_parsed_afresh(tmp_path, kept):
+    path = tmp_path / "sphere.stl"
+    save_stl(icosphere(30.0, 2), path)
+    load_stl(path)
+    before = load_stl(path)
+    data = bytearray(path.read_bytes())
+    at = re.search(rb"vertex -?\d+\.\d{5}", data).end() - 1  # an x's fifth decimal digit
+    data[at] = ord("1") if data[at] != ord("1") else ord("2")
+    path.write_bytes(data)  # the same length, one digit changed
+    after = load_stl(path)
+    fresh = TriangleMesh(*mesh_module._read_facets(path, bytes(data), fast=True))
+    assert after is not before
+    assert after.vertices.tobytes() == fresh.vertices.tobytes() != before.vertices.tobytes()
+    assert after.triangles.tobytes() == fresh.triangles.tobytes()
+    assert kept[path] == (bytes(data), after)
+    assert load_stl(path) is after
+
+
+def test_malformed_stl_raises_alike_on_every_read_and_keeps_no_bytes(tmp_path, kept):
+    path = tmp_path / "bad.stl"
+    path.write_text(stl_text([(0, 0, 0), (1, 0, 0), (0, 1, 0)]))
+    load_stl(path)
+    load_stl(path)
+    assert kept[path] is not None
+    path.write_text(stl_text([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]))
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(MeshValidationError, match="facet 0 is not one loop") as err:
+            load_stl(path)
+        messages.add(str(err.value))
+    assert len(messages) == 1
+    assert kept == {}
+
+
+def test_stl_files_read_once_each_keep_no_bytes(tmp_path, kept):
+    for i in range(5):
+        path = tmp_path / f"sphere{i}.stl"
+        save_stl(icosphere(30.0 + i, 1), path)
+        load_stl(path)
+    assert len(kept) <= mesh_module._KEEP
+    assert all(entry is None for entry in kept.values())
+
+
 def test_outward_winding_of_generated_sphere(sphere85):
     normals = sphere85.normals
     a, b, c = sphere85.corners()
