@@ -123,15 +123,11 @@ def cmd_register(args) -> int:
     return EXIT_OK if result.accepted else EXIT_REJECTED
 
 
-def _normalize_strategy(name: str) -> Strategy:
-    return Strategy(name.replace("-", "_").lower())
-
-
 def cmd_plan(args) -> int:
     config = _require_config(args)
     out = _out_dir(args, config)
     constraint = parse(PoseConstraintInput, read_json(args.constraint), "constraint")
-    strategy = _normalize_strategy(args.strategy)
+    strategy = Strategy(args.strategy.replace("-", "_").lower())
     # only a two-point constraint reads the mesh it is placed on: the others carry a plane
     placed_on = config.skin_mesh if strategy is Strategy.FREE_SKIN else config.cortex_mesh
     mesh = placed_on() if constraint.kind is ConstraintKind.TWO_POINT else None
@@ -245,8 +241,8 @@ def _default_plan() -> PlanPose:
 def cmd_session(args) -> int:
     config = _require_config(args)
     out = _out_dir(args, config)
-    if args.seed < 0:
-        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
+    if not 0 <= args.seed <= 2**53:  # the largest count fileio.parse reads back from JSON
+        raise ValidationError(f"--seed must be in [0, 2**53], got {args.seed}")
     if args.plan is not None:
         plan = parse(PlanPose, read_json(args.plan), "plan")
     else:

@@ -149,9 +149,9 @@ def parse(tp, value, where: str):
     if tp is float:  # the bound also keeps out NaN, inf and ints too large for a float
         if type(value) in (int, float) and abs(value) <= sys.float_info.max:
             return float(value)
-    elif type(value) is (str if tp is Path else tp):  # so never a bool for an int
-        return tp(value)
-    kinds = {float: "a finite number", int: "an integer", bool: "true or false"}
+    elif type(value) is (str if tp is Path else tp) and (tp is not int or abs(value) <= 2**53):
+        return tp(value)  # never a bool for an int, nor a count that no float holds exactly
+    kinds = {float: "a finite number", int: "an integer in [-2**53, 2**53]", bool: "true or false"}
     raise _bad(where, kinds.get(tp, "a string"), value)
 
 

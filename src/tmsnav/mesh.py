@@ -343,6 +343,10 @@ def contains_point(mesh: TriangleMesh, point) -> bool:
     p = np.asarray(point, dtype=float).reshape(3)
     if not np.isfinite(p).all():  # a nan would read as outside
         raise ValidationError(f"non-finite point: {p.tolist()}")
+    scale = np.abs(mesh.vertices).max(initial=0.0)
+    reach = np.abs(p).max() + scale  # every solid-angle product is at most about 21 reach^3
+    if reach >= 1e100:  # an overflow would read as outside
+        raise ValidationError(f"point is too far from the mesh for exact containment: {p.tolist()}")
     # coordinate rows of the corners about p; each dot sums x and z, then y, the order
     # einsum("ij,ij->i") takes on (T, 3) rows (numpy 2.4), so w is bitwise einsum's
     (ax, bx, cx), (ay, by, cy), (az, bz, cz) = x, y, z = mesh._table - p[:, None, None]
@@ -350,7 +354,7 @@ def contains_point(mesh: TriangleMesh, point) -> bool:
     det = ax * (by * cz - bz * cy) + az * (bx * cy - by * cx) + ay * (bz * cx - bx * cz)
     # |det| is twice the area times the plane's distance, and twice the area is at most
     # la lb + lb lc + lc la: the band is doubled for the rounding of det and the distances
-    band = _ON_SURFACE * (1.0 + np.abs(mesh.vertices).max(initial=0.0))
+    band = _ON_SURFACE * (1.0 + scale)
     near = mesh._table[:, :, np.abs(det) <= 2.0 * band * (la * lb + lb * lc + lc * la)]
     if near.size and _closest_on_triangles(near, p[:, None])[1].min() <= band * band:
         return False

@@ -6,7 +6,7 @@ five-minute coil-holding test where every pulse train sees a freshly
 actuated coil pose and the sensor voltages are recorded per train.
 Draws are taken train by train, then all poses at once with the fixed-order
 3x3 product (`matmul3`): a seed gives the same session bit for bit under any
-BLAS kernel, unless a drifted rotation takes the SVD fallback.
+BLAS kernel, and no pose is repaired (the plan was made orthonormal when read).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .fieldsim import VOLTAGE_COLUMNS, CoilModel, PulseTrain, SensorModel, peak_
 from .fileio import dump
 from .kinematics import APPROACH_FLIP, PoseError, pose_errors
 from .pose_plan import PlanPose
-from .transforms import RigidTransform, matmul3, rotation_about_axis, settle_drift
+from .transforms import RigidTransform, matmul3, rotation_about_axis
 
 # Default noise models. Rotation sigmas are anchored to the reported
 # average rotation errors of the two actuation methods (2.5e-3 rad
@@ -148,11 +148,11 @@ def run_holding_session(plan: PlanPose, model: ActuationModel, coil: CoilModel,
     lifted = pivot + matmul3((center - pivot)[:, None], delta.transpose(0, 2, 1))[:, 0]
     origins = np.where(held[:, None], center, lifted)
     # the coil frame: the actuated plan with its outward z flipped into the head
-    rotations = settle_drift(matmul3(actuated, APPROACH_FLIP.rotation))
-    target = RigidTransform(settle_drift(matmul3(plan.pose.rotation, APPROACH_FLIP.rotation)),
+    rotations = matmul3(actuated, APPROACH_FLIP.rotation)
+    target = RigidTransform(matmul3(plan.pose.rotation, APPROACH_FLIP.rotation),
                             plan.pose.translation)
     # the sensor as each train's coil sees it: one field evaluation for the session
-    in_coil = settle_drift(matmul3(rotations.transpose(0, 2, 1), sensor.pose.rotation))
+    in_coil = matmul3(rotations.transpose(0, 2, 1), sensor.pose.rotation)
     offsets = matmul3((sensor.pose.translation - origins)[:, None], rotations)[:, 0]
     voltages = peak_to_peak_voltages(replace(coil, pose=RigidTransform.identity()),
                                      sensor, in_coil, offsets, train)

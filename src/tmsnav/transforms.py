@@ -4,8 +4,9 @@ A RigidTransform is a 3x3 rotation plus a 3-vector translation in
 millimeters; it is the currency passed between every other module.
 Transforms compose right-to-left: ``compose(a, b)`` applies ``b`` first.
 Every 3x3 product, in ``compose``, ``invert`` and ``apply`` too, is a
-``matmul3`` fixed-order sum, so no BLAS kernel picks its rounding; only the
-drift fallback ``orthonormalize`` goes through BLAS and LAPACK.
+``matmul3`` fixed-order sum, and so is ``orthonormalize``: no BLAS or LAPACK
+routine picks the rounding. A rotation is made orthonormal once, when
+``from_matrix`` reads it; nothing downstream repairs drift.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Rotation drift beyond this triggers re-orthonormalization on compose.
-ORTHO_DRIFT_TOL = 1e-12
+ORTHO_DRIFT_TOL = 1e-12  # from_matrix orthonormalizes a rotation read more than this off
 RIGID_TOL = 1e-6  # max orthonormality error of a rotation read from outside
 
 
@@ -56,36 +56,33 @@ def orthonormality_error(rotation: np.ndarray):
     return np.abs(matmul3(np.swapaxes(rotation, -1, -2), rotation) - np.eye(3)).max(axis=(-2, -1))
 
 
+def _cofactors(r: np.ndarray) -> tuple[np.ndarray, float]:
+    """det(r) r^-T as the cofactor rows r1 x r2, r2 x r0, r0 x r1, and det(r) = r0 . (r1 x r2)."""
+    c = np.cross(r[[1, 2, 0]], r[[2, 0, 1]])
+    return c, r[0, 0] * c[0, 0] + r[0, 1] * c[0, 1] + r[0, 2] * c[0, 2]
+
+
 def orthonormalize(rotation: np.ndarray) -> np.ndarray:
-    """Nearest proper rotation in the Frobenius sense (via SVD)."""
-    u, _, vt = np.linalg.svd(rotation)
-    r = u @ vt
-    if np.linalg.det(r) < 0.0:
-        u = u.copy()
-        u[:, -1] *= -1.0
-        r = u @ vt
-    return r
+    """Nearest rotation (Frobenius) to a 3x3 with det > 0 within RIGID_TOL of orthonormal: two
+    Newton steps X <- (X + X^-T) / 2 to its polar factor (Higham 1986), each squaring the drift."""
+    for _ in range(2):
+        c, det = _cofactors(rotation)
+        rotation = 0.5 * (rotation + c / det)
+    return rotation
 
 
-def settle_drift(rotation) -> np.ndarray:
-    """A (..., 3, 3) stack, each rotation that drifted past ORTHO_DRIFT_TOL orthonormalized."""
-    r = np.array(rotation, dtype=float)
-    stack = r.reshape(-1, 3, 3)  # a view: r is a fresh contiguous copy
-    for i in np.flatnonzero(orthonormality_error(stack) > ORTHO_DRIFT_TOL):
-        stack[i] = orthonormalize(stack[i])
-    return r
-
-
-def check_rigid(matrix, what: str) -> None:
-    """Reject a 4x4 matrix unless finite, bottom row [0, 0, 0, 1], rotation proper."""
+def check_rigid(matrix, what: str) -> float:
+    """Reject a 4x4 matrix unless finite, bottom row [0, 0, 0, 1], rotation proper; return the
+    rotation's orthonormality error."""
     m = np.asarray(matrix, dtype=float).reshape(4, 4)
     if not np.array_equal(m[3], [0.0, 0.0, 0.0, 1.0]):
         raise ValidationError(f"{what}: bottom row must be [0, 0, 0, 1], got {m[3].tolist()}")
     err = orthonormality_error(m[:3, :3]) if np.isfinite(m).all() else np.nan
-    if not (err <= RIGID_TOL and np.linalg.det(m[:3, :3]) > 0.0):
+    if not (err <= RIGID_TOL and _cofactors(m[:3, :3])[1] > 0.0):
         raise ValidationError(f"{what} is not rigid: the rotation must be orthonormal "
                               f"within {RIGID_TOL:g} (error {err:.3g}) with determinant +1, "
                               "and every value finite")
+    return err
 
 
 @dataclass(frozen=True)
@@ -103,10 +100,10 @@ class RigidTransform:
 
     @classmethod
     def from_matrix(cls, matrix) -> "RigidTransform":
-        """Build from a rigid 4x4 homogeneous matrix (row-major), checked as rigid."""
+        """Build from a 4x4 homogeneous matrix (row-major), checked as rigid, made orthonormal."""
         m = np.asarray(matrix, dtype=float).reshape(4, 4)
-        check_rigid(m, "matrix")
-        return cls(m[:3, :3], m[:3, 3])
+        r = m[:3, :3]
+        return cls(orthonormalize(r) if check_rigid(m, "matrix") > ORTHO_DRIFT_TOL else r, m[:3, 3])
 
     def to_matrix(self) -> np.ndarray:
         m = np.eye(4)
@@ -123,7 +120,7 @@ class RigidTransform:
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     """Composition applying b first, then a."""
     m = matmul3(a.rotation, np.column_stack([b.rotation, b.translation]))  # a.R [b.R | b.t]
-    return RigidTransform(settle_drift(m[:, :3]), m[:, 3] + a.translation)
+    return RigidTransform(m[:, :3], m[:, 3] + a.translation)
 
 
 def invert(t: RigidTransform) -> RigidTransform:

@@ -218,6 +218,17 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     )
 
 
+def oracle_orthonormalize(rotation: np.ndarray) -> np.ndarray:
+    """Nearest proper rotation in the Frobenius sense (via SVD)."""
+    u, _, vt = np.linalg.svd(rotation)
+    r = u @ vt
+    if np.linalg.det(r) < 0.0:
+        u = u.copy()
+        u[:, -1] *= -1.0
+        r = u @ vt
+    return r
+
+
 def random_transform(rng: np.random.Generator, translation_scale: float = 100.0) -> RigidTransform:
     return RigidTransform(
         random_rotation(rng), rng.uniform(-translation_scale, translation_scale, size=3)

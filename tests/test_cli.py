@@ -544,11 +544,15 @@ inputs = Path(config).parent
 for name, args in (("plain", []), ("registered", [f"--registration={inputs / 'registration.json'}"])):
     assert main([f"--out={out}/{name}", "chain", f"--graph={inputs / 'graph.json'}",
                  f"--plan={inputs / 'plan.json'}", *args]) == 0
+assert main([f"--config={config}", f"--out={out}/rounded", "chain",
+             f"--graph={inputs / 'rounded_graph.json'}", f"--plan={inputs / 'plan.json'}"]) == 0
 """
 RUN_SESSIONS = """
 for name, args in (("robotic", ["--mode=holding", "--actuation=robotic"]),
                    ("manual", ["--mode=holding", "--actuation=manual"]),
-                   ("alignment", ["--mode=alignment", "--actuation=robotic"])):
+                   ("alignment", ["--mode=alignment", "--actuation=robotic"]),
+                   ("rounded", ["--mode=holding", "--actuation=manual",
+                                f"--plan={Path(config).parent / 'rounded_plan.json'}"])):
     assert main([f"--config={config}", "--seed=7", f"--out={out}/{name}", "session", *args]) == 0
 assert main([f"--out={out}/report", "report", f"--input={out}/manual/session.json"]) == 0
 """
@@ -604,24 +608,37 @@ def test_fieldsim_sweeps_do_not_depend_on_the_blas_kernel(tmp_path):
 
 
 def test_sessions_do_not_depend_on_the_blas_kernel(tmp_path):
-    # the holding-session benchmark's config: the primary winding 20 mm under one wing
+    # the holding-session benchmark's config: the primary winding 20 mm under one wing;
+    # and a manual holding session on the chain fixture's plan rounded to 8 decimals, about
+    # 1e-8 off orthonormal, as a plan written by hand or by another tool may be
     config = {"coil": {"segments_per_loop": 256},
               "sensor": {"matrix": [1, 0, 0, 0, 0, 1, 0, 35.0, 0, 0, 1, -20.0, 0, 0, 0, 1]}}
-    outputs = [f"{name}/session.{ext}" for name in ("robotic", "manual", "alignment")
+    plan = read_json(FIXTURES / "chain_seed42.json")["plan"]
+    write_json(tmp_path / "rounded_plan.json", dict(plan, **{
+        key: [round(x, 8) for x in plan[key]] for key in ("rotation", "translation")}))
+    outputs = [f"{name}/session.{ext}" for name in ("robotic", "manual", "alignment", "rounded")
                for ext in ("json", "csv")] + ["report/report.csv"]
     counts = distinct_outputs_per_kernel(tmp_path, RUN_SESSIONS, config, outputs)
     assert counts == dict.fromkeys(outputs, 1)
 
 
 def test_chain_does_not_depend_on_the_blas_kernel(tmp_path):
-    # the chain fixture's graph and plan, alone and with one fixed registration
+    # the chain fixture's graph and plan, alone and with one fixed registration; and its
+    # matrices rounded to 8 decimals, about 1e-8 off orthonormal, the two calibration edges
+    # read from the config and the rest from a graph
     record = read_json(FIXTURES / "chain_seed42.json")
     write_json(tmp_path / "graph.json", record["graph"])
     write_json(tmp_path / "plan.json", record["plan"])
     head = RigidTransform(rotation_about_axis([1.0, -2.0, 0.5], 0.3), [4.0, -5.0, 6.0])
     write_json(tmp_path / "registration.json", dump(RegistrationResult(head, 1.0, 0.5, True)))
-    outputs = ("plain/commanded.json", "registered/commanded.json")
-    counts = distinct_outputs_per_kernel(tmp_path, RUN_CHAIN, {}, outputs)
+    rounded = {(e["from"], e["to"]): dict(e, matrix=[round(x, 8) for x in e["matrix"]])
+               for e in record["graph"]["edges"]}
+    calibration = {"e_to_cr": rounded.pop(("E", "Cr"))["matrix"],
+                   "cr_to_c": rounded.pop(("Cr", "C"))["matrix"]}
+    write_json(tmp_path / "rounded_graph.json", {"edges": list(rounded.values())})
+    outputs = ("plain/commanded.json", "registered/commanded.json", "rounded/commanded.json")
+    counts = distinct_outputs_per_kernel(tmp_path, RUN_CHAIN, {"calibration": calibration},
+                                         outputs)
     assert counts == dict.fromkeys(outputs, 1)
     # the default kernel's file is the fixture's pinned pose
     pinned = read_json(tmp_path / "None" / "plain" / "commanded.json")["matrix"]
@@ -962,6 +979,15 @@ MALFORMED = {
     "trains text": ("config", lambda d: _with(d, "train.trains", "3"), "config.train.trains"),
     "trains fraction": ("config", lambda d: _with(d, "train.trains", 2.5),
                         "config.train.trains"),
+    # counts no float holds exactly: a count scales a float, and 10**400 overflowed there
+    "pulses_per_train 10**400": ("config", lambda d: _with(d, "train.pulses_per_train", 10**400),
+                                 "config.train.pulses_per_train"),
+    "loop_turns 10**400": ("config", lambda d: _with(d, "coil.loop_turns", 10**400),
+                           "config.coil.loop_turns"),
+    "turns_per_axis 10**400": ("config", lambda d: _with(d, "sensor.turns_per_axis", 10**400),
+                               "config.sensor.turns_per_axis"),
+    "loop_turns 2**53 + 1": ("config", lambda d: _with(d, "coil.loop_turns", 2**53 + 1),
+                             "config.coil.loop_turns"),
     "wing_senses text": ("config", lambda d: _with(d, "coil.wing_senses", "ab"),
                          "config.coil.wing_senses"),
     "three wing senses": ("config", lambda d: _with(d, "coil.wing_senses", [1, -1, 1]),
@@ -1025,6 +1051,7 @@ def test_malformed_input_is_usage_error_naming_the_key(tiny, tmp_path, capsys, c
     (["fieldsim", "--offsets=0:1:0"], "--offsets"),
     (["fieldsim", "--offsets=nan,1"], "--offsets"),
     (["fieldsim", "--standoff=nan"], "--standoff"),
+    ([f"--seed={2**53 + 1}", "session", "--mode=alignment"], "--seed"),  # session.json reads back
 ])
 def test_bad_flag_value_is_usage_error_naming_the_flag(tiny, tmp_path, capsys, argv, named):
     if argv[0] == "hotspot":

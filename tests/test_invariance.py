@@ -7,6 +7,7 @@ a known way, and checks that at the rounding level. They need no reference outpu
 import numpy as np
 import pytest
 
+from tmsnav.fieldsim import CoilModel, PulseTrain, SensorModel, peak_to_peak_voltages
 from tmsnav.mesh import TriangleMesh, ray_intersect
 from tmsnav.meshgen import ellipsoid, icosphere
 from tmsnav.pose_plan import (
@@ -18,9 +19,9 @@ from tmsnav.pose_plan import (
     pose_from_constraint,
     restricted_cortex_pose,
 )
-from tmsnav.transforms import rotation_angle
+from tmsnav.transforms import RigidTransform, compose, rotation_angle
 
-from conftest import oracle_closest_on_triangles, random_transform
+from conftest import oracle_closest_on_triangles, random_rotation, random_transform
 
 SKIN_AXES = np.array([80.0, 95.0, 70.0])
 CORTEX_AXES = np.array([65.0, 80.0, 55.0])
@@ -162,3 +163,28 @@ def test_scaling_a_two_point_tail_vector_leaves_every_plan_the_same():
                 bound = 1e-13 + 4.0 * np.finfo(float).eps * np.abs(tail).max() / np.sqrt(
                     ((tail - constraint.center) ** 2).sum())
                 assert rotation_angle(pose.pose.rotation.T @ scaled.pose.rotation) <= bound
+
+
+# --- fields ---------------------------------------------------------------------------
+
+def test_a_rigid_motion_of_coil_and_sensors_leaves_the_voltages_the_same():
+    # a voltage depends only on where the sensor sits relative to the coil: moving the
+    # figure-8 coil and 20 poses of a 3-axis sensor 12 to 35 mm under it by one rigid motion
+    # changes no voltage beyond rounding (measured at most 4.2e-15 of the largest, over 50
+    # motions)
+    rng = np.random.default_rng(59)
+    coil_pose = random_transform(rng)
+    sensor, train = SensorModel(), PulseTrain()
+    local = [RigidTransform(random_rotation(rng), [*rng.uniform(-60.0, 60.0, 2),
+                                                   rng.uniform(-35.0, -12.0)])
+             for _ in range(20)]
+
+    def voltages(motion):
+        coil = CoilModel(segments_per_loop=64, pose=compose(motion, coil_pose))
+        poses = [compose(compose(motion, coil_pose), pose) for pose in local]
+        return peak_to_peak_voltages(coil, sensor, np.array([p.rotation for p in poses]),
+                                     np.array([p.translation for p in poses]), train)
+
+    still = voltages(RigidTransform.identity())
+    for _ in range(50):
+        assert np.abs(voltages(random_transform(rng)) - still).max() <= 1e-13 * still.max()

@@ -228,6 +228,17 @@ def test_non_finite_query_rejected():
         contains_point(m, [0.0, np.nan, 0.0])
 
 
+@pytest.mark.parametrize("x", [1e140, 1e200])
+def test_containment_whose_solid_angles_overflow_rejected(x):
+    # closest_point accepts (1e140, 0, 0), but the solid angles' products, about x^3, overflow
+    mesh = icosphere(85.0, subdivisions=2)
+    for point in ([x, 0.0, 0.0], [0.0, 0.0, -x]):
+        with pytest.raises(ValidationError, match=r"too far from the mesh.*\[") as err:
+            contains_point(mesh, point)
+        assert str(point) in str(err.value)
+    assert closest_point(mesh, [1e140, 0.0, 0.0]).triangle_id >= 0
+
+
 @pytest.mark.parametrize("x", [1.3e154, 1e300])
 def test_query_whose_squared_distances_overflow_rejected(x):
     # every bound and distance of the row would be inf, which keeps the empty index nodes too

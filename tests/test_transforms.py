@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
+from tmsnav.errors import ValidationError
 from tmsnav.transforms import (
+    ORTHO_DRIFT_TOL,
+    RIGID_TOL,
     RigidTransform,
     compose,
     invert,
     matmul3,
     orthonormality_error,
+    orthonormalize,
     rotation_about_axis,
     rotation_angle,
 )
 
-from conftest import random_transform
+from conftest import oracle_orthonormalize, random_rotation, random_transform
 
 
 def rz(deg):
@@ -84,6 +88,49 @@ def test_matrix_round_trip():
     back = RigidTransform.from_matrix(t.to_matrix())
     np.testing.assert_array_equal(back.rotation, t.rotation)
     np.testing.assert_array_equal(back.translation, t.translation)
+
+
+def drifted(rotation, error, rng):
+    """`rotation` plus a random perturbation scaled so its orthonormality error is `error`."""
+    step = rng.normal(size=(3, 3))
+    for _ in range(3):  # the error is about linear in the step: rescale it to the target
+        step *= error / orthonormality_error(rotation + step)
+    return rotation + step
+
+
+def test_orthonormalize_matches_the_svd_oracle():
+    rng = np.random.default_rng(10)
+    for error in 10.0 ** rng.uniform(-12.0, -6.0, size=500):
+        x = drifted(random_rotation(rng), error, rng)
+        r = orthonormalize(x)
+        assert np.abs(r - oracle_orthonormalize(x)).max() <= 1e-14
+        assert orthonormality_error(r) <= 1e-15
+
+
+def test_orthonormalize_at_the_rigid_bound():
+    # about the most drift check_rigid accepts: a scaled, a sheared and a randomly
+    # drifted rotation, each 0.999 RIGID_TOL off orthonormal
+    rng = np.random.default_rng(11)
+    r, error = random_rotation(rng), 0.999 * RIGID_TOL
+    shear = np.eye(3)
+    shear[0, 1] = error
+    for x in (r * np.sqrt(1.0 + error), matmul3(r, shear), drifted(r, error, rng)):
+        assert 0.99 * RIGID_TOL <= orthonormality_error(x) <= RIGID_TOL
+        read = RigidTransform.from_matrix(np.r_[np.c_[x, [1.0, 2.0, 3.0]], [[0, 0, 0, 1]]])
+        assert orthonormality_error(read.rotation) <= 1e-15
+        np.testing.assert_array_equal(read.rotation, orthonormalize(x))
+        assert np.abs(read.rotation - oracle_orthonormalize(x)).max() <= 1e-14
+    with pytest.raises(ValidationError, match="not rigid"):
+        RigidTransform.from_matrix(np.diag([1.0 + RIGID_TOL, 1.0, 1.0, 1.0]))
+
+
+def test_from_matrix_keeps_a_rotation_within_the_drift_tolerance_bitwise():
+    rng = np.random.default_rng(12)
+    for error in (0.0, 1e-15, 1e-13, 0.99 * ORTHO_DRIFT_TOL):
+        x = drifted(random_rotation(rng), error, rng) if error else random_rotation(rng)
+        assert orthonormality_error(x) <= ORTHO_DRIFT_TOL
+        read = RigidTransform.from_matrix(np.r_[np.c_[x, np.zeros(3)], [[0, 0, 0, 1]]])
+        np.testing.assert_array_equal(read.rotation, x)
 
 
 def test_apply_matches_matrix_product():
