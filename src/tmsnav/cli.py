@@ -24,7 +24,7 @@ from . import session as session_mod
 from .config import ProjectConfig, load_config
 from .errors import SingularEvaluation, ToolkitError, ValidationError
 from .fieldsim import VOLTAGE_COLUMNS, displacement_sweep
-from .fileio import Points, dump, parse, read_json, write_csv, write_json, write_svg
+from .fileio import INT_BOUND, Points, dump, parse, read_json, write_csv, write_json, write_svg
 from .kinematics import FrameGraph, GraphDocument, GraphEdge, solve_commanded_end_effector
 from .pose_plan import (
     ConstraintKind,
@@ -39,7 +39,7 @@ from .pose_plan import (
     select_hotspot,
 )
 from .registration import LandmarkSet, RegistrationResult, icp_refine, pairpoint_register
-from .transforms import RigidTransform
+from .transforms import RigidTransform, direction_length
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -205,9 +205,9 @@ def _parse_direction(text: str) -> np.ndarray:
         parts = np.array([float(x) for x in named.get(text.lower(), text).split(",")])
     except ValueError:
         parts = np.array([])
-    if not (len(parts) == 3 and np.isfinite(parts).all() and parts.any()):
-        raise ValidationError("--direction must be x, y, z or three finite numbers, "
-                              f"not all zero, got {text!r}")
+    if not (len(parts) == 3 and np.isfinite(parts).all()):
+        raise ValidationError(f"--direction must be x, y, z or three finite numbers, got {text!r}")
+    direction_length(parts, "--direction")  # the rule displacement_sweep applies
     return parts
 
 
@@ -241,7 +241,7 @@ def _default_plan() -> PlanPose:
 def cmd_session(args) -> int:
     config = _require_config(args)
     out = _out_dir(args, config)
-    if not 0 <= args.seed <= 2**53:  # the largest count fileio.parse reads back from JSON
+    if not 0 <= args.seed <= INT_BOUND:  # so session.json reads back through fileio.parse
         raise ValidationError(f"--seed must be in [0, 2**53], got {args.seed}")
     if args.plan is not None:
         plan = parse(PlanPose, read_json(args.plan), "plan")

@@ -1,12 +1,12 @@
 """Quasi-static magnetic model of a figure-8 coil and inductive sensors.
 
-The coil is discretized into straight wire segments per wing, a regular
-N-gon in the z = 0 plane of the coil frame. `b_field` moves the
-evaluation points into that frame with one rigid transform and takes
-each wing's Biot-Savart midpoint sum in that wing's centred frame. Away
-from the wire that sum is a periodic trapezoid rule and equals its
-closed-form limit to rounding: N tan(pi/N)/pi times the field of the
-circle through the segment midpoints, from the complete elliptic
+Both wings share one regular N-gon of straight wire segments in the
+plane z = 0, counterclockwise about +z. `b_field` moves the evaluation
+points into the coil frame with one rigid transform and takes each
+wing's Biot-Savart midpoint sum in its centred frame, signed by its
+sense. Away from the wire that sum is a periodic trapezoid rule and
+equals its closed-form limit to rounding: N tan(pi/N)/pi times the field
+of the circle through the segment midpoints, from the complete elliptic
 integrals by the arithmetic-geometric mean. Points near the wire are
 summed over the segments from exact differences, and one within 0.1 mm
 of any segment raises SingularEvaluation. Every step works point by
@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import SingularEvaluation, ValidationError
-from .transforms import RigidTransform, check_rigid, matmul3
+from .transforms import RigidTransform, check_rigid, direction_length, matmul3
 
 MU0 = 4e-7 * np.pi  # T*m/A
 WIRE_CLEARANCE_MM = 0.1
@@ -65,8 +65,8 @@ class CoilModel:
     def __post_init__(self):
         if self.segments_per_loop < MIN_SEGMENTS_PER_LOOP:
             raise ValueError(f"segments_per_loop must be >= {MIN_SEGMENTS_PER_LOOP}")
-        if len(self.wing_senses) not in (1, 2):  # wing_offsets() places one or two
-            raise ValueError("coil wing_senses must list one or two wings")
+        if len(self.wing_senses) not in (1, 2) or any(s not in (1, -1) for s in self.wing_senses):
+            raise ValueError("coil.wing_senses must list one or two wings, each 1 or -1")
         if not self.loop_radius_mm > 0:
             raise ValueError("coil loop_radius_mm must be positive")
         if self.loop_turns < 1:
@@ -94,26 +94,17 @@ class CoilModel:
             return (0.0,)
         return (-self.wing_center_offset_mm, self.wing_center_offset_mm)
 
-    def wings(self) -> list[tuple[float, np.ndarray, np.ndarray]]:
-        """Per wing: its centre's offset along coil x, segment midpoints and dl.
+    def segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Segment midpoints and dl of one wing, (S, 3) each, in its centred frame (mm).
 
-        Each wing is a closed regular polygon in the z=0 plane, given in its
-        own centred frame (mm); a negative sense reverses the traversal
-        direction. Midpoints and dl are (S, 3) with a zero z column; the
-        offset and the pose are applied by the caller.
+        The wing is a regular polygon in the z = 0 plane, traversed
+        counterclockwise about +z; every wing shares it. A wing's offset, its
+        sense and the pose are applied by the caller.
         """
         theta = np.linspace(0.0, 2.0 * np.pi, self.segments_per_loop + 1)
-        ring = np.stack(
-            [self.loop_radius_mm * np.cos(theta),
-             self.loop_radius_mm * np.sin(theta),
-             np.zeros_like(theta)],
-            axis=1,
-        )
-        wings = []
-        for offset, sense in zip(self.wing_offsets(), self.wing_senses):
-            pts = ring[::-1] if sense < 0 else ring
-            wings.append((offset, 0.5 * (pts[:-1] + pts[1:]), pts[1:] - pts[:-1]))
-        return wings
+        ring = np.stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)], axis=1)
+        ring *= self.loop_radius_mm
+        return 0.5 * (ring[:-1] + ring[1:]), ring[1:] - ring[:-1]
 
 
 class SensorKind(str, Enum):
@@ -163,10 +154,10 @@ def b_field(coil: CoilModel, points, current_a: float | None = None) -> np.ndarr
     """Magnetic field at one point (3,) or a batch (N, 3), in tesla.
 
     Discretized Biot-Savart midpoint sum over both wings at the given
-    current (peak current by default), evaluated in the coil frame, each
-    wing in its centred frame. Away from a wing's wire the sum is taken
-    from its closed-form limit, which it equals to rounding; near the wire
-    it is summed segment by segment (see `_wing_sum`). Points closer than
+    current (peak current by default), in the coil frame, each wing in its
+    centred frame and signed by its sense. Away from a wing's wire the sum
+    is its closed-form limit, which it equals to rounding; near the wire it
+    is summed segment by segment (see `_wing_sum`). Points closer than
     0.1 mm to any wire segment raise SingularEvaluation.
     """
     p = np.asarray(points, dtype=float)
@@ -174,28 +165,31 @@ def b_field(coil: CoilModel, points, current_a: float | None = None) -> np.ndarr
     rot = coil.pose.rotation
     q = matmul3(p.reshape(-1, 3) - coil.pose.translation, rot)  # coil frame, mm
     out = np.zeros_like(q)
-    for (offset, mids, dls), sense in zip(coil.wings(), coil.wing_senses):
-        out += _wing_sum(q - [offset, 0.0, 0.0], coil.loop_radius_mm, sense, mids, dls)
+    mids, dls = coil.segments()
+    for offset, sense in zip(coil.wing_offsets(), coil.wing_senses):
+        out += sense * _wing_sum(q - [offset, 0.0, 0.0], coil.loop_radius_mm, mids, dls)
     current = coil.peak_current_a if current_a is None else current_a
     # r and dl in mm: the sum carries a factor 1e3 against SI units
     out = (MU0 * current * coil.loop_turns / (4.0 * np.pi) * 1e3) * matmul3(out, rot.T)
     return out[0] if single else out
 
 
-def _wing_sum(q, radius, sense, mids, dls) -> np.ndarray:
+def _wing_sum(q, radius, mids, dls) -> np.ndarray:
     """Sum of dl x r / |r|^3 over one wing's N segments at each point, (len(q), 3).
 
-    q is in the wing's centred frame; mids and dls traverse the wing in its
-    sense. The midpoints lie at equal angles on the circle of radius
-    a = R cos(pi/N), so the sum is N tan(pi/N) / pi times the N-point
-    periodic trapezoid rule of that circle's line integral. At distance s
-    from the axis and height z the integrand is analytic in the strip
-    |Im angle| < acosh((s^2 + a^2 + z^2) / (2 s a)), and the rule's error
-    falls as exp(-N times that half-width) (Trefethen & Weideman, SIAM Rev.
-    56(3), 2014). Points whose half-width is at least _FAR_STRIP / N, and
-    that lie farther from the wire's circle than the clearance plus the
-    polygon's sagitta (so no segment is within the clearance), take the
-    closed form; the others take the segment sum and its clearance check.
+    q is in the wing's centred frame; mids and dls traverse the wing
+    counterclockwise, as `CoilModel.segments` gives them, and the caller
+    signs the sum by the wing's sense. The midpoints lie at equal angles on
+    the circle of radius a = R cos(pi/N), so the sum is N tan(pi/N) / pi
+    times the N-point periodic trapezoid rule of that circle's line
+    integral. At distance s from the axis and height z the integrand is
+    analytic in the strip |Im angle| < acosh((s^2 + a^2 + z^2) / (2 s a)),
+    and the rule's error falls as exp(-N times that half-width) (Trefethen &
+    Weideman, SIAM Rev. 56(3), 2014). Points whose half-width is at least
+    _FAR_STRIP / N, and that lie farther from the wire's circle than the
+    clearance plus the polygon's sagitta (so no segment is within the
+    clearance), take the closed form; the others take the segment sum and
+    its clearance check.
     """
     n = len(mids)
     x, y, z = q.T
@@ -206,7 +200,7 @@ def _wing_sum(q, radius, sense, mids, dls) -> np.ndarray:
     far = alpha2 >= (4.0 * a * np.sinh(0.5 * _FAR_STRIP / n) ** 2) * s
     gap = WIRE_CLEARANCE_MM + 2.0 * radius * np.sin(0.5 * np.pi / n) ** 2  # plus the sagitta
     far &= (s - radius) ** 2 + z * z > (gap * (1.0 + 1e-9)) ** 2
-    scale = sense * n * np.tan(np.pi / n) / np.pi
+    scale = n * np.tan(np.pi / n) / np.pi
     if far.all():
         return _loop_sum(q, s, alpha2, a, n, scale)
     out = np.empty_like(q)
@@ -337,7 +331,8 @@ def _disc_nodes(sensor: SensorModel, n_radial: int, n_angular: int):
         col = _AXIS_COLUMN[axis]
         local[axis, :, (col + 1) % 3] = u
         local[axis, :, (col + 2) % 3] = v
-    weight = np.pi * sensor.loop_radius_mm**2 / (n_radial * n_angular)
+    # a numpy power: one that overflows is inf, where a float's raises OverflowError
+    weight = np.pi * np.float64(sensor.loop_radius_mm) ** 2 / (n_radial * n_angular)
     return local, weight
 
 
@@ -381,21 +376,13 @@ def displacement_sweep(coil: CoilModel, sensor: SensorModel, direction,
     offset's nodes go through one field evaluation.
     """
     d = np.asarray(direction, dtype=float).reshape(3)
-    norm = np.linalg.norm(d, axis=-1)  # a reduction, where the 1-d norm is a BLAS dot
-    if norm == 0.0:
-        raise ValidationError("sweep direction must be nonzero")
-    d = d / norm
+    d = d / direction_length(d, "sweep direction")
     offs = [float(x) for x in offsets_mm]
     if not offs or offs[0] != 0.0 or not all(b > a for a, b in zip(offs, offs[1:])):
         raise ValidationError("offsets must be sorted ascending starting at 0")
     train = train or PulseTrain()
     shifts = sensor.pose.translation + np.array(offs)[:, None] * d
     rotations = np.broadcast_to(sensor.pose.rotation, (len(offs), 3, 3))
-    rows = []
-    for off, row in zip(offs, peak_to_peak_voltages(coil, sensor, rotations, shifts, train)):
-        vpp = list(row) + [0.0, 0.0]
-        rows.append((off, float(vpp[0]), float(vpp[1]), float(vpp[2])))
-    return {
-        "header": ["offset_mm", *VOLTAGE_COLUMNS],
-        "rows": rows,
-    }
+    vpp = peak_to_peak_voltages(coil, sensor, rotations, shifts, train).tolist()
+    rows = [(off, *(row + [0.0, 0.0])[:3]) for off, row in zip(offs, vpp)]
+    return {"header": ["offset_mm", *VOLTAGE_COLUMNS], "rows": rows}

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 import types
 import typing
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import ValidationError
 from .transforms import RigidTransform
 
+INT_BOUND = 2**53  # the largest integer magnitude parse reads: a float holds every one up to it
 # array annotations carry their shape; -1 is a free length
 Vec3 = Annotated[np.ndarray, (3,)]
 Points = Annotated[np.ndarray, (-1, 3)]
@@ -79,7 +81,12 @@ def _write_text(path, text: str) -> None:
 
 
 def write_json(path, obj) -> None:
-    _write_text(path, canonical_json(obj))
+    """`canonical_json(obj)` written to `path`; a NaN or inf in `obj` is a ValidationError."""
+    try:
+        text = canonical_json(obj)
+    except ValueError as err:
+        raise ValidationError(f"cannot write {path}: {err}") from None
+    _write_text(path, text)
 
 
 def read_json(path):
@@ -149,7 +156,7 @@ def parse(tp, value, where: str):
     if tp is float:  # the bound also keeps out NaN, inf and ints too large for a float
         if type(value) in (int, float) and abs(value) <= sys.float_info.max:
             return float(value)
-    elif type(value) is (str if tp is Path else tp) and (tp is not int or abs(value) <= 2**53):
+    elif type(value) is (str if tp is Path else tp) and (tp is not int or abs(value) <= INT_BOUND):
         return tp(value)  # never a bool for an int, nor a count that no float holds exactly
     kinds = {float: "a finite number", int: "an integer in [-2**53, 2**53]", bool: "true or false"}
     raise _bad(where, kinds.get(tp, "a string"), value)
@@ -212,7 +219,12 @@ def dump(value):
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """CSV with floats in their shortest round-trip form (the repr of a Python float)."""
+    """CSV with floats in their shortest round-trip form (the repr of a Python float); a NaN
+    or inf is a ValidationError naming its column."""
+    for row in rows:
+        for name, v in zip(header, row):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValidationError(f"cannot write {path}: its {name} column would hold {v}")
     lines = [",".join(header)] + [",".join(float.__repr__(v) if isinstance(v, float) else str(v)
                                            for v in row) for row in rows]
     _write_text(path, "\n".join(lines) + "\n")

@@ -33,6 +33,9 @@ CANONICAL_EDGES = {
     ("H", "b"): "plan",
 }
 
+# the canonical edges as a tree rooted at R: each other frame's neighbour toward R
+_TOWARD_R = {"E": "R", "Cr": "E", "C": "Cr", "O": "Cr", "Hr": "O", "H": "Hr", "b": "H"}
+
 SNAPSHOT_SKEW_MS = 50.0  # tracked-edge timestamps spread wider than this raise
 
 # flips the planned outward z into the coil's into-the-head z
@@ -92,30 +95,16 @@ class GraphDocument:
         return FrameGraph({(row.frame_a, row.frame_b): row for row in self.edges})
 
 
-def _adjacency() -> dict[str, list[str]]:
-    adj: dict[str, list[str]] = {f: [] for f in FRAMES}
-    for a, b in CANONICAL_EDGES:
-        adj[a].append(b)
-        adj[b].append(a)
-    return adj
-
-
-_ADJ = {k: sorted(v) for k, v in _adjacency().items()}
-
-
 def _topology_path(start: str, goal: str) -> list[str]:
-    """Unique simple path between two frames in the tree topology."""
+    """Unique simple path between two frames: up from each to their nearest common ancestor."""
     if start not in FRAMES or goal not in FRAMES:
         raise ValueError(f"unknown frame in chain query: {start!r} or {goal!r}")
-    stack = [(start, [start])]
-    while stack:
-        node, path = stack.pop()
-        if node == goal:
-            return path
-        for nxt in reversed(_ADJ[node]):
-            if nxt not in path:
-                stack.append((nxt, path + [nxt]))
-    raise ValueError(f"no path between {start} and {goal}")
+    up, down = [start], [goal]
+    for path in (up, down):
+        while path[-1] in _TOWARD_R:
+            path.append(_TOWARD_R[path[-1]])
+    common = next(f for f in up if f in down)
+    return up[:up.index(common) + 1] + down[:down.index(common)][::-1]
 
 
 def chain(graph: FrameGraph, from_frame: str, to_frame: str) -> RigidTransform:

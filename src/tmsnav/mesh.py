@@ -27,6 +27,7 @@ from itertools import count, islice
 import numpy as np
 
 from .errors import EmptyMeshError, MeshValidationError, ValidationError
+from .transforms import direction_length
 
 DEGENERATE_AREA_MM2 = 1e-9
 RAY_MIN_PARAMETER = 1e-9
@@ -280,24 +281,20 @@ def closest_point_batch(mesh: TriangleMesh, queries,
 
 
 def _ray_args(mesh: TriangleMesh, origin, direction) -> tuple[np.ndarray, np.ndarray, float]:
-    """Origin and direction as finite 3-vectors, with the direction's length |d| as the
-    fixed-order sum sqrt(x*x + y*y + z*z). |d|^2 must be a finite normal float and the origin
-    within the bound _nearest puts on its queries: a nan or zero direction would read as a
-    miss, and a far origin as a hit wherever its rounding lands."""
+    """Origin and direction as finite 3-vectors, with the direction's length |d| from
+    `direction_length` (|d|^2 a finite normal float) and the origin within the bound _nearest
+    puts on its queries: a nan or zero direction would read as a miss, and a far origin as a
+    hit wherever its rounding lands."""
     o = np.asarray(origin, dtype=float).reshape(3)
     d = np.asarray(direction, dtype=float).reshape(3)
     for name, v in (("origin", o), ("direction", d)):
         if not np.isfinite(v).all():
             raise ValidationError(f"non-finite ray {name}: {v.tolist()}")
-    x, y, z = d.tolist()  # Python floats: an overflow is inf, with no warning
-    length2 = x * x + y * y + z * z
-    if not np.finfo(float).tiny <= length2 < np.inf:
-        raise ValidationError(f"ray direction must not be zero, and its squared length must be "
-                              f"a finite normal float: {d.tolist()}")
+    length = direction_length(d, "ray direction")
     scale = np.abs(mesh.vertices).max(initial=0.0)
     if scale * (np.abs(o).max() + scale) >= _FAR_LIMIT:
         raise ValidationError(f"ray origin is too far from the mesh for exact hits: {o.tolist()}")
-    return o, d, float(np.sqrt(length2))
+    return o, d, length
 
 
 def ray_intersect(mesh: TriangleMesh, origin, direction) -> SurfaceHit | None:

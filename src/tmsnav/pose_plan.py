@@ -31,6 +31,7 @@ from .errors import (
 )
 from .fileio import Vec3
 from .mesh import (
+    DEGENERATE_AREA_MM2,
     TriangleMesh,
     closest_point,
     closest_point_batch,
@@ -39,7 +40,7 @@ from .mesh import (
 )
 from .transforms import RigidTransform, as_vec3
 
-DEGENERATE_CROSS_MM2 = 2e-9  # matches the mesh degenerate-area bound
+DEGENERATE_CROSS_MM2 = 2.0 * DEGENERATE_AREA_MM2  # |cross| is twice the triangle's area
 TAIL_PROJECTION_MIN_MM = 1e-9
 SURFACE_BOUND_MM = 50.0  # a two-point center farther than this from its mesh raises
 

@@ -27,6 +27,17 @@ def as_vec3(v) -> np.ndarray:
     return a
 
 
+def direction_length(d: np.ndarray, what: str) -> float:
+    """|d| of a finite 3-vector as the fixed-order sqrt(x*x + y*y + z*z), where |d|^2 must be a
+    finite normal float: else d / |d| is not a unit vector, or not to full precision."""
+    x, y, z = d.tolist()  # Python floats: an overflow is inf, with no warning
+    length2 = x * x + y * y + z * z
+    if not np.finfo(float).tiny <= length2 < np.inf:
+        raise ValidationError(f"{what} must not be zero, and its squared length must be "
+                              f"a finite normal float: {d.tolist()}")
+    return float(np.sqrt(length2))
+
+
 def _as_mat3(m) -> np.ndarray:
     a = np.asarray(m, dtype=float).reshape(3, 3).copy()
     a.setflags(write=False)

@@ -586,8 +586,10 @@ def distinct_outputs_per_kernel(tmp_path, script: str, config: dict, outputs) ->
     files = {}
     for kernel in BLAS_KERNELS:
         out = tmp_path / str(kernel)
-        subprocess.run([sys.executable, "-c", RUN_CONTROL + script, str(tmp_path / "config.json"),
-                        str(out), str(FIXTURES / "chain_seed42.json")],
+        # an overflow in a child fails its test, as pytest's filterwarnings makes it in-process
+        subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c",
+                        RUN_CONTROL + script, str(tmp_path / "config.json"), str(out),
+                        str(FIXTURES / "chain_seed42.json")],
                        env=dict(env, **({"OPENBLAS_CORETYPE": kernel} if kernel else {})),
                        check=True)
         for name in ("control.json", *outputs):
@@ -1027,6 +1029,8 @@ MALFORMED = {
     "stats a list": ("session", lambda d: _with(d, "stats", [1]), "session record.stats"),
     "stat without std": ("session", lambda d: _with(
         d, "stats.rotation_error_rad.std", MISSING), "stats.rotation_error_rad.std"),
+    "wing_senses [2, -1]": ("config", lambda d: _with(d, "coil.wing_senses", [2, -1]),
+                            "coil.wing_senses"),
 }
 
 
@@ -1052,6 +1056,7 @@ def test_malformed_input_is_usage_error_naming_the_key(tiny, tmp_path, capsys, c
     (["fieldsim", "--offsets=nan,1"], "--offsets"),
     (["fieldsim", "--standoff=nan"], "--standoff"),
     ([f"--seed={2**53 + 1}", "session", "--mode=alignment"], "--seed"),  # session.json reads back
+    (["fieldsim", "--direction=1e300,1e300,0"], "--direction"),  # its squared length overflows
 ])
 def test_bad_flag_value_is_usage_error_naming_the_flag(tiny, tmp_path, capsys, argv, named):
     if argv[0] == "hotspot":
@@ -1059,6 +1064,45 @@ def test_bad_flag_value_is_usage_error_naming_the_flag(tiny, tmp_path, capsys, a
     code = main([f"--config={tiny / 'config.json'}", f"--out={tmp_path}", *argv])
     assert code == EXIT_USAGE
     assert named in capsys.readouterr().err
+
+
+# config values that fileio.parse accepts one by one but whose products overflow a float, and
+# flags that do so with the tiny config: (config edits, command, output file, text stderr names)
+OVERFLOWING = {
+    "sensor radius 1e200": ({"sensor.loop_radius_mm": 1e200}, ["fieldsim", "--offsets=0,2"],
+                            "sweep.csv", "column"),
+    "coil radius 1e300": ({"coil.loop_radius_mm": 1e300}, ["fieldsim", "--offsets=0,2"],
+                          "sweep.csv", "column"),
+    "standoff 1e300": ({}, ["fieldsim", "--standoff=1e300", "--offsets=0,2"], "sweep.csv",
+                       "column"),
+    "offsets to 1e300": ({}, ["fieldsim", "--offsets=0:1e300:3"], "sweep.csv", "column"),
+    "sweep current 1e308": ({"coil.peak_current_a": 1e308}, ["fieldsim", "--offsets=0,2"],
+                            "sweep.csv", "column"),
+    "session current 1e308": ({"coil.peak_current_a": 1e308}, ["session"], "session.json",
+                              "not JSON compliant"),
+    "session frequency 1e308": ({"train.pulse_frequency_hz": 1e308}, ["session"], "session.json",
+                                "not JSON compliant"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING))
+def test_overflowing_inputs_are_usage_errors_that_write_no_output(tiny, tmp_path, case):
+    # numpy warns as the products overflow, so each runs in a fresh process as a user runs it
+    # (in-process, pytest's filterwarnings would turn the first warning into an error)
+    edits, argv, output, named = OVERFLOWING[case]
+    config = read_json(tiny / "config.json")
+    for key, value in edits.items():
+        config = _with(config, key, value)
+    write_json(tmp_path / "config.json", config)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "tmsnav.cli",
+                           f"--config={tmp_path / 'config.json'}", f"--out={tmp_path / 'out'}",
+                           *argv], env=env, capture_output=True, text=True, check=False)
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    error = proc.stderr.strip().splitlines()[-1]
+    assert error.startswith(f"error: cannot write {tmp_path / 'out' / output}") and named in error
+    assert not (tmp_path / "out" / output).exists()
 
 
 def _key_paths(doc, prefix: str = ""):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tmsnav.fileio import parse
-from tmsnav.errors import SingularEvaluation
+from tmsnav.errors import SingularEvaluation, ValidationError
 from tmsnav.fieldsim import (
     _FAR_STRIP,
     MU0,
@@ -189,6 +189,30 @@ def test_clearance_agrees_with_reference(name):
                 # second row of a batch whose first row is far from the wire
                 with pytest.raises(SingularEvaluation) if raises else nullcontext():
                     b_field(coil, [[0.0, 0.0, 1e3], point])
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_COILS))
+def test_flipping_every_sense_negates_the_field(name):
+    rng = np.random.default_rng(84)
+    coil = replace(ORACLE_COILS[name], pose=random_transform(rng))
+    flipped = replace(coil, wing_senses=tuple(-s for s in coil.wing_senses))
+    # 60-150 mm off the winding plane every point takes each wing's closed form
+    far = rng.uniform([-90.0, -60.0, 60.0], [90.0, 60.0, 150.0], size=(200, 3))
+    far[:, 2] *= rng.choice([-1.0, 1.0], size=200)
+    pts = coil.pose.apply(far)
+    np.testing.assert_array_equal(b_field(flipped, pts), -b_field(coil, pts))
+    pts = coil.pose.apply(near_wire_points(coil, rng, 400))
+    b = b_field(coil, pts)
+    assert np.abs(b_field(flipped, pts) + b).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_sweep_direction_must_have_a_finite_normal_squared_length():
+    # (1e300, 1e300, 0) squared overflows, and its norm read inf: every row was offset 0's;
+    # 1e-160 squared is subnormal, and its norm kept too few digits for a unit
+    sensor = sensor_at(-20.0)
+    for direction in ([1e300, 1e300, 0.0], [1e-160, 0.0, 0.0], [0.0, 0.0, 0.0]):
+        with pytest.raises(ValidationError, match="sweep direction"):
+            displacement_sweep(CoilModel(), sensor, direction, [0.0, 5.0])
 
 
 def strip_edge_points(coil, rng, n, gap):
@@ -441,6 +465,10 @@ def test_matrix_bottom_row_must_be_affine():
     ({"loop_radius_mm": 0.0}, "loop_radius_mm"),
     ({"loop_radius_mm": -5.0}, "loop_radius_mm"),
     ({"loop_turns": 0}, "loop_turns"),
+    # b_field takes a sense as the sign of its wing's sum, so only 1 and -1 are senses
+    ({"wing_senses": (2.0,)}, "wing_senses"),
+    ({"wing_senses": (0.0,)}, "wing_senses"),
+    ({"wing_senses": (1.0, -0.5)}, "wing_senses"),
 ])
 def test_coil_geometry_validated(fields, name):
     with pytest.raises(ValueError, match=name):
@@ -492,7 +520,7 @@ def test_flux_vs_vector_potential_rim_oracle():
     sensor = sensor_at(-20.0)
     k = flux_coefficient(coil, sensor, 0, n_radial=16, n_angular=32)
 
-    [(_, mids, dls)] = coil.wings()  # one centred wing, identity pose: world frame
+    mids, dls = coil.segments()  # one centred wing, identity pose: world frame
     n_rim = 512
     theta = np.linspace(0.0, 2.0 * np.pi, n_rim + 1)
     rim = sensor.pose.translation + sensor.loop_radius_mm * np.stack(

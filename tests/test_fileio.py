@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from tmsnav.cli import EXIT_OK, EXIT_USAGE, main
-from tmsnav.fileio import canonical_json
+from tmsnav.errors import ValidationError
+from tmsnav.fileio import canonical_json, write_csv, write_json
 
 from test_acceptance import acceptance_project  # noqa: F401  (fixture)
 
@@ -162,3 +163,15 @@ def test_unwritable_output_file_is_usage_error_naming_it(tmp_path, capsys, name,
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write") and name in err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64(-np.inf)])
+def test_writers_reject_a_non_finite_number_naming_the_file(tmp_path, bad):
+    # canonical_json keeps the stdlib's ValueError; a writer makes it an input error (exit 64)
+    # and writes no file
+    with pytest.raises(ValidationError, match="session.json"):
+        write_json(tmp_path / "session.json", {"stats": {"mean": [1.0, bad]}})
+    with pytest.raises(ValidationError, match="sweep.csv: its secondary1_vpp column"):
+        write_csv(tmp_path / "sweep.csv", ["offset_mm", "primary_vpp", "secondary1_vpp"],
+                  [(0.0, 1.0, 2.0), (1.0, 1.5, bad)])
+    assert not list(tmp_path.iterdir())

@@ -6,8 +6,10 @@ import pytest
 from tmsnav.errors import MissingEdge, StaleSnapshot
 from tmsnav.fileio import canonical_json, dump, parse, read_json
 from tmsnav.kinematics import (
+    _TOWARD_R,
     APPROACH_FLIP,
     CANONICAL_EDGES,
+    FRAMES,
     FrameGraph,
     GraphDocument,
     GraphEdge,
@@ -101,6 +103,14 @@ def test_chain_symmetry_all_pairs():
             ident = compose(fwd, back)
             assert np.abs(ident.rotation - np.eye(3)).max() <= 1e-12
             assert np.linalg.norm(ident.translation) <= 1e-9
+
+
+def test_parent_table_is_the_canonical_edges_as_a_tree():
+    # chain walks each frame's neighbour toward R; its pairs must be the canonical edges
+    undirected = {frozenset(pair) for pair in CANONICAL_EDGES}
+    assert {frozenset(pair) for pair in _TOWARD_R.items()} == undirected
+    assert len(_TOWARD_R) == len(undirected) == len(FRAMES) - 1
+    assert set(_TOWARD_R) == set(FRAMES) - {"R"}
 
 
 def test_chain_missing_edge_is_named():
