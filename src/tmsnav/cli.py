@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--standoff", type=float,
                    help="place the sensor this far under the coil, mm")
     p.add_argument("--single-loop", action="store_true",
-                   help="one wing of the configured coil: same turns, current, segments, pose")
+                   help="one wing of the configured coil: same radius, turns, current, pose")
     p.set_defaults(func=cmd_fieldsim)
 
     p = sub.add_parser("session", help="simulated alignment or holding session")

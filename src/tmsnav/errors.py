@@ -62,4 +62,4 @@ class StaleSnapshot(ToolkitError):
 
 
 class SingularEvaluation(ToolkitError):
-    """Field evaluation point lies on (or too close to) a wire segment."""
+    """Field evaluation point lies within 0.1 mm of a coil wing's wire."""

@@ -1,19 +1,15 @@
 """Quasi-static magnetic model of a figure-8 coil and inductive sensors.
 
-Both wings share one regular N-gon of straight wire segments in the
-plane z = 0, counterclockwise about +z. `b_field` moves the evaluation
-points into the coil frame with one rigid transform and takes each
-wing's Biot-Savart midpoint sum in its centred frame, signed by its
-sense. Away from the wire that sum is a periodic trapezoid rule and
-equals its closed-form limit to rounding: N tan(pi/N)/pi times the field
-of the circle through the segment midpoints, from the complete elliptic
-integrals by the arithmetic-geometric mean. Points near the wire are
-summed over the segments from exact differences, and one within 0.1 mm
-of any segment raises SingularEvaluation. Every step works point by
-point, so a point's field does not depend on the rest of its batch, and
-the pose products are fixed-order sums (`matmul3`), so no value goes
-through BLAS or depends on its kernel. Coil and sensor poses must be
-rigid.
+Each wing is a circle of wire in the plane z = 0, counterclockwise about
++z. `b_field` moves the evaluation points into the coil frame with one
+rigid transform and takes each wing's Biot-Savart line integral in its
+centred frame, signed by its sense: the closed form of a circular loop,
+from the complete elliptic integrals by the arithmetic-geometric mean. A
+point within 0.1 mm of a wing's circle raises SingularEvaluation. Every
+step works point by point, so a point's field does not depend on the rest
+of its batch, and the pose products are fixed-order sums (`matmul3`), so
+no value goes through BLAS or depends on its kernel. Coil and sensor
+poses must be rigid.
 
 Sensor flux is a polar quadrature of B over each winding disc. The nodes
 of every axis and every sensor pose go through one `b_field` call, so a
@@ -38,13 +34,6 @@ from .transforms import RigidTransform, check_rigid, direction_length, matmul3
 MU0 = 4e-7 * np.pi  # T*m/A
 WIRE_CLEARANCE_MM = 0.1
 MIN_SEGMENTS_PER_LOOP = 64
-# a point whose integrand around an N-gon wing is analytic in a strip of
-# half-width _FAR_STRIP / N (and that is clear of the wire) takes the wing's
-# closed-form limit: the midpoint sum then differs from it by about
-# exp(-_FAR_STRIP) relative, far below rounding (see _wing_sum)
-_FAR_STRIP = 40.0
-# cap on each point x segment temporary of the segment sum
-_BLOCK_ELEMENTS = 2**14
 # sensor-frame column of each winding normal: primary z, then x and y
 _AXIS_COLUMN = (2, 0, 1)
 VOLTAGE_COLUMNS = ("primary_vpp", "secondary1_vpp", "secondary2_vpp")  # one per axis, as above
@@ -55,7 +44,7 @@ class CoilModel:
     loop_radius_mm: float = 35.0
     loop_turns: int = 9  # per wing
     wing_center_offset_mm: float = 35.0  # wings at +/- offset along coil x
-    segments_per_loop: int = 256
+    segments_per_loop: int = 256  # checked but unused: each wing is a true circle
     peak_current_a: float = 5000.0
     pose: RigidTransform = field(default_factory=RigidTransform.identity,
                                  metadata={"json": "matrix"})
@@ -93,18 +82,6 @@ class CoilModel:
         if len(self.wing_senses) == 1:
             return (0.0,)
         return (-self.wing_center_offset_mm, self.wing_center_offset_mm)
-
-    def segments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Segment midpoints and dl of one wing, (S, 3) each, in its centred frame (mm).
-
-        The wing is a regular polygon in the z = 0 plane, traversed
-        counterclockwise about +z; every wing shares it. A wing's offset, its
-        sense and the pose are applied by the caller.
-        """
-        theta = np.linspace(0.0, 2.0 * np.pi, self.segments_per_loop + 1)
-        ring = np.stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)], axis=1)
-        ring *= self.loop_radius_mm
-        return 0.5 * (ring[:-1] + ring[1:]), ring[1:] - ring[:-1]
 
 
 class SensorKind(str, Enum):
@@ -153,69 +130,34 @@ class PulseTrain:
 def b_field(coil: CoilModel, points, current_a: float | None = None) -> np.ndarray:
     """Magnetic field at one point (3,) or a batch (N, 3), in tesla.
 
-    Discretized Biot-Savart midpoint sum over both wings at the given
-    current (peak current by default), in the coil frame, each wing in its
-    centred frame and signed by its sense. Away from a wing's wire the sum
-    is its closed-form limit, which it equals to rounding; near the wire it
-    is summed segment by segment (see `_wing_sum`). Points closer than
-    0.1 mm to any wire segment raise SingularEvaluation.
+    Biot-Savart field of both wings' circles at the given current (peak
+    current by default), in the coil frame, each wing's closed form taken in
+    its centred frame and signed by its sense (see `_wing_sum`). Points
+    closer than 0.1 mm to a wing's circle raise SingularEvaluation.
     """
     p = np.asarray(points, dtype=float)
     single = p.ndim == 1
     rot = coil.pose.rotation
     q = matmul3(p.reshape(-1, 3) - coil.pose.translation, rot)  # coil frame, mm
     out = np.zeros_like(q)
-    mids, dls = coil.segments()
     for offset, sense in zip(coil.wing_offsets(), coil.wing_senses):
-        out += sense * _wing_sum(q - [offset, 0.0, 0.0], coil.loop_radius_mm, mids, dls)
+        out += sense * _wing_sum(q - [offset, 0.0, 0.0], coil.loop_radius_mm)
     current = coil.peak_current_a if current_a is None else current_a
-    # r and dl in mm: the sum carries a factor 1e3 against SI units
+    # r and dl in mm: the integral carries a factor 1e3 against SI units
     out = (MU0 * current * coil.loop_turns / (4.0 * np.pi) * 1e3) * matmul3(out, rot.T)
     return out[0] if single else out
 
 
-def _wing_sum(q, radius, mids, dls) -> np.ndarray:
-    """Sum of dl x r / |r|^3 over one wing's N segments at each point, (len(q), 3).
+def _wing_sum(q, a) -> np.ndarray:
+    """Line integral of dl x r / |r|^3 around one wing's circle at each point, (len(q), 3).
 
-    q is in the wing's centred frame; mids and dls traverse the wing
-    counterclockwise, as `CoilModel.segments` gives them, and the caller
-    signs the sum by the wing's sense. The midpoints lie at equal angles on
-    the circle of radius a = R cos(pi/N), so the sum is N tan(pi/N) / pi
-    times the N-point periodic trapezoid rule of that circle's line
-    integral. At distance s from the axis and height z the integrand is
-    analytic in the strip |Im angle| < acosh((s^2 + a^2 + z^2) / (2 s a)),
-    and the rule's error falls as exp(-N times that half-width) (Trefethen &
-    Weideman, SIAM Rev. 56(3), 2014). Points whose half-width is at least
-    _FAR_STRIP / N, and that lie farther from the wire's circle than the
-    clearance plus the polygon's sagitta (so no segment is within the
-    clearance), take the closed form; the others take the segment sum and
-    its clearance check.
-    """
-    n = len(mids)
-    x, y, z = q.T
-    s = np.sqrt(x * x + y * y)
-    a = radius * np.cos(np.pi / n)
-    alpha2 = (s - a) ** 2 + z * z
-    # s^2 + a^2 + z^2 >= 2 s a cosh(T / N), as alpha^2 >= 2 s a (cosh(T / N) - 1)
-    far = alpha2 >= (4.0 * a * np.sinh(0.5 * _FAR_STRIP / n) ** 2) * s
-    gap = WIRE_CLEARANCE_MM + 2.0 * radius * np.sin(0.5 * np.pi / n) ** 2  # plus the sagitta
-    far &= (s - radius) ** 2 + z * z > (gap * (1.0 + 1e-9)) ** 2
-    scale = n * np.tan(np.pi / n) / np.pi
-    if far.all():
-        return _loop_sum(q, s, alpha2, a, n, scale)
-    out = np.empty_like(q)
-    out[far] = _loop_sum(q[far], s[far], alpha2[far], a, n, scale)
-    out[~far] = _segment_sum(q[~far], mids, dls)
-    return out
-
-
-def _loop_sum(q, s, alpha2, a, n, scale) -> np.ndarray:
-    """scale times the line integral of dl x r / |r|^3 around the circle of radius a in z = 0.
-
-    s is each point's distance from the axis, alpha2 = (s - a)^2 + z^2 its
-    squared distance from the circle's nearest point. With
-    beta2 = (s + a)^2 + z^2, m = 4 a s / beta2 = 1 - kc^2 and the complete
-    elliptic integrals K and E of parameter m, the integral is
+    q is in the wing's centred frame, where the wire is the circle of radius
+    a in z = 0, traversed counterclockwise about +z; the caller signs the
+    integral by the wing's sense. A point within the clearance of the circle
+    raises SingularEvaluation. With s each point's distance from the axis,
+    alpha2 = (s - a)^2 + z^2 its squared distance from the circle's nearest
+    point, beta2 = (s + a)^2 + z^2, m = 4 a s / beta2 = 1 - kc^2 and the
+    complete elliptic integrals K and E of parameter m, the integral is
         16 a^2 z G / (alpha2 beta2^1.5) * (x, y) across the axis and
         4 a / beta2^1.5 * (2 a D + 4 a s (a - s) G / alpha2) along it,
     where D = (K - E) / m and G = (E - kc^2 K - m kc^2 D) / m^2 are the
@@ -228,6 +170,10 @@ def _loop_sum(q, s, alpha2, a, n, scale) -> np.ndarray:
     K = pi / (2 A_inf), D = K (1/2 + m t) and G = K (1/2 - (2 - m) t).
     """
     x, y, z = q.T
+    s = np.sqrt(x * x + y * y)
+    alpha2 = (s - a) ** 2 + z * z
+    if (alpha2 < WIRE_CLEARANCE_MM**2).any():
+        raise SingularEvaluation("evaluation point within 0.1 mm of the wire")
     four_as = (4.0 * a) * s
     beta2 = alpha2 + four_as
     m = four_as / beta2
@@ -237,14 +183,14 @@ def _loop_sum(q, s, alpha2, a, n, scale) -> np.ndarray:
     quarter_m = 0.25 * m
     u = 0.25 / arith  # c_1 / m
     t = u * u
-    for k in range(1, _agm_steps(n)):
+    for k in range(1, _agm_steps(a)):
         arith, geom = 0.5 * (arith + geom), np.sqrt(arith * geom)
         u = quarter_m * u * u / arith
         t += 2.0**k * u * u
     k_half = (0.25 * np.pi) / arith  # K / 2
     d = k_half * (1.0 + 2.0 * m * t)
     g = k_half * (1.0 - 2.0 * (2.0 - m) * t) / alpha2  # G / alpha2
-    along = (4.0 * a * scale) / (beta2 * np.sqrt(beta2))
+    along = (4.0 * a) / (beta2 * np.sqrt(beta2))
     across = (4.0 * a) * z * g * along
     out = np.empty_like(q)
     out[:, 0] = across * x
@@ -253,13 +199,14 @@ def _loop_sum(q, s, alpha2, a, n, scale) -> np.ndarray:
     return out
 
 
-def _agm_steps(n) -> int:
-    """AGM steps after which t and A_inf of every far point of an n-gon are exact to rounding.
+def _agm_steps(a) -> int:
+    """AGM steps after which t and A_inf of every point clear of the wire are exact to rounding.
 
-    c_k / m grows with m, and a far point has kc >= tanh(_FAR_STRIP / (2 n)),
-    so the steps that settle that kc settle all.
+    c_k / m grows with m, and a point at least the clearance from a circle
+    of radius a has kc >= clearance / (2 a + clearance), since beta exceeds
+    alpha by at most 2 a; the steps that settle that kc settle all.
     """
-    kc = np.tanh(0.5 * _FAR_STRIP / n)
+    kc = WIRE_CLEARANCE_MM / (2.0 * a + WIRE_CLEARANCE_MM)
     m = 1.0 - kc * kc
     arith, geom = 0.5 * (1.0 + kc), np.sqrt(kc)
     u, steps = 0.25 / arith, 1
@@ -268,50 +215,6 @@ def _agm_steps(n) -> int:
         u = m * u * u / (4.0 * arith)
         steps += 1
     return steps
-
-
-def _segment_sum(q, mids, dls) -> np.ndarray:
-    """Midpoint sum of dl x r / |r|^3 over the segments at each point, (len(q), 3).
-
-    r comes from exact differences and each row is reduced by itself, so a
-    point's sum does not depend on the other points of its batch. Raises
-    SingularEvaluation if a point lies within the clearance of a segment.
-    """
-    # contiguous rows: broadcasting against strided columns is much slower
-    mx, my = np.ascontiguousarray(mids[:, :2].T)
-    dlx, dly = np.ascontiguousarray(dls[:, :2].T)
-    # a pair can only be within the clearance if its midpoint distance is
-    # below half the segment length plus the clearance (padded for rounding)
-    reach = (0.5 * np.hypot(dlx, dly) + WIRE_CLEARANCE_MM) * (1.0 + 1e-9)
-    reach2 = reach * reach
-    out = np.empty_like(q)
-    block = max(1, _BLOCK_ELEMENTS // len(mids))
-    for lo in range(0, len(q), block):
-        qb = q[lo:lo + block]
-        x, y, z = qb[:, :, None].transpose(1, 0, 2)
-        rx = x - mx
-        ry = y - my
-        r2 = rx * rx + ry * ry + z * z
-        rows, segs = np.nonzero(r2 < reach2)
-        if len(rows):
-            _check_clearance(qb[rows], mids[segs], dls[segs])
-        inv3 = np.sqrt(r2)
-        inv3 *= r2
-        np.divide(1.0, inv3, out=inv3)
-        # dl and the midpoints lie in z = 0: dl x r = (dly z, -dlx z, dlx ry - dly rx)
-        out[lo:lo + block, 0] = z[:, 0] * (inv3 * dly).sum(axis=1)
-        out[lo:lo + block, 1] = -z[:, 0] * (inv3 * dlx).sum(axis=1)
-        out[lo:lo + block, 2] = ((dlx * ry - dly * rx) * inv3).sum(axis=1)
-    return out
-
-
-def _check_clearance(q, mids, dls) -> None:
-    """Raise if any point q[i] lies within the clearance of segment i."""
-    w = q - (mids - 0.5 * dls)
-    t = np.clip((w * dls).sum(-1) / (dls * dls).sum(-1), 0.0, 1.0)
-    nearest = w - t[:, None] * dls
-    if ((nearest * nearest).sum(-1) < WIRE_CLEARANCE_MM**2).any():
-        raise SingularEvaluation("evaluation point within 0.1 mm of a wire segment")
 
 
 def _disc_nodes(sensor: SensorModel, n_radial: int, n_angular: int):

@@ -81,12 +81,32 @@ def _write_text(path, text: str) -> None:
 
 
 def write_json(path, obj) -> None:
-    """`canonical_json(obj)` written to `path`; a NaN or inf in `obj` is a ValidationError."""
+    """`canonical_json(obj)` written to `path`; a NaN or inf in `obj` is a ValidationError
+    that names the key path of the first one written."""
     try:
         text = canonical_json(obj)
     except ValueError as err:
-        raise ValidationError(f"cannot write {path}: {err}") from None
+        try:
+            where = _non_finite_at(obj, "")
+        except RecursionError:  # a cycle, or nesting deeper than the stack
+            where = None
+        at = f" at {where}" if where else ""  # a bare NaN or inf has no key path
+        raise ValidationError(f"cannot write {path}: {err}{at}") from None
     _write_text(path, text)
+
+
+def _non_finite_at(o, where: str) -> str | None:
+    """Key path, as `stats.primary_vpp.std` or `trains[3]`, of the first NaN or inf in
+    `o` in the order `canonical_json` writes it (keys sorted), or None."""
+    if isinstance(o, float):
+        return None if math.isfinite(o) else where
+    if isinstance(o, dict):
+        items = [(f"{where}.{_key(k)}" if where else _key(k), v) for k, v in sorted(o.items())]
+    elif isinstance(o, (list, tuple)):
+        items = [(f"{where}[{i}]", v) for i, v in enumerate(o)]
+    else:
+        return None
+    return next((w for w in (_non_finite_at(v, key) for key, v in items) if w is not None), None)
 
 
 def read_json(path):

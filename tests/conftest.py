@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tmsnav.errors import EmptyMeshError
+from tmsnav.errors import EmptyMeshError, SingularEvaluation
 from tmsnav.fieldsim import MU0, _flux_coefficients
 from tmsnav.mesh import (
     _RAY_PARALLEL_EPS,
@@ -177,6 +177,62 @@ def on_axis_loop_field(radius_mm: float, z_mm: float, current_a: float,
     r = radius_mm * 1e-3
     z = z_mm * 1e-3
     return MU0 * current_a * turns * r**2 / (2.0 * (r**2 + z**2) ** 1.5)
+
+
+# the field of each wing's true circle as a trapezoid rule in the world frame: the reference
+# that fieldsim's closed form, taken in the coil frame, must equal to 1e-12 of the field
+def circle_b_field(coil, points, current_a=None) -> np.ndarray:
+    """Biot-Savart field in tesla at one point (3,) or a batch (N, 3) of the coil's posed
+    circles: each wing's line integral by the periodic trapezoid rule on 2^16 equally
+    spaced nodes, which converges exponentially off the wire (Trefethen & Weideman, SIAM
+    Rev. 56(3), 2014), with the exact clearance check of each circle."""
+    nodes = 2**16
+    p = np.asarray(points, dtype=float)
+    single = p.ndim == 1
+    p = p.reshape(-1, 3)
+    current = coil.peak_current_a if current_a is None else current_a
+    u, v, normal = coil.pose.rotation.T  # the coil's axes in the world frame
+    theta = 2.0 * np.pi * np.arange(nodes) / nodes
+    radial = np.cos(theta)[:, None] * u + np.sin(theta)[:, None] * v
+    out = np.zeros_like(p)
+    for offset, sense in zip(coil.wing_offsets(), coil.wing_senses):
+        center = coil.pose.apply(np.array([offset, 0.0, 0.0]))
+        d = p - center
+        h = (d * normal).sum(-1)
+        rho = np.linalg.norm(d - h[:, None] * normal, axis=1)
+        if ((rho - coil.loop_radius_mm) ** 2 + h * h < 0.1**2).any():
+            raise SingularEvaluation("evaluation point within 0.1 mm of the wire")
+        wire = np.ascontiguousarray((center + coil.loop_radius_mm * radial).T) * 1e-3  # m
+        tangent = np.cos(theta)[:, None] * v - np.sin(theta)[:, None] * u
+        dl = sense * (2.0 * np.pi * coil.loop_radius_mm * 1e-3 / nodes) * tangent
+        for lo in range(0, len(p), 2):  # two points at a time keep the temporaries small
+            r = p[lo:lo + 2].T[:, :, None] * 1e-3 - wire[:, None, :]  # (3, points, nodes)
+            r2 = r[0] * r[0] + r[1] * r[1] + r[2] * r[2]
+            r *= 1.0 / (r2 * np.sqrt(r2))
+            m = (r.reshape(-1, nodes) @ dl).reshape(3, -1, 3)  # m[j, i, k]: sum of r_j dl_k
+            out[lo:lo + 2] += (m[[2, 0, 1], :, [1, 2, 0]] - m[[1, 2, 0], :, [2, 0, 1]]).T
+    out *= MU0 * current * coil.loop_turns / (4.0 * np.pi)
+    return out[0] if single else out
+
+
+def near_wire_points(coil, rng, n):
+    """Coil-frame points 0.15-5 mm from a wing's circle, at least 0.15 mm from every wing.
+
+    Each sits beside a random wing at a random angle: in the winding plane
+    (outside or inside the circle), straight above or below it, or at a
+    random tilt between; points that come nearer the other wing are dropped.
+    """
+    offsets = np.array(coil.wing_offsets())
+    phi = rng.uniform(0.0, 2.0 * np.pi, n)
+    gap = np.exp(rng.uniform(np.log(0.15), np.log(5.0), n))
+    tilt = rng.choice([0.0, np.pi, 0.5 * np.pi, -0.5 * np.pi, np.nan], size=n)
+    tilt = np.where(np.isnan(tilt), rng.uniform(-np.pi, np.pi, n), tilt)
+    radial = coil.loop_radius_mm + gap * np.cos(tilt)
+    pts = np.stack([rng.choice(offsets, size=n) + radial * np.cos(phi),
+                    radial * np.sin(phi), gap * np.sin(tilt)], axis=1)
+    to_circle = [np.hypot(np.hypot(pts[:, 0] - o, pts[:, 1]) - coil.loop_radius_mm, pts[:, 2])
+                 for o in offsets]
+    return pts[np.min(to_circle, axis=0) >= 0.15]
 
 
 def pose_arrays(pose: RigidTransform) -> tuple[np.ndarray, np.ndarray]:

@@ -1078,10 +1078,11 @@ OVERFLOWING = {
     "offsets to 1e300": ({}, ["fieldsim", "--offsets=0:1e300:3"], "sweep.csv", "column"),
     "sweep current 1e308": ({"coil.peak_current_a": 1e308}, ["fieldsim", "--offsets=0,2"],
                             "sweep.csv", "column"),
+    # a session names the key path of the first value it cannot write, in sorted-key order
     "session current 1e308": ({"coil.peak_current_a": 1e308}, ["session"], "session.json",
-                              "not JSON compliant"),
+                              "not JSON compliant: inf at samples[0].voltages_vpp[0]"),
     "session frequency 1e308": ({"train.pulse_frequency_hz": 1e308}, ["session"], "session.json",
-                                "not JSON compliant"),
+                                "not JSON compliant: inf at samples[0].voltages_vpp[0]"),
 }
 
 

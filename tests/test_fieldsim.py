@@ -7,7 +7,6 @@ import pytest
 from tmsnav.fileio import parse
 from tmsnav.errors import SingularEvaluation, ValidationError
 from tmsnav.fieldsim import (
-    _FAR_STRIP,
     MU0,
     CoilModel,
     PulseTrain,
@@ -21,8 +20,10 @@ from tmsnav.fieldsim import (
 from tmsnav.transforms import RigidTransform, rotation_about_axis
 
 from conftest import (
+    circle_b_field,
     flux_coefficient,
     grid_patch,
+    near_wire_points,
     on_axis_loop_field,
     pose_arrays,
     random_transform,
@@ -42,10 +43,11 @@ def wing(coil, index):
                    wing_senses=(coil.wing_senses[index],))
 
 
-# --- reference: the world-frame midpoint sum -------------------------------------
+# --- references: the world-frame circle rule (conftest) and polygon midpoint sum ---
 
 def world_segments(coil):
-    """Segment midpoints and dl in the world frame, built from the posed polygon."""
+    """Segment midpoints and dl of each wing's inscribed segments_per_loop-gon in the world
+    frame, built from the posed polygon."""
     mids = []
     dls = []
     theta = np.linspace(0.0, 2.0 * np.pi, coil.segments_per_loop + 1)
@@ -66,8 +68,8 @@ def world_segments(coil):
 
 
 def reference_b_field(coil, points, current_a=None):
-    """Biot-Savart midpoint sum over every node x segment in the world frame,
-    with the exact clearance check on every pair."""
+    """Biot-Savart midpoint sum over every node x polygon segment in the world frame,
+    with the exact clearance check on every pair; it converges to the circle as 1/N^2."""
     p = np.asarray(points, dtype=float)
     single = p.ndim == 1
     p = p.reshape(-1, 3)
@@ -89,7 +91,7 @@ def reference_b_field(coil, points, current_a=None):
 
 
 def reference_peak_to_peak(coil, sensor, train):
-    """Per-axis peak-to-peak EMF from one reference b_field call per axis."""
+    """Per-axis peak-to-peak EMF from one circle_b_field call per axis."""
     ks = []
     for axis in range(sensor.n_axes):
         local = ((2, 0, 1))[axis]
@@ -101,12 +103,13 @@ def reference_peak_to_peak(coil, sensor, train):
                 + np.sin(tt.ravel())[:, None] * cols[:, (local + 2) % 3])
         pts = sensor.pose.translation + rr.ravel()[:, None] * disc
         weight_mm2 = np.pi * sensor.loop_radius_mm**2 / 128
-        b = reference_b_field(coil, pts, current_a=1.0)
+        b = circle_b_field(coil, pts, current_a=1.0)
         ks.append((b @ cols[:, local]).sum() * weight_mm2 * 1e-6 * sensor.turns_per_axis)
     amp = train.intensity_fraction * coil.peak_current_a
     return 2.0 * np.abs(ks) * amp * 2.0 * np.pi * train.pulse_frequency_hz
 
 
+# segments_per_loop is accepted but unused: each pair differs only in it
 ORACLE_COILS = {
     "figure8-64": CoilModel(segments_per_loop=64),
     "figure8-1024": CoilModel(segments_per_loop=1024),
@@ -128,7 +131,7 @@ def test_b_field_matches_world_frame_reference(name):
         local[:10, :2] = [[0.0, 50.0], [-20.0, 10.0], [20.0, -10.0], [120.0, 5.0], [-80.0, 60.0],
                           [10.0, 5.0], [-10.0, -5.0], [0.0, 90.0], [-150.0, 0.0], [0.0, -45.0]]
         pts = coil.pose.apply(local)
-        ref = reference_b_field(coil, pts)
+        ref = circle_b_field(coil, pts)
         b = b_field(coil, pts)
         assert np.abs(b - ref).max() <= 1e-12 * np.abs(ref).max()
         single = b_field(coil, pts[-1])
@@ -136,74 +139,53 @@ def test_b_field_matches_world_frame_reference(name):
         assert np.abs(single - ref[-1]).max() <= 1e-12 * np.abs(ref[-1]).max()
 
 
-def near_wire_points(coil, rng, n):
-    """Coil-frame points 0.15-5 mm from a wing's circle, at least 0.15 mm from every wing.
-
-    Each sits beside a random wing at a random angle: in the winding plane
-    (outside or inside the circle), straight above or below it, or at a
-    random tilt between; points that come nearer the other wing are dropped.
-    """
-    offsets = np.array(coil.wing_offsets())
-    phi = rng.uniform(0.0, 2.0 * np.pi, n)
-    gap = np.exp(rng.uniform(np.log(0.15), np.log(5.0), n))
-    tilt = rng.choice([0.0, np.pi, 0.5 * np.pi, -0.5 * np.pi, np.nan], size=n)
-    tilt = np.where(np.isnan(tilt), rng.uniform(-np.pi, np.pi, n), tilt)
-    radial = coil.loop_radius_mm + gap * np.cos(tilt)
-    pts = np.stack([rng.choice(offsets, size=n) + radial * np.cos(phi),
-                    radial * np.sin(phi), gap * np.sin(tilt)], axis=1)
-    to_circle = [np.hypot(np.hypot(pts[:, 0] - o, pts[:, 1]) - coil.loop_radius_mm, pts[:, 2])
-                 for o in offsets]
-    return pts[np.min(to_circle, axis=0) >= 0.15]
-
-
 @pytest.mark.parametrize("name", sorted(ORACLE_COILS))
 def test_b_field_near_the_wire_matches_world_frame_reference(name):
-    # the expanded r^2 loses digits as r shrinks; the exact recompute must keep them
+    # the distance to the circle comes from the difference s - a, not from expanded
+    # squares, so the field keeps its digits as the gap shrinks
     rng = np.random.default_rng(78)
     coil = replace(ORACLE_COILS[name], pose=random_transform(rng))
     local = near_wire_points(coil, rng, 400)
     assert len(local) > 300
     pts = coil.pose.apply(local)
-    ref = reference_b_field(coil, pts)
+    ref = circle_b_field(coil, pts)
     b = b_field(coil, pts)
     assert np.abs(b - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_COILS))
 def test_clearance_agrees_with_reference(name):
+    # beside a wing's circle in its plane (outside and inside), above and below it: a point
+    # 0.1 mm (1 - 1e-6) from the wire raises and one 0.1 mm (1 + 1e-6) from it does not, in
+    # the reference and as the second row of a batch whose first row is far from the wire
     rng = np.random.default_rng(76)
     coil = replace(ORACLE_COILS[name], pose=random_transform(rng))
-    n = coil.segments_per_loop
-    wing_center = np.array([coil.wing_offsets()[-1], 0.0, 0.0])
-    theta = 2.0 * np.pi * np.array([n // 4, n // 4 + 0.5]) / n
-    radial = np.stack([np.cos(theta), np.sin(theta), np.zeros(2)], axis=1)
-    # a polygon vertex and a segment midpoint (the polygon is inscribed)
-    vertex = wing_center + coil.loop_radius_mm * radial[0]
-    midpoint = wing_center + coil.loop_radius_mm * np.cos(np.pi / n) * radial[1]
-    for anchor, outward in ((vertex, radial[0]), (midpoint, radial[1])):
-        for direction in (outward, np.array([0.0, 0.0, 1.0]), -outward):
-            for gap, raises in ((0.099, True), (0.101, False)):
-                point = coil.pose.apply(anchor + gap * direction)
+    for center in coil.wing_offsets():
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        outward = np.array([np.cos(phi), np.sin(phi), 0.0])
+        on_wire = np.array([center, 0.0, 0.0]) + coil.loop_radius_mm * outward
+        up = np.array([0.0, 0.0, 1.0])
+        for direction in (outward, -outward, up, -up):
+            for gap, raises in ((0.1 * (1.0 - 1e-6), True), (0.1 * (1.0 + 1e-6), False)):
+                point = coil.pose.apply(on_wire + gap * direction)
                 with pytest.raises(SingularEvaluation) if raises else nullcontext():
-                    reference_b_field(coil, point)
-                # second row of a batch whose first row is far from the wire
+                    circle_b_field(coil, point)
                 with pytest.raises(SingularEvaluation) if raises else nullcontext():
-                    b_field(coil, [[0.0, 0.0, 1e3], point])
+                    b_field(coil, [coil.pose.apply([0.0, 0.0, 1e3]), point])
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_COILS))
 def test_flipping_every_sense_negates_the_field(name):
+    # a sense is the sign of its wing's integral, and negation is exact: far from the wire
+    # (60-150 mm off the winding plane) and beside it alike, the field flips bit for bit
     rng = np.random.default_rng(84)
     coil = replace(ORACLE_COILS[name], pose=random_transform(rng))
     flipped = replace(coil, wing_senses=tuple(-s for s in coil.wing_senses))
-    # 60-150 mm off the winding plane every point takes each wing's closed form
     far = rng.uniform([-90.0, -60.0, 60.0], [90.0, 60.0, 150.0], size=(200, 3))
     far[:, 2] *= rng.choice([-1.0, 1.0], size=200)
-    pts = coil.pose.apply(far)
-    np.testing.assert_array_equal(b_field(flipped, pts), -b_field(coil, pts))
-    pts = coil.pose.apply(near_wire_points(coil, rng, 400))
-    b = b_field(coil, pts)
-    assert np.abs(b_field(flipped, pts) + b).max() <= 1e-12 * np.abs(b).max()
+    for local in (far, near_wire_points(coil, rng, 400)):
+        pts = coil.pose.apply(local)
+        np.testing.assert_array_equal(b_field(flipped, pts), -b_field(coil, pts))
 
 
 def test_sweep_direction_must_have_a_finite_normal_squared_length():
@@ -215,40 +197,6 @@ def test_sweep_direction_must_have_a_finite_normal_squared_length():
             displacement_sweep(CoilModel(), sensor, direction, [0.0, 5.0])
 
 
-def strip_edge_points(coil, rng, n, gap):
-    """Coil-frame points on s^2 + a^2 + z^2 = 2 s a cosh(T (1 + gap) / N) around a random wing.
-
-    s is the distance from that wing's axis and a = R cos(pi / N) the radius of
-    its segment midpoints; gap = 0 is the edge of the strip beyond which the
-    closed form replaces the segment sum.
-    """
-    segments = coil.segments_per_loop
-    a = coil.loop_radius_mm * np.cos(np.pi / segments)
-    cosh = np.cosh(_FAR_STRIP * (1.0 + gap) / segments)
-    # the edge has a real z only where s^2 + a^2 <= 2 s a cosh
-    reach = cosh + np.sqrt(cosh * cosh - 1.0)
-    s = a * np.exp(rng.uniform(-0.99, 0.99, n) * np.log(reach))
-    z = np.sqrt(np.maximum(2.0 * s * a * cosh - s * s - a * a, 0.0)) * rng.choice([-1.0, 1.0], n)
-    phi = rng.uniform(0.0, 2.0 * np.pi, n)
-    center = rng.choice(np.array(coil.wing_offsets()), size=n)
-    return np.stack([center + s * np.cos(phi), s * np.sin(phi), z], axis=1)
-
-
-@pytest.mark.parametrize("segments", [64, 128, 256, 1024])
-@pytest.mark.parametrize("single", [True, False], ids=["loop", "figure8"])
-def test_b_field_at_the_strip_edge_matches_world_frame_reference(segments, single):
-    rng = np.random.default_rng(82)
-    coil = CoilModel(segments_per_loop=segments)
-    if single:
-        coil = CoilModel.single_loop(35.0, loop_turns=3, segments_per_loop=segments)
-    coil = replace(coil, pose=random_transform(rng))
-    for gap in (-1e-9, 1e-9, -1e-2, 1e-2):  # just inside, just outside
-        pts = coil.pose.apply(strip_edge_points(coil, rng, 100, gap))
-        ref = reference_b_field(coil, pts)
-        b = b_field(coil, pts)
-        assert np.abs(b - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
 @pytest.mark.parametrize("rho", [0.0, 1e-9, 1e-6, 1e-3])
 def test_b_field_beside_a_wing_axis_matches_reference_per_point(rho):
     # the transverse field there is a difference of two nearly equal elliptic
@@ -257,20 +205,9 @@ def test_b_field_beside_a_wing_axis_matches_reference_per_point(rho):
         for center in coil.wing_offsets():
             for z in (-20.0, 5.0, 60.0):
                 point = [center + 0.6 * rho, -0.8 * rho, z]
-                ref = reference_b_field(coil, point)
+                ref = circle_b_field(coil, point)
                 b = b_field(coil, point)
                 assert np.abs(b - ref).max() <= 1e-12 * np.linalg.norm(ref)
-
-
-def test_fine_polygon_point_near_the_wire_raises():
-    # with 2^17 segments the strip reaches within 0.011 mm of the wire: the
-    # clearance guard, not the strip, must send this point to the segment sum
-    coil = CoilModel.single_loop(35.0, segments_per_loop=2**17)
-    phi = 0.3
-    for radial, z in ((35.05, 0.0), (35.0, 0.05), (34.95, 0.0)):
-        point = [radial * np.cos(phi), radial * np.sin(phi), z]
-        with pytest.raises(SingularEvaluation):
-            b_field(coil, point)
 
 
 def test_b_field_row_does_not_depend_on_its_place_in_the_batch():
@@ -301,13 +238,13 @@ def test_induced_voltage_and_sweep_match_reference():
                 rotation_about_axis(rng.normal(size=3), 0.4) @ coil.pose.rotation,
                 coil.pose.apply([20.0, 3.0, -20.0]),
             ))
-            ref = reference_peak_to_peak(coil, sensor, train)
-            vpp = peak_to_peak_voltages(coil, sensor, *pose_arrays(sensor.pose), train)[0]
-            assert np.abs(vpp - ref).max() <= 1e-12 * np.abs(ref).max()
             direction = coil.pose.rotation[:, 0]
+            refs = [reference_peak_to_peak(coil, displaced(sensor, off * direction), train)
+                    for off in (0.0, 4.0, 8.0)]
+            vpp = peak_to_peak_voltages(coil, sensor, *pose_arrays(sensor.pose), train)[0]
+            assert np.abs(vpp - refs[0]).max() <= 1e-12 * np.abs(refs[0]).max()
             table = displacement_sweep(coil, sensor, direction, [0.0, 4.0, 8.0], train)
-            for off, *row in table["rows"]:
-                ref = reference_peak_to_peak(coil, displaced(sensor, off * direction), train)
+            for (off, *row), ref in zip(table["rows"], refs):
                 ref = list(ref) + [0.0, 0.0]
                 assert np.abs(np.subtract(row, ref[:3])).max() <= 1e-12 * max(ref)
 
@@ -328,8 +265,8 @@ def test_sweep_rows_match_per_offset_calls():
 
 @pytest.mark.parametrize("segments, quadrature", [(64, (8, 16)), (256, (5, 7))])
 def test_batch_blocks_across_poses_match_per_pose_calls(segments, quadrature):
-    # with 64 segments per wing about half the nodes take the segment sum, in
-    # 256-row blocks that end inside a pose's nodes; with 256 all take the closed form
+    # the nodes of all seven poses go through one field call; each pose's flux and voltage
+    # must be the ones a call with that pose alone gives
     rng = np.random.default_rng(80)
     coil = CoilModel(segments_per_loop=segments)
     sensor = SensorModel()
@@ -401,15 +338,19 @@ def test_field_linear_in_current_and_turns():
 
 
 def test_field_segment_convergence():
-    coarse = CoilModel(segments_per_loop=256)
-    fine = CoilModel(segments_per_loop=512)
+    # the inscribed N-gon's midpoint sum tends to the circle's field as 1/N^2: each
+    # fourfold refinement cuts its distance from b_field sixteenfold
     rng = np.random.default_rng(73)
-    pts = rng.uniform(-50.0, 50.0, size=(20, 3))
-    pts[:, 2] = np.abs(pts[:, 2]) + 10.0  # standoffs >= 10 mm
-    bc = b_field(coarse, pts)
-    bf = b_field(fine, pts)
-    rel = np.linalg.norm(bc - bf, axis=1) / np.linalg.norm(bf, axis=1)
-    assert rel.max() < 1e-3
+    coil = replace(CoilModel(), pose=random_transform(rng))
+    local = rng.uniform([-90.0, -60.0, 2.0], [90.0, 60.0, 60.0], size=(40, 3))
+    local[:, 2] *= rng.choice([-1.0, 1.0], size=40)
+    pts = coil.pose.apply(local)
+    b = b_field(coil, pts)
+    errors = [np.abs(reference_b_field(replace(coil, segments_per_loop=n), pts) - b).max()
+              / np.abs(b).max() for n in (1024, 4096, 16384)]
+    assert errors[0] < 1e-4
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 12.0 < coarse / fine < 20.0
 
 
 def test_point_on_wire_raises():
@@ -520,7 +461,7 @@ def test_flux_vs_vector_potential_rim_oracle():
     sensor = sensor_at(-20.0)
     k = flux_coefficient(coil, sensor, 0, n_radial=16, n_angular=32)
 
-    mids, dls = coil.segments()  # one centred wing, identity pose: world frame
+    mids, dls = world_segments(coil)  # the 512-gon: its flux is the circle's to about 2e-5
     n_rim = 512
     theta = np.linspace(0.0, 2.0 * np.pi, n_rim + 1)
     rim = sensor.pose.translation + sensor.loop_radius_mm * np.stack(

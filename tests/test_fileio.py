@@ -112,11 +112,14 @@ def test_canonical_json_raises_where_the_stdlib_raises(bad, error):
             canonical_json(doc)
 
 
-def test_canonical_json_cycle_raises_as_the_stdlib_does():
+def test_canonical_json_cycle_raises_as_the_stdlib_does(tmp_path):
     loop = [1.0]
     loop.append({"self": loop})
     with pytest.raises(ValueError, match="Circular"):
         canonical_json(loop)
+    # a cycle holds no key path to name
+    with pytest.raises(ValidationError, match="Circular reference detected$"):
+        write_json(tmp_path / "loop.json", loop)
 
 
 def test_criterion_9_json_is_the_stdlib_encoding(acceptance_project, tmp_path):  # noqa: F811
@@ -168,9 +171,10 @@ def test_unwritable_output_file_is_usage_error_naming_it(tmp_path, capsys, name,
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64(-np.inf)])
 def test_writers_reject_a_non_finite_number_naming_the_file(tmp_path, bad):
     # canonical_json keeps the stdlib's ValueError; a writer makes it an input error (exit 64)
-    # and writes no file
-    with pytest.raises(ValidationError, match="session.json"):
-        write_json(tmp_path / "session.json", {"stats": {"mean": [1.0, bad]}})
+    # that names the key path of the first value written, keys sorted, and writes no file
+    with pytest.raises(ValidationError, match=r"session\.json: .* at stats\.mean\[1\]$"):
+        write_json(tmp_path / "session.json",
+                   {"trains": [{"v": bad}], "stats": {"mean": [1.0, bad]}})
     with pytest.raises(ValidationError, match="sweep.csv: its secondary1_vpp column"):
         write_csv(tmp_path / "sweep.csv", ["offset_mm", "primary_vpp", "secondary1_vpp"],
                   [(0.0, 1.0, 2.0), (1.0, 1.5, bad)])

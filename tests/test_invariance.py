@@ -4,10 +4,12 @@ Each test changes the inputs in a way that must leave an output the same, or mov
 a known way, and checks that at the rounding level. They need no reference output.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from tmsnav.fieldsim import CoilModel, PulseTrain, SensorModel, peak_to_peak_voltages
+from tmsnav.fieldsim import CoilModel, PulseTrain, SensorModel, b_field, peak_to_peak_voltages
 from tmsnav.mesh import TriangleMesh, ray_intersect
 from tmsnav.meshgen import ellipsoid, icosphere
 from tmsnav.pose_plan import (
@@ -21,7 +23,12 @@ from tmsnav.pose_plan import (
 )
 from tmsnav.transforms import RigidTransform, compose, rotation_angle
 
-from conftest import oracle_closest_on_triangles, random_rotation, random_transform
+from conftest import (
+    near_wire_points,
+    oracle_closest_on_triangles,
+    random_rotation,
+    random_transform,
+)
 
 SKIN_AXES = np.array([80.0, 95.0, 70.0])
 CORTEX_AXES = np.array([65.0, 80.0, 55.0])
@@ -188,3 +195,40 @@ def test_a_rigid_motion_of_coil_and_sensors_leaves_the_voltages_the_same():
     still = voltages(RigidTransform.identity())
     for _ in range(50):
         assert np.abs(voltages(random_transform(rng)) - still).max() <= 1e-13 * still.max()
+
+
+def test_scaling_every_length_by_k_scales_the_field_by_1_over_k_and_the_voltages_by_k():
+    # B is mu0 I / length and a flux B times an area: scaling the coil (radius, wing offset
+    # and pose translation) and the points by k scales B by 1/k, and a sensor scaled with
+    # them (radius and pose translation) sees k times the voltage, to rounding: measured at
+    # most 8.9e-14 of the largest field, from points 0.15 mm beside the wire whose
+    # coordinates round to eps times 300 mm, and 6.5e-16 of the largest voltage. A term of
+    # the wrong power of length (a length fixed in mm, a distance where its square belongs)
+    # breaks the power of k; a constant factor, such as the 1e3 of mm against m, does not,
+    # and the closed-form tests check it. Every point and sensor is clear of the wire at
+    # both scales: at k = 1e-3 the 0.1 mm clearance is 100 mm of the unscaled coil
+    rng = np.random.default_rng(61)
+    coil = CoilModel(pose=random_transform(rng))
+    local = np.vstack([near_wire_points(coil, rng, 300), rng.uniform(-300.0, 300.0, (600, 3))])
+    to_wire = np.min([np.hypot(np.hypot(local[:, 0] - o, local[:, 1]) - coil.loop_radius_mm,
+                               local[:, 2]) for o in coil.wing_offsets()], axis=0)
+    points = coil.pose.apply(local)
+    sensor, train = SensorModel(), PulseTrain()
+    # sensors 15 and 30 mm under the coil, then 160 and 250 mm under it
+    poses = [compose(coil.pose, RigidTransform(random_rotation(rng),
+                                               [*rng.uniform(-60.0, 60.0, 2), -depth]))
+             for depth in (15.0, 30.0, 160.0, 250.0)]
+    rotations = np.array([p.rotation for p in poses])
+    translations = np.array([p.translation for p in poses])
+    for k in (1e-3, 10.0, 1e3):
+        scaled = replace(coil, loop_radius_mm=k * coil.loop_radius_mm,
+                         wing_center_offset_mm=k * coil.wing_center_offset_mm,
+                         pose=RigidTransform(coil.pose.rotation, k * coil.pose.translation))
+        clear = to_wire >= 0.15 / min(k, 1.0)
+        b = b_field(coil, points[clear])
+        assert np.abs(k * b_field(scaled, k * points[clear]) - b).max() <= 1e-12 * np.abs(b).max()
+        far = slice(2 if k < 1.0 else 0, None)  # at k = 1e-3, 160 and 250 mm under only
+        v = peak_to_peak_voltages(coil, sensor, rotations[far], translations[far], train)
+        sensor_k = replace(sensor, loop_radius_mm=k * sensor.loop_radius_mm)
+        v_k = peak_to_peak_voltages(scaled, sensor_k, rotations[far], k * translations[far], train)
+        assert np.abs(v_k / k - v).max() <= 1e-14 * v.max()
