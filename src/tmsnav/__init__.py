@@ -1,76 +1,46 @@
-"""Deterministic planning and validation toolkit for robotic TMS neuronavigation."""
+"""Deterministic planning and validation toolkit for robotic TMS neuronavigation.
 
-from .transforms import RigidTransform, compose, invert, rotation_about_axis, rotation_angle
-from .mesh import (
-    SurfaceHit,
-    TriangleMesh,
-    closest_point,
-    closest_point_batch,
-    load_stl,
-    ray_intersect,
-    save_stl,
-)
-from .pose_plan import (
-    ConstraintKind,
-    HotspotGrid,
-    PlanPose,
-    PoseConstraintInput,
-    Strategy,
-    closest_skin_pose,
-    free_skin_pose,
-    hotspot_grid,
-    pose_from_constraint,
-    restricted_cortex_pose,
-    select_hotspot,
-)
-from .registration import (
-    IcpConfig,
-    LandmarkSet,
-    RegistrationResult,
-    icp_refine,
-    pairpoint_register,
-)
-from .kinematics import (
-    FrameGraph,
-    GraphEdge,
-    PoseError,
-    chain,
-    pose_error,
-    solve_commanded_end_effector,
-)
-from .fieldsim import (
-    CoilModel,
-    PulseTrain,
-    SensorKind,
-    SensorModel,
-    b_field,
-    displacement_sweep,
-    peak_to_peak_voltages,
-)
-from .session import (
-    ActuationModel,
-    SessionRecord,
-    run_alignment_trials,
-    run_holding_session,
-    summarize,
-)
+Each public name resolves on first use (PEP 562): the first lookup of
+`tmsnav.load_stl` imports `tmsnav.mesh` and binds the name here, where later
+lookups find it. So `import tmsnav` loads no submodule, and a process pays
+only for the modules it uses.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "RigidTransform", "compose", "invert", "rotation_about_axis", "rotation_angle",
-    "TriangleMesh", "SurfaceHit", "closest_point", "closest_point_batch",
-    "ray_intersect", "load_stl", "save_stl",
-    "ConstraintKind", "Strategy", "PoseConstraintInput", "PlanPose", "HotspotGrid",
-    "pose_from_constraint", "free_skin_pose", "restricted_cortex_pose",
-    "closest_skin_pose", "hotspot_grid", "select_hotspot",
-    "LandmarkSet", "RegistrationResult", "IcpConfig",
-    "pairpoint_register", "icp_refine",
-    "FrameGraph", "GraphEdge", "PoseError", "chain",
-    "solve_commanded_end_effector", "pose_error",
-    "CoilModel", "SensorModel", "SensorKind", "PulseTrain",
-    "b_field", "peak_to_peak_voltages", "displacement_sweep",
-    "ActuationModel", "SessionRecord", "run_alignment_trials",
-    "run_holding_session", "summarize",
-    "__version__",
-]
+# every public name, by the module that defines it
+_EXPORTS = {
+    "transforms": ("RigidTransform", "compose", "invert", "rotation_about_axis",
+                   "rotation_angle"),
+    "mesh": ("TriangleMesh", "SurfaceHit", "closest_point", "closest_point_batch",
+             "ray_intersect", "load_stl", "save_stl"),
+    "pose_plan": ("ConstraintKind", "Strategy", "PoseConstraintInput", "PlanPose",
+                  "HotspotGrid", "pose_from_constraint", "free_skin_pose",
+                  "restricted_cortex_pose", "closest_skin_pose", "hotspot_grid",
+                  "select_hotspot"),
+    "registration": ("LandmarkSet", "RegistrationResult", "IcpConfig", "pairpoint_register",
+                     "icp_refine"),
+    "kinematics": ("FrameGraph", "GraphEdge", "PoseError", "chain",
+                   "solve_commanded_end_effector", "pose_error"),
+    "fieldsim": ("CoilModel", "SensorModel", "SensorKind", "PulseTrain", "b_field",
+                 "peak_to_peak_voltages", "displacement_sweep"),
+    "session": ("ActuationModel", "SessionRecord", "run_alignment_trials",
+                "run_holding_session", "summarize"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value  # later lookups, and scans of vars(tmsnav), find it here
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -20,26 +20,15 @@ from typing import Annotated
 
 import numpy as np
 
-from . import session as session_mod
 from .config import ProjectConfig, load_config
 from .errors import SingularEvaluation, ToolkitError, ValidationError
 from .fieldsim import VOLTAGE_COLUMNS, displacement_sweep
 from .fileio import INT_BOUND, Points, dump, parse, read_json, write_csv, write_json, write_svg
-from .kinematics import FrameGraph, GraphDocument, GraphEdge, solve_commanded_end_effector
-from .pose_plan import (
-    ConstraintKind,
-    PlanPose,
-    PoseConstraintInput,
-    Strategy,
-    closest_skin_pose,
-    free_skin_pose,
-    hotspot_grid,
-    pose_from_constraint,
-    restricted_cortex_pose,
-    select_hotspot,
-)
 from .registration import LandmarkSet, RegistrationResult, icp_refine, pairpoint_register
 from .transforms import RigidTransform, direction_length
+
+# pose_plan, kinematics and session are imported by the commands that run them; the
+# names that annotate _Cloud, _Responses and _Stat stay here, where fileio.parse finds them
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -124,6 +113,8 @@ def cmd_register(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    from .pose_plan import (ConstraintKind, PoseConstraintInput, Strategy, closest_skin_pose,
+                            free_skin_pose, restricted_cortex_pose)
     config = _require_config(args)
     out = _out_dir(args, config)
     constraint = parse(PoseConstraintInput, read_json(args.constraint), "constraint")
@@ -145,6 +136,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_chain(args) -> int:
+    from .kinematics import FrameGraph, GraphDocument, GraphEdge, solve_commanded_end_effector
+    from .pose_plan import PlanPose
     config = load_config(args.config) if args.config else None
     out = _out_dir(args, config)
     file_graph = parse(GraphDocument, read_json(args.graph), "graph").graph()
@@ -168,6 +161,7 @@ def cmd_chain(args) -> int:
 
 
 def cmd_hotspot(args) -> int:
+    from .pose_plan import PlanPose, hotspot_grid, select_hotspot
     config = _require_config(args)
     out = _out_dir(args, config)
     seed_plan = parse(PlanPose, read_json(args.plan), "plan")
@@ -231,7 +225,8 @@ def cmd_fieldsim(args) -> int:
     return EXIT_OK
 
 
-def _default_plan() -> PlanPose:
+def _default_plan():
+    from .pose_plan import PoseConstraintInput, pose_from_constraint
     constraint = PoseConstraintInput.four_point(
         [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], tail="p1"
     )
@@ -239,6 +234,8 @@ def _default_plan() -> PlanPose:
 
 
 def cmd_session(args) -> int:
+    from . import session as session_mod
+    from .pose_plan import PlanPose
     config = _require_config(args)
     out = _out_dir(args, config)
     if not 0 <= args.seed <= INT_BOUND:  # so session.json reads back through fileio.parse

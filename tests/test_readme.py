@@ -1,10 +1,15 @@
-"""The README's demo runs as written, its config block is complete, and the
-package exports what it lists."""
+"""The README's demo runs as written, its config block is complete, the package
+exports what it lists, and a fresh process imports only the modules it uses."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import tmsnav
 from tmsnav.cli import EXIT_OK, main
@@ -12,6 +17,7 @@ from tmsnav.config import ProjectConfig
 from tmsnav.fileio import dump
 
 README = Path(__file__).parent.parent / "README.md"
+SRC = Path(tmsnav.__file__).resolve().parents[1]
 
 
 def demo_blocks() -> tuple[str, str]:
@@ -49,6 +55,39 @@ def test_config_block_lists_every_key_with_its_default():
                 assert documented[key][name] == value, f"{key}.{name}"
 
 
+def fresh_python(code: str) -> str:
+    """Run `code` in a new interpreter that imports tmsnav from this checkout."""
+    path = [str(SRC), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 def test_every_public_name_resolves():
     # `import tmsnav` succeeds with a stale __all__ entry; `from tmsnav import *` does not
     assert [name for name in tmsnav.__all__ if not hasattr(tmsnav, name)] == []
+    for name in tmsnav.__all__:
+        if name == "__version__":
+            continue
+        value = getattr(tmsnav, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+        # bound on the package itself, where a scan of vars(tmsnav) finds it
+        assert vars(tmsnav)[name] is value, name
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        tmsnav.no_such_name
+    # in a new process, where no name has been looked up yet
+    assert fresh_python("import tmsnav\n"
+                        "print(sorted(set(tmsnav.__all__) - set(dir(tmsnav))))\n"
+                        "from tmsnav import *\n"
+                        "print([n for n in tmsnav.__all__ if n not in globals()])") == "[]\n[]\n"
+
+
+@pytest.mark.parametrize("module, absent", [
+    ("tmsnav", ["tmsnav."]),  # a bare import loads no submodule
+    # register, fieldsim and report run none of these
+    ("tmsnav.cli", ["tmsnav.pose_plan", "tmsnav.kinematics", "tmsnav.session",
+                    "tmsnav.meshgen"]),
+])
+def test_a_fresh_import_loads_only_what_it_runs(module, absent):
+    loaded = fresh_python(f"import sys, {module}\nprint(*sys.modules, sep='\\n')").split()
+    assert [m for m in loaded if m.startswith(tuple(absent))] == []
