@@ -215,6 +215,44 @@ def circle_b_field(coil, points, current_a=None) -> np.ndarray:
     return out[0] if single else out
 
 
+# the vector potential of each wing's true circle as a trapezoid rule in the world frame: the
+# reference that fieldsim's rim flux, taken in the coil frame, must equal to 1e-12
+def circle_a_field(coil, points, current_a=None) -> np.ndarray:
+    """Vector potential in tesla-meters at one point (3,) or a batch (N, 3) of the coil's
+    posed circles: each wing's line integral of dl / |r| by the periodic trapezoid rule on
+    2^16 equally spaced nodes, with the exact clearance check of each circle, as
+    circle_b_field takes B."""
+    nodes = 2**16
+    p = np.asarray(points, dtype=float)
+    single = p.ndim == 1
+    p = p.reshape(-1, 3)
+    current = coil.peak_current_a if current_a is None else current_a
+    u, v, normal = coil.pose.rotation.T  # the coil's axes in the world frame
+    theta = 2.0 * np.pi * np.arange(nodes) / nodes
+    radial = np.cos(theta)[:, None] * u + np.sin(theta)[:, None] * v
+    tangent = np.cos(theta)[:, None] * v - np.sin(theta)[:, None] * u
+    out = np.zeros_like(p)
+    for offset, sense in zip(coil.wing_offsets(), coil.wing_senses):
+        center = coil.pose.apply(np.array([offset, 0.0, 0.0]))
+        d = p - center
+        h = (d * normal).sum(-1)
+        rho = np.linalg.norm(d - h[:, None] * normal, axis=1)
+        if ((rho - coil.loop_radius_mm) ** 2 + h * h < 0.1**2).any():
+            raise SingularEvaluation("evaluation point within 0.1 mm of the wire")
+        wire = np.ascontiguousarray((center + coil.loop_radius_mm * radial).T)  # (3, nodes), mm
+        dl = sense * (2.0 * np.pi * coil.loop_radius_mm / nodes) * tangent  # mm: dl / |r| has no unit
+        for lo in range(0, len(p), 2):  # two points at a time keep the temporaries small
+            r = p[lo:lo + 2].T[:, :, None] - wire[:, None, :]  # (3, points, nodes)
+            np.square(r, out=r)
+            inv = r[0]
+            inv += r[1]
+            inv += r[2]
+            np.sqrt(inv, out=inv)
+            out[lo:lo + 2] += np.divide(1.0, inv, out=inv) @ dl
+    out *= MU0 * current * coil.loop_turns / (4.0 * np.pi)
+    return out[0] if single else out
+
+
 def near_wire_points(coil, rng, n):
     """Coil-frame points 0.15-5 mm from a wing's circle, at least 0.15 mm from every wing.
 
@@ -240,9 +278,9 @@ def pose_arrays(pose: RigidTransform) -> tuple[np.ndarray, np.ndarray]:
     return pose.rotation, pose.translation
 
 
-def flux_coefficient(coil, sensor, axis: int, **quadrature) -> float:
+def flux_coefficient(coil, sensor, axis: int) -> float:
     """Webers per ampere through one sensor winding (turns included)."""
-    return float(_flux_coefficients(coil, sensor, *pose_arrays(sensor.pose), **quadrature)[0, axis])
+    return float(_flux_coefficients(coil, sensor, *pose_arrays(sensor.pose))[0, axis])
 
 
 def achieved_coil_pose(graph, commanded: RigidTransform) -> RigidTransform:

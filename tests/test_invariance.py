@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tmsnav.fieldsim import CoilModel, PulseTrain, SensorModel, b_field, peak_to_peak_voltages
-from tmsnav.mesh import TriangleMesh, ray_intersect
+from tmsnav.mesh import TriangleMesh, closest_point_batch, contains_point, ray_intersect
 from tmsnav.meshgen import ellipsoid, icosphere
 from tmsnav.pose_plan import (
     PoseConstraintInput,
@@ -93,6 +93,37 @@ def test_scaling_a_ray_direction_leaves_its_hit_the_same():
     first = ray_intersect(mesh, origins[0], 1e9 * directions[0])
     assert first.point.tolist() == [85.0, 0.0, 0.0]
     assert first.ray_parameter == pytest.approx(0.1, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["icosphere", "ellipsoid"])
+def test_reversing_the_winding_flips_the_normals_and_nothing_else(name):
+    # swapping each triangle's last two corners negates its normal bit for bit (the cross of
+    # swapped edges is the negated cross, its length the same sum); containment (|w| > 1/2
+    # under either winding), closest points and ray hits depend on the surface alone, and a
+    # closest point's id may change only among the triangles tied at that point
+    mesh = icosphere(85.0, 3) if name == "icosphere" else ellipsoid(SKIN_AXES, 5)
+    flipped = TriangleMesh(mesh.vertices, mesh.triangles[:, [0, 2, 1]])
+    np.testing.assert_array_equal(flipped.normals, -mesh.normals)
+    rng = np.random.default_rng(50)
+    reach = np.abs(mesh.vertices).max(axis=0)
+    points = rng.uniform(-1.3, 1.3, size=(300, 3)) * reach
+    assert [contains_point(flipped, p) for p in points] == [contains_point(mesh, p) for p in points]
+    near, ids = closest_point_batch(mesh, points)
+    near_f, ids_f = closest_point_batch(flipped, points)
+    np.testing.assert_allclose(near_f, near, rtol=0.0, atol=1e-12)
+    swapped = np.flatnonzero(ids_f != ids)
+    a, b, c = mesh.corners()
+    for i in swapped:
+        pair = [ids[i], ids_f[i]]
+        _, d2 = oracle_closest_on_triangles(a[pair], b[pair], c[pair], points[i])
+        assert abs(np.sqrt(d2[0]) - np.sqrt(d2[1])) <= 1e-12
+    assert len(swapped) < 0.05 * len(points)
+    origins = rng.uniform(-0.5, 0.5, size=(300, 3)) * reach  # inside the closed surface
+    for origin, d in zip(origins, rng.normal(size=(300, 3))):
+        hit, hit_f = ray_intersect(mesh, origin, d), ray_intersect(flipped, origin, d)
+        assert hit is not None and hit_f.triangle_id == hit.triangle_id
+        np.testing.assert_allclose(hit_f.point, hit.point, rtol=0.0, atol=1e-12)
+        assert hit_f.ray_parameter == pytest.approx(hit.ray_parameter, rel=0.0, abs=1e-12)
 
 
 # --- plans --------------------------------------------------------------------
