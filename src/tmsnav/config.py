@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import ValidationError
 from .fieldsim import CoilModel, PulseTrain, SensorModel
-from .fileio import parse, read_json
+from .fileio import bounded, parse, read_json
 from .mesh import TriangleMesh, load_stl
 from .registration import ICP_ACCEPT_MM, PAIRPOINT_ACCEPT_MM, IcpConfig
 from .transforms import RigidTransform
@@ -29,13 +29,8 @@ class Calibration:
 @dataclass(frozen=True)
 class RegistrationSettings(IcpConfig):
     """The ICP settings plus the two acceptance thresholds."""
-    pairpoint_threshold_mm: float = PAIRPOINT_ACCEPT_MM
-    icp_threshold_mm: float = ICP_ACCEPT_MM
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not (self.pairpoint_threshold_mm > 0 and self.icp_threshold_mm > 0):
-            raise ValueError("registration thresholds must be positive")
+    pairpoint_threshold_mm: float = bounded("(0, 1e6]", PAIRPOINT_ACCEPT_MM)
+    icp_threshold_mm: float = bounded("(0, 1e6]", ICP_ACCEPT_MM)
 
 
 @dataclass

@@ -29,11 +29,11 @@ from enum import Enum
 import numpy as np
 
 from .errors import SingularEvaluation, ValidationError
+from .fileio import bounded, check_bounds
 from .transforms import RigidTransform, check_rigid, direction_length, matmul3
 
 MU0 = 4e-7 * np.pi  # T*m/A
 WIRE_CLEARANCE_MM = 0.1
-MIN_SEGMENTS_PER_LOOP = 64
 RIM_NODES = 32  # per sensor winding, equally spaced on its rim
 _RIM_ANGLES = 2.0 * np.pi * np.arange(RIM_NODES) / RIM_NODES
 # sensor-frame column of each winding normal: primary z, then x and y
@@ -43,25 +43,20 @@ VOLTAGE_COLUMNS = ("primary_vpp", "secondary1_vpp", "secondary2_vpp")  # one per
 
 @dataclass(frozen=True)
 class CoilModel:
-    loop_radius_mm: float = 35.0
-    loop_turns: int = 9  # per wing
-    wing_center_offset_mm: float = 35.0  # wings at +/- offset along coil x
-    segments_per_loop: int = 256  # checked but unused: each wing is a true circle
-    peak_current_a: float = 5000.0
+    loop_radius_mm: float = bounded("(0, 1e6]", 35.0)
+    loop_turns: int = bounded("[1, 1e6]", 9)  # per wing
+    wing_center_offset_mm: float = bounded("[0, 1e6]", 35.0)  # wings at +/- offset along coil x
+    segments_per_loop: int = bounded("[64, 1e6]", 256)  # unused: each wing is a true circle
+    peak_current_a: float = bounded("(0, 1e6]", 5000.0)
     pose: RigidTransform = field(default_factory=RigidTransform.identity,
                                  metadata={"json": "matrix"})
     # winding sense per wing; two opposed wings make the figure-8
     wing_senses: tuple[float, ...] = (1.0, -1.0)
 
     def __post_init__(self):
-        if self.segments_per_loop < MIN_SEGMENTS_PER_LOOP:
-            raise ValueError(f"segments_per_loop must be >= {MIN_SEGMENTS_PER_LOOP}")
+        check_bounds(self)
         if len(self.wing_senses) not in (1, 2) or any(s not in (1, -1) for s in self.wing_senses):
             raise ValueError("coil.wing_senses must list one or two wings, each 1 or -1")
-        if not self.loop_radius_mm > 0:
-            raise ValueError("coil loop_radius_mm must be positive")
-        if self.loop_turns < 1:
-            raise ValueError("coil loop_turns must be >= 1")
         check_rigid(self.pose.to_matrix(), "coil matrix")
 
     @classmethod
@@ -94,16 +89,13 @@ class SensorKind(str, Enum):
 @dataclass(frozen=True)
 class SensorModel:
     kind: SensorKind = SensorKind.SENSOR_3D
-    loop_radius_mm: float = 7.5
-    turns_per_axis: int = 10
+    loop_radius_mm: float = bounded("(0, 1e6]", 7.5)
+    turns_per_axis: int = bounded("[1, 1e6]", 10)
     pose: RigidTransform = field(default_factory=RigidTransform.identity,
                                  metadata={"json": "matrix"})
 
     def __post_init__(self):
-        if not self.loop_radius_mm > 0:
-            raise ValueError("sensor loop_radius_mm must be positive")
-        if self.turns_per_axis < 1:
-            raise ValueError("sensor turns_per_axis must be >= 1")
+        check_bounds(self)
         check_rigid(self.pose.to_matrix(), "sensor matrix")
 
     @property
@@ -113,20 +105,14 @@ class SensorModel:
 
 @dataclass(frozen=True)
 class PulseTrain:
-    pulses_per_train: int = 25
-    train_rate_hz: float = 5.0
-    intensity_fraction: float = 0.30  # fraction of maximum system output
-    trains: int = 20
-    inter_train_wait_s: float = 10.0
-    pulse_frequency_hz: float = 4000.0  # biphasic carrier
+    pulses_per_train: int = bounded("[1, 1e6]", 25)
+    train_rate_hz: float = bounded("[1e-6, 1e9]", 5.0)
+    intensity_fraction: float = bounded("[0, 1]", 0.30)  # fraction of maximum system output
+    trains: int = bounded("[1, 1e4]", 20)
+    inter_train_wait_s: float = bounded("(0, 1e6]", 10.0)
+    pulse_frequency_hz: float = bounded("[1e-6, 1e9]", 4000.0)  # biphasic carrier
 
-    def __post_init__(self):
-        for name in ("pulses_per_train", "train_rate_hz", "trains",
-                     "inter_train_wait_s", "pulse_frequency_hz"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.intensity_fraction < 0:
-            raise ValueError("intensity_fraction must be >= 0")
+    __post_init__ = check_bounds
 
 
 def b_field(coil: CoilModel, points, current_a: float | None = None) -> np.ndarray:

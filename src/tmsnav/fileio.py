@@ -1,4 +1,5 @@
-"""File boundary: one JSON codec (`parse` and its inverse `dump`) and byte-stable writers.
+"""File boundary: one JSON codec (`parse` and its inverse `dump`), the intervals input
+fields declare (`bounded`, `check_bounds`), and byte-stable writers.
 
 Identical inputs produce identical bytes, which the command-line layer
 relies on for reproducibility.
@@ -180,6 +181,31 @@ def parse(tp, value, where: str):
         return tp(value)  # never a bool for an int, nor a count that no float holds exactly
     kinds = {float: "a finite number", int: "an integer in [-2**53, 2**53]", bool: "true or false"}
     raise _bad(where, kinds.get(tp, "a string"), value)
+
+
+def bounded(interval: str, default=dataclasses.MISSING, **metadata):
+    """A dataclass field whose value must lie in `interval`, written as the user reads it
+    ("(0, 1e6]", "[0, 1)"); `check_bounds` reads it. `metadata` is the field's other
+    metadata, such as its JSON key."""
+    return dataclasses.field(default=default, metadata={"interval": interval, **metadata})
+
+
+@cache
+def _bounds(cls) -> list:
+    """(field name, JSON key, interval text, closed below, floor, ceiling, closed above) of
+    each `bounded` field of `cls`."""
+    return [(f.name, f.metadata.get("json", f.name), text, text[0] == "[",
+             *map(float, text[1:-1].split(",")), text[-1] == "]")
+            for f in dataclasses.fields(cls) if (text := f.metadata.get("interval"))]
+
+
+def check_bounds(obj) -> None:
+    """Raise ValidationError naming the JSON key, the value and the interval of the first
+    `bounded` field of the dataclass `obj` whose value lies outside its interval (NaN does)."""
+    for name, key, text, closed_lo, lo, hi, closed_hi in _bounds(type(obj)):
+        v = getattr(obj, name)
+        if not ((lo <= v if closed_lo else lo < v) and (v <= hi if closed_hi else v < hi)):
+            raise ValidationError(f"{key} must be in {text}, got {v!r}")
 
 
 def _dataclass(cls, doc: dict, where: str):

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateCorrespondences, DegenerateLandmarks
-from .fileio import Points
+from .fileio import Points, bounded, check_bounds
 from .mesh import TriangleMesh, closest_point_batch
 from .transforms import RigidTransform, compose, rotation_about_axis
 
@@ -77,18 +77,11 @@ class LandmarkSet:
 @dataclass(frozen=True)
 class IcpConfig:
     # keyed "icp_*" in the project config's registration section
-    max_iterations: int = field(default=100, metadata={"json": "icp_max_iterations"})
-    convergence_delta_mm: float = field(default=1e-4,
-                                        metadata={"json": "icp_convergence_delta_mm"})
-    trim_fraction: float = field(default=0.0, metadata={"json": "icp_trim_fraction"})
+    max_iterations: int = bounded("[1, 1e6]", 100, json="icp_max_iterations")
+    convergence_delta_mm: float = bounded("[0, 1e6]", 1e-4, json="icp_convergence_delta_mm")
+    trim_fraction: float = bounded("[0, 1)", 0.0, json="icp_trim_fraction")
 
-    def __post_init__(self):
-        if not (0.0 <= self.trim_fraction < 1.0):
-            raise ValueError("icp_trim_fraction must be in [0, 1)")
-        if self.max_iterations < 1:
-            raise ValueError("icp_max_iterations must be >= 1")
-        if not self.convergence_delta_mm >= 0.0:
-            raise ValueError("icp_convergence_delta_mm must be >= 0")
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)

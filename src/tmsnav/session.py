@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .fieldsim import VOLTAGE_COLUMNS, CoilModel, PulseTrain, SensorModel, peak_to_peak_voltages
-from .fileio import dump
+from .fileio import bounded, check_bounds, dump
 from .kinematics import APPROACH_FLIP, PoseError, pose_errors
 from .pose_plan import PlanPose
 from .transforms import RigidTransform, matmul3, rotation_about_axis
@@ -40,15 +40,12 @@ ALIGNMENT_PERIOD_S = 1.0
 @dataclass(frozen=True)
 class ActuationModel:
     label: str
-    translation_sigma_mm: float
-    rotation_sigma_rad: float
-    drift_mm_per_min: float = 0.0  # slow lateral random walk
+    translation_sigma_mm: float = bounded("[0, 1e6]")
+    rotation_sigma_rad: float = bounded("[0, 1e6]")
+    drift_mm_per_min: float = bounded("[0, 1e6]", 0.0)  # slow lateral random walk
     rng_seed: int = 0
 
-    def __post_init__(self):
-        if self.translation_sigma_mm < 0 or self.rotation_sigma_rad < 0 \
-                or self.drift_mm_per_min < 0:
-            raise ValueError("noise sigmas must be non-negative")
+    __post_init__ = check_bounds
 
     @classmethod
     def robotic(cls, rng_seed: int = 0) -> "ActuationModel":

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -281,6 +283,28 @@ def pose_arrays(pose: RigidTransform) -> tuple[np.ndarray, np.ndarray]:
 def flux_coefficient(coil, sensor, axis: int) -> float:
     """Webers per ampere through one sensor winding (turns included)."""
     return float(_flux_coefficients(coil, sensor, *pose_arrays(sensor.pose))[0, axis])
+
+
+def interval_edges(cls) -> list[tuple[str, str, tuple]]:
+    """(field name, JSON key, (below, least, greatest, above)) of each bounded field of the
+    dataclass `cls`: the least and greatest values its interval text admits, read here
+    independently of fileio, and the nearest values of the field's type outside them."""
+    hints, out = typing.get_type_hints(cls), []
+    for f in dataclasses.fields(cls):
+        text = f.metadata.get("interval")
+        if text is None:
+            continue
+        lo, hi = (float(x) for x in text.strip("[()]").split(","))
+        least = lo if text[0] == "[" else float(np.nextafter(lo, np.inf))
+        greatest = hi if text[-1] == "]" else float(np.nextafter(hi, -np.inf))
+        if hints[f.name] is int:
+            least, greatest = math.ceil(least), math.floor(greatest)
+            edges = (least - 1, least, greatest, greatest + 1)
+        else:
+            edges = (float(np.nextafter(least, -np.inf)), least, greatest,
+                     float(np.nextafter(greatest, np.inf)))
+        out.append((f.name, f.metadata.get("json", f.name), edges))
+    return out
 
 
 def achieved_coil_pose(graph, commanded: RigidTransform) -> RigidTransform:

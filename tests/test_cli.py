@@ -1066,44 +1066,62 @@ def test_bad_flag_value_is_usage_error_naming_the_flag(tiny, tmp_path, capsys, a
     assert named in capsys.readouterr().err
 
 
-# config values that fileio.parse accepts one by one but whose products overflow a float, and
-# flags that do so with the tiny config: (config edits, command, output file, text stderr names)
+# flags whose products overflow a float with the tiny config: (command, output file, text
+# stderr names)
 OVERFLOWING = {
-    "sensor radius 1e200": ({"sensor.loop_radius_mm": 1e200}, ["fieldsim", "--offsets=0,2"],
-                            "sweep.csv", "column"),
-    "coil radius 1e300": ({"coil.loop_radius_mm": 1e300}, ["fieldsim", "--offsets=0,2"],
-                          "sweep.csv", "column"),
-    "standoff 1e300": ({}, ["fieldsim", "--standoff=1e300", "--offsets=0,2"], "sweep.csv",
-                       "column"),
-    "offsets to 1e300": ({}, ["fieldsim", "--offsets=0:1e300:3"], "sweep.csv", "column"),
-    "sweep current 1e308": ({"coil.peak_current_a": 1e308}, ["fieldsim", "--offsets=0,2"],
-                            "sweep.csv", "column"),
-    # a session names the key path of the first value it cannot write, in sorted-key order
-    "session current 1e308": ({"coil.peak_current_a": 1e308}, ["session"], "session.json",
-                              "not JSON compliant: inf at samples[0].voltages_vpp[0]"),
-    "session frequency 1e308": ({"train.pulse_frequency_hz": 1e308}, ["session"], "session.json",
-                                "not JSON compliant: inf at samples[0].voltages_vpp[0]"),
+    "standoff 1e300": (["fieldsim", "--standoff=1e300", "--offsets=0,2"], "sweep.csv", "column"),
+    "offsets to 1e300": (["fieldsim", "--offsets=0:1e300:3"], "sweep.csv", "column"),
 }
+
+
+def _fresh_cli(tmp_path, config: dict, argv, *flags) -> subprocess.CompletedProcess:
+    """`python *flags -m tmsnav.cli` in a fresh process, as a user runs it (in-process,
+    pytest's filterwarnings would turn the first numpy warning into an error), on `config`
+    written to tmp_path and with its outputs in tmp_path / "out"."""
+    write_json(tmp_path / "config.json", config)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *flags, "-m", "tmsnav.cli",
+                           f"--config={tmp_path / 'config.json'}", f"--out={tmp_path / 'out'}",
+                           *argv], env=env, capture_output=True, text=True, check=False)
 
 
 @pytest.mark.parametrize("case", sorted(OVERFLOWING))
 def test_overflowing_inputs_are_usage_errors_that_write_no_output(tiny, tmp_path, case):
-    # numpy warns as the products overflow, so each runs in a fresh process as a user runs it
-    # (in-process, pytest's filterwarnings would turn the first warning into an error)
-    edits, argv, output, named = OVERFLOWING[case]
-    config = read_json(tiny / "config.json")
-    for key, value in edits.items():
-        config = _with(config, key, value)
-    write_json(tmp_path / "config.json", config)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-m", "tmsnav.cli",
-                           f"--config={tmp_path / 'config.json'}", f"--out={tmp_path / 'out'}",
-                           *argv], env=env, capture_output=True, text=True, check=False)
+    argv, output, named = OVERFLOWING[case]
+    proc = _fresh_cli(tmp_path, read_json(tiny / "config.json"), argv)
     assert proc.returncode == EXIT_USAGE, proc.stderr
     error = proc.stderr.strip().splitlines()[-1]
     assert error.startswith(f"error: cannot write {tmp_path / 'out' / output}") and named in error
     assert not (tmp_path / "out" / output).exists()
+
+
+# config values outside their field's interval: (key, value, command). Unbounded, the large
+# ones overflowed, and only the writer refused them, after numpy's warnings; a negative
+# current wrote negative voltages
+OUT_OF_RANGE = {
+    "sensor radius 1e200": ("sensor.loop_radius_mm", 1e200, ["fieldsim", "--offsets=0,2"]),
+    "coil radius 1e300": ("coil.loop_radius_mm", 1e300, ["fieldsim", "--offsets=0,2"]),
+    "wing offset 1e300": ("coil.wing_center_offset_mm", 1e300, ["fieldsim", "--offsets=0,2"]),
+    "sweep current 1e308": ("coil.peak_current_a", 1e308, ["fieldsim", "--offsets=0,2"]),
+    "negative current": ("coil.peak_current_a", -5000.0, ["fieldsim", "--offsets=0,2"]),
+    "session current 1e308": ("coil.peak_current_a", 1e308, ["session"]),
+    "session frequency 1e308": ("train.pulse_frequency_hz", 1e308, ["session"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_config_values_exit_64_naming_the_key(tiny, tmp_path, case):
+    # refused as the config is read, before the output directory is made: one line on
+    # stderr, with no numpy warning before it
+    key, value, argv = OUT_OF_RANGE[case]
+    proc = _fresh_cli(tmp_path, _with(read_json(tiny / "config.json"), key, value), argv,
+                      "-W", "error::RuntimeWarning")
+    section, name = key.split(".")
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stderr.startswith(f"error: config.{section}: {name} must be in ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def _key_paths(doc, prefix: str = ""):

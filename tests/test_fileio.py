@@ -1,16 +1,24 @@
-"""The JSON writer against the standard library's encoder, and the writers' errors."""
+"""The JSON writer against the standard library's encoder, the writers' errors, and the
+intervals that bounded input fields declare."""
 
 import json
 import random
+import re
+from dataclasses import replace
 from enum import Enum, IntEnum
 
 import numpy as np
 import pytest
 
 from tmsnav.cli import EXIT_OK, EXIT_USAGE, main
+from tmsnav.config import RegistrationSettings
 from tmsnav.errors import ValidationError
-from tmsnav.fileio import canonical_json, write_csv, write_json
+from tmsnav.fieldsim import CoilModel, PulseTrain, SensorModel
+from tmsnav.fileio import canonical_json, parse, write_csv, write_json
+from tmsnav.registration import IcpConfig
+from tmsnav.session import ActuationModel
 
+from conftest import interval_edges
 from test_acceptance import acceptance_project  # noqa: F401  (fixture)
 
 
@@ -179,3 +187,25 @@ def test_writers_reject_a_non_finite_number_naming_the_file(tmp_path, bad):
         write_csv(tmp_path / "sweep.csv", ["offset_mm", "primary_vpp", "secondary1_vpp"],
                   [(0.0, 1.0, 2.0), (1.0, 1.5, bad)])
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("cls", [CoilModel, SensorModel, PulseTrain, IcpConfig,
+                                 RegistrationSettings, ActuationModel], ids=lambda c: c.__name__)
+def test_a_bounded_field_takes_its_interval_and_nothing_outside_it(cls):
+    # the least and greatest values an interval admits construct, built directly or parsed;
+    # the nearest values outside are a ValueError naming the JSON key, the interval and the value
+    base = ActuationModel.manual(0) if cls is ActuationModel else cls()
+    edges = interval_edges(cls)
+    assert edges
+    for name, key, (below, least, greatest, above) in edges:
+        for value in (least, greatest):
+            assert getattr(replace(base, **{name: value}), name) == value
+            if cls is not ActuationModel:  # no input document holds an actuation model
+                assert getattr(parse(cls, {key: value}, "config.x"), name) == value
+        for value in (below, above):
+            message = rf"^{key} must be in [\[(].*[\])], got {re.escape(repr(value))}$"
+            with pytest.raises(ValidationError, match=message):
+                replace(base, **{name: value})
+            if cls is not ActuationModel:
+                with pytest.raises(ValidationError, match=rf"^config\.x: {key} must be in "):
+                    parse(cls, {key: value}, "config.x")

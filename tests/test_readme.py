@@ -1,6 +1,7 @@
 """The README's demo runs as written, its config block is complete, the package
 exports what it lists, and a fresh process imports only the modules it uses."""
 
+import dataclasses
 import json
 import os
 import re
@@ -53,6 +54,17 @@ def test_config_block_lists_every_key_with_its_default():
                 assert value is None or len(value) == 16, f"{key}.{name}"
             else:
                 assert documented[key][name] == value, f"{key}.{name}"
+
+
+def test_interval_table_lists_every_bounded_key_with_its_interval():
+    section = README.read_text().split("### Project configuration", 1)[1].split("\n### ", 1)[0]
+    documented = dict(re.findall(r"^\| `(\w+\.\w+)` \| ([\[(][^|]*[\])]) \|$", section, re.M))
+    config = ProjectConfig()
+    declared = {f"{part.name}.{f.metadata.get('json', f.name)}": f.metadata["interval"]
+                for part in dataclasses.fields(config)
+                if dataclasses.is_dataclass(value := getattr(config, part.name))
+                for f in dataclasses.fields(value) if "interval" in f.metadata}
+    assert declared and documented == declared
 
 
 def fresh_python(code: str) -> str:

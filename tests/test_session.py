@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 
 from tmsnav import transforms
-from tmsnav.fieldsim import CoilModel, PulseTrain, SensorModel, peak_to_peak_voltages
-from tmsnav.fileio import dump, parse
+from tmsnav.errors import SingularEvaluation
+from tmsnav.fieldsim import (
+    CoilModel,
+    PulseTrain,
+    SensorModel,
+    displacement_sweep,
+    peak_to_peak_voltages,
+)
+from tmsnav.fileio import canonical_json, dump, parse
 from tmsnav.kinematics import APPROACH_FLIP
 from tmsnav.pose_plan import PlanPose, PoseConstraintInput, Strategy, pose_from_constraint
 from tmsnav.session import (
@@ -20,7 +27,7 @@ from tmsnav.session import (
 )
 from tmsnav.transforms import RigidTransform, compose, invert, rotation_angle
 
-from conftest import pose_arrays, random_transform
+from conftest import interval_edges, pose_arrays, random_transform
 
 
 def flat_plan(center=(0.0, 0.0, 0.0)) -> PlanPose:
@@ -386,3 +393,34 @@ def test_off_orthonormal_json_plan_takes_the_fallback_on_every_train(monkeypatch
     for s in record.samples:
         assert transforms.orthonormality_error(s.measured.rotation) <= 1e-15
     assert_matches_oracle(record, rng, oracle)
+
+
+# each bounded field of the inputs a session and a sweep read, at the least and the greatest
+# value its interval admits
+CORNERS = [(cls, name, value) for cls in (CoilModel, SensorModel, PulseTrain, ActuationModel)
+           for name, _, (_, *edges, _) in interval_edges(cls) for value in edges]
+
+
+@pytest.mark.parametrize("cls, name, value", CORNERS,
+                         ids=[f"{cls.__name__}.{name}={value!r}" for cls, name, value in CORNERS])
+def test_every_interval_corner_gives_finite_sessions_and_sweeps(cls, name, value):
+    # with every other field at its default, the intervals keep every product of fieldsim and
+    # session finite: an overflow, an invalid value or a division by zero raises here, and an
+    # inf a product of Python floats made would reach the JSON or the rows. A wire that comes
+    # within the clearance of a winding (a 1e6 rad tilt sigma can turn the coil onto the
+    # sensor) raises SingularEvaluation, as it does at any size
+    parts = {CoilModel: CoilModel(), SensorModel: SensorModel(), PulseTrain: PulseTrain(),
+             ActuationModel: ActuationModel.manual(5)}
+    parts[cls] = replace(parts[cls], **{name: value})
+    coil, sensor, train, model = parts.values()
+    # under the coil's centre, each winding's disc 20 mm clear of the coil's plane
+    sensor = replace(sensor, pose=RigidTransform(
+        np.eye(3), [0.0, 0.0, -20.0 - 2.0 * sensor.loop_radius_mm]))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            canonical_json(session_to_dict(run_holding_session(flat_plan(), model, coil, sensor,
+                                                               train)))
+        except SingularEvaluation:
+            assert (cls, name) == (ActuationModel, "rotation_sigma_rad")
+        rows = displacement_sweep(coil, sensor, [1.0, 0.0, 0.0], [0.0, 1.0, 2.0], train)["rows"]
+    assert np.isfinite(rows).all()
